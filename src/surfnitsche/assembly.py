@@ -11,6 +11,18 @@ edges, p the closest-point map onto the surface, q the closest-point map
 onto the boundary curve, and a single global mesh size h in the penalty
 weight.  All terms are integrated with rules of exactness degree 2k + 2
 by default (overridable for sensitivity studies).
+
+Element kernels are matrix products.  Since grad v . grad w =
+grad_ref v^T G^{-1} grad_ref w, the element stiffness matrix is
+K_e = C_e @ B with C_e[(q,r,s)] = w_q sqrt(det G) G^{-1}_rs per element
+and B[(q,r,s),(i,j)] = d_r phi_i d_s phi_j tabulated once per rule, so
+no tangential gradient of a basis function is ever formed.  G^{-1} is
+symmetric, so (r,s) runs over 00, 11 and 01 only, the 01 row of B
+holding d_0 phi_i d_1 phi_j + d_1 phi_i d_0 phi_j; every column pair
+(i,j), (j,i) of B is then identical.  The boundary flux nu.grad phi_i
+is the covector G^{-1} J^T nu (shape (e,q,2)) dotted with the reference
+gradients, and the mass-type and load terms are products of weighted
+values with the basis table.
 """
 from __future__ import annotations
 
@@ -20,11 +32,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidPenaltyError, NotPositiveDefiniteError
-from .fem import EdgeBundle, frames
+from .fem import ELEMENT_CHUNK, EdgeBundle, frames
 from .mesh import ParametricMesh, grouped_boundary_edges
 from .reference import edge_rule, reference_element, triangle_rule
-
-_CHUNK = 4096
 
 
 @dataclass
@@ -52,6 +62,28 @@ class _Parts:
     h: float
 
 
+def _stiffness_table(grads):
+    """B[(q, rs), (i, j)] for rs = 00, 11, 01 from reference gradients (q, n, 2)."""
+    d0, d1 = grads[:, :, 0], grads[:, :, 1]
+
+    def outer(a, b):
+        return a[:, :, None] * b[:, None, :]
+
+    table = np.stack([outer(d0, d0), outer(d1, d1), outer(d0, d1) + outer(d1, d0)], axis=1)
+    return table.reshape(3 * len(grads), -1)
+
+
+def _symmetric(local):
+    """(L + L^T) / 2 of element matrices (e, n, n).
+
+    A matrix product need not sum L_ij and L_ji in the same order.  Averaging
+    keeps every element matrix exactly symmetric, so the assembled matrix
+    is symmetric up to the order in which the sparse conversion sums
+    duplicate entries; the MatrixMarket export keeps only one triangle.
+    """
+    return 0.5 * (local + local.transpose(0, 2, 1))
+
+
 def _assemble_parts(
     mesh: ParametricMesh,
     problem,
@@ -66,26 +98,31 @@ def _assemble_parts(
         edge_quad_degree = 2 * k + 2
     ref = reference_element(k)
     rule = triangle_rule(quad_degree)
-    grads = ref.grad(rule.points)
-    values = ref.eval(rule.points)
+    values, grads = ref.tabulate(rule.points)
+    num_local = values.shape[1]
+    stiffness_table = _stiffness_table(grads)
 
     n = mesh.num_nodes
     rows, cols, vals = [], [], []
     rhs_core = np.zeros(n)
     rhs_penalty = np.zeros(n)
 
-    for start in range(0, mesh.num_elements, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, mesh.num_elements))
+    for start in range(0, mesh.num_elements, ELEMENT_CHUNK):
+        ids = np.arange(start, min(start + ELEMENT_CHUNK, mesh.num_elements))
         bundle = frames(mesh, problem, ids, rule.points)
         scale = rule.weights[None, :] * bundle.area_factor
-        tg = bundle.basis_tangent_gradients(grads)
-        local = np.einsum("eq,eqid,eqjd->eij", scale, tg, tg)
+        inv = bundle.inv_metric
+        metric_weights = scale[..., None] * np.stack(
+            [inv[..., 0, 0], inv[..., 1, 1], inv[..., 0, 1]], axis=-1
+        )
         conn = mesh.elements[ids]
         rows.append(np.repeat(conn, conn.shape[1], axis=1).ravel())
         cols.append(np.tile(conn, (1, conn.shape[1])).ravel())
-        vals.append(local.ravel())
+        local = metric_weights.reshape(len(ids), -1) @ stiffness_table
+        local = local.reshape(len(ids), num_local, num_local)
+        vals.append(_symmetric(local).ravel())
         f_vals = problem.load_at(bundle.position)
-        np.add.at(rhs_core, conn.ravel(), np.einsum("eq,eq,qj->ej", scale, f_vals, values).ravel())
+        np.add.at(rhs_core, conn.ravel(), ((scale * f_vals) @ values).ravel())
 
     pen_rows, pen_cols, pen_vals = [], [], []
     if boundary_terms:
@@ -93,35 +130,27 @@ def _assemble_parts(
         for (local_edge, side), element_ids in grouped_boundary_edges(mesh).items():
             ebundle = EdgeBundle(mesh, problem, element_ids, local_edge, erule.points)
             scale = erule.weights[None, :] * ebundle.line_factor
-            tg = ebundle.frame.basis_tangent_gradients(ebundle.grads)
-            flux = np.einsum("eqd,eqid->eqi", ebundle.conormal, tg)
+            covector = ebundle.frame.reference_components(ebundle.conormal)
+            flux = (ebundle.grads @ covector[..., None])[..., 0]
             conn = mesh.elements[element_ids]
             r = np.repeat(conn, conn.shape[1], axis=1).ravel()
             c = np.tile(conn, (1, conn.shape[1])).ravel()
 
-            consistency = np.einsum("eq,eqi,qj->eij", scale, flux, ebundle.values)
+            consistency = (scale[..., None] * flux).transpose(0, 2, 1) @ ebundle.values
             rows.append(r)
             cols.append(c)
             vals.append(-(consistency + consistency.transpose(0, 2, 1)).ravel())
 
-            pen = np.einsum("eq,qi,qj->eij", scale, ebundle.values, ebundle.values)
+            pen = (ebundle.values.T * scale[:, None, :]) @ ebundle.values
             pen_rows.append(r)
             pen_cols.append(c)
-            pen_vals.append(pen.ravel())
+            pen_vals.append(_symmetric(pen).ravel())
 
             qpts = ebundle.frame.position.reshape(-1, 3)
             g_vals = problem.dirichlet_at(problem.project_to_boundary(qpts, side))
-            g_vals = g_vals.reshape(scale.shape)
-            np.add.at(
-                rhs_core,
-                conn.ravel(),
-                -np.einsum("eq,eq,eqj->ej", scale, g_vals, flux).ravel(),
-            )
-            np.add.at(
-                rhs_penalty,
-                conn.ravel(),
-                np.einsum("eq,eq,qj->ej", scale, g_vals, ebundle.values).ravel(),
-            )
+            weighted_g = scale * g_vals.reshape(scale.shape)
+            np.add.at(rhs_core, conn.ravel(), -(weighted_g[:, None, :] @ flux).ravel())
+            np.add.at(rhs_penalty, conn.ravel(), (weighted_g @ ebundle.values).ravel())
 
     def build(rr, cc, vv):
         if not rr:

@@ -5,6 +5,15 @@ nodal coordinates.  The 3x2 Jacobian J yields the first fundamental form
 G = J^T J, the area factor sqrt(det G), the unit normal (oriented to agree
 with the exact surface normal at the closest point), tangential gradients
 J G^{-1} grad_ref, and on boundary edges the exterior unit conormal.
+
+Batched frames are built with matrix products: positions are
+values @ coords and J^T is one product of the stacked reference gradients
+(2q, n) with each element's (n, 3) coordinates; the 2x2 metric and its
+inverse are formed entrywise.  Kernels that only need G^{-1} and
+sqrt(det G) (the stiffness matrix ``C_e @ B`` in the assembly module) or
+reference-space covectors (boundary fluxes, error gradients) never build
+the (e, q, n, 3) tangent-gradient tensor; ``lift`` maps a covector field
+to 3-space afterwards.
 """
 from __future__ import annotations
 
@@ -23,6 +32,10 @@ from .reference import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mesh import ParametricMesh
+
+# Elements per frame batch in the quadrature loops; bounds the size of
+# the (e, q, ...) work arrays.
+ELEMENT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -43,12 +56,21 @@ class FrameBundle:
     position (e,q,3), jacobian (e,q,3,2), metric/inv_metric (e,q,2,2),
     area_factor (e,q), normal (e,q,3).  ``signed_area`` is the raw cross
     product projected on the exact surface normal; its sign exposes folds.
+    J^T is stored contiguously and ``jacobian`` is a transposed view of it.
     """
 
     def __init__(self, coords, values, grads, normal_at_closest):
-        self.position = np.einsum("qn,end->eqd", values, coords)
-        self.jacobian = np.einsum("qnr,end->eqdr", grads, coords)
-        g = np.einsum("eqdr,eqds->eqrs", self.jacobian, self.jacobian)
+        num_points, num_nodes = values.shape
+        self.position = values @ coords
+        stacked = grads.transpose(0, 2, 1).reshape(2 * num_points, num_nodes)
+        jac_t = (stacked @ coords).reshape(len(coords), num_points, 2, 3)
+        self._jacobian_t = jac_t
+        self.jacobian = jac_t.swapaxes(-1, -2)
+        g = np.empty(jac_t.shape[:-1] + (2,))
+        g[..., 0, 0] = _dot3(jac_t[..., 0, :], jac_t[..., 0, :])
+        g[..., 1, 1] = _dot3(jac_t[..., 1, :], jac_t[..., 1, :])
+        g[..., 0, 1] = _dot3(jac_t[..., 0, :], jac_t[..., 1, :])
+        g[..., 1, 0] = g[..., 0, 1]
         det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
         if np.any(det <= 0.0):
             raise DegenerateElementError("singular first fundamental form")
@@ -60,7 +82,7 @@ class FrameBundle:
         inv[..., 1, 0] = -g[..., 1, 0]
         self.inv_metric = inv / det[..., None, None]
         self.area_factor = np.sqrt(det)
-        raw = np.cross(self.jacobian[..., 0], self.jacobian[..., 1])
+        raw = np.cross(jac_t[..., 0, :], jac_t[..., 1, :])
         raw_norm = np.linalg.norm(raw, axis=-1)
         unit = raw / raw_norm[..., None]
         exact = normal_at_closest(self.position)
@@ -72,14 +94,51 @@ class FrameBundle:
 
     def basis_tangent_gradients(self, grads):
         """Tangential gradients of all basis functions; shape (e,q,n,3)."""
-        return np.einsum(
-            "eqdr,eqrs,qns->eqnd", self.jacobian, self.inv_metric, grads
-        )
+        return grads @ (self.inv_metric @ self._jacobian_t)
+
+    def reference_components(self, vectors):
+        """Components G^{-1} J^T v of ambient vectors v (e,q,3); shape (e,q,2).
+
+        For every basis function, v . (tangential gradient) equals these
+        components dotted with its reference gradient, so fluxes contract
+        them directly against the reference gradients.
+        """
+        return self._raise((self._jacobian_t @ vectors[..., None])[..., 0])
+
+    def lift(self, ref_gradients):
+        """Tangential gradients J G^{-1} g of reference gradients g (e,q,2); (e,q,3)."""
+        return self._push(self._raise(ref_gradients))
 
     def project_tangent(self, vectors):
         """Project ambient vectors (e,q,3) onto the discrete tangent plane."""
-        covariant = np.einsum("eqds,eqd->eqs", self.jacobian, vectors)
-        return np.einsum("eqdr,eqrs,eqs->eqd", self.jacobian, self.inv_metric, covariant)
+        return self._push(self.reference_components(vectors))
+
+    # _raise and _push write their per-point products entrywise: a stacked
+    # matmul of matrices this small costs a call per point and ran 2-3x
+    # slower.  J^T v above stays a matmul; its entrywise form rounds
+    # differently, enough to move the Nitsche flux terms and, with them,
+    # where PCG stops on the k = 3 study (2437 -> 2436 iterations at
+    # n_div = 64).
+
+    def _raise(self, covectors):
+        """G^{-1} w for covectors w (e,q,2)."""
+        inv = self.inv_metric
+        v0, v1 = covectors[..., 0], covectors[..., 1]
+        return np.stack(
+            [inv[..., 0, 0] * v0 + inv[..., 0, 1] * v1, inv[..., 1, 0] * v0 + inv[..., 1, 1] * v1],
+            axis=-1,
+        )
+
+    def _push(self, components):
+        """J c for reference components c (e,q,2); shape (e,q,3)."""
+        jac_t = self._jacobian_t
+        c0, c1 = components[..., 0, None], components[..., 1, None]
+        return c0 * jac_t[..., 0, :] + c1 * jac_t[..., 1, :]
+
+
+def _dot3(a, b):
+    """Dot products over a last axis of length 3, summed left to right."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def frames(mesh: "ParametricMesh", problem, element_ids, ref_points) -> FrameBundle:
@@ -128,9 +187,7 @@ class EdgeBundle:
         self.values, self.grads = ref.tabulate(ref_pts)
         coords = mesh.nodes[mesh.elements[np.asarray(element_ids, dtype=int)]]
         self.frame = FrameBundle(coords, self.values, self.grads, problem.normal_at_closest)
-        tangent = np.einsum(
-            "eqdr,r->eqd", self.frame.jacobian, edge_ref_direction(local_edge)
-        )
+        tangent = self.frame.jacobian @ edge_ref_direction(local_edge)
         self.line_factor = np.linalg.norm(tangent, axis=-1)
         if np.any(self.line_factor <= 0.0):
             raise DegenerateElementError("degenerate boundary edge")

@@ -205,15 +205,13 @@ def _connectivity(n_t, n_s, k, rows, cols, periodic, problem):
     off_lower = np.stack([i_ref + j_ref, j_ref], axis=1)
     off_upper = np.stack([i_ref, i_ref + j_ref], axis=1)
 
-    elements = np.empty((2 * n_t * n_s, len(multi)), dtype=int)
-    for ci in range(n_t):
-        for cj in range(n_s):
-            cell = ci * n_s + cj
-            for half, off in ((0, off_lower), (1, off_upper)):
-                t_index = ci * k + off[:, 0]
-                if periodic:
-                    t_index = np.mod(t_index, cols)
-                elements[2 * cell + half] = t_index * rows + (cj * k + off[:, 1])
+    # Element 2 * (ci * n_s + cj) + half of cell (ci, cj): axes (ci, cj, half, node).
+    off = np.stack([off_lower, off_upper])
+    t_index = k * np.arange(n_t)[:, None, None, None] + off[None, None, :, :, 0]
+    if periodic:
+        t_index = np.mod(t_index, cols)
+    s_index = k * np.arange(n_s)[None, :, None, None] + off[None, None, :, :, 1]
+    elements = (t_index * rows + s_index).reshape(2 * n_t * n_s, len(multi))
 
     boundary_edges: list[BoundaryEdge] = []
     sides = problem.boundary_sides

@@ -5,6 +5,14 @@ Systems up to 2000 unknowns go through a dense Cholesky factorization
 tolerance); larger ones through Jacobi-preconditioned conjugate
 gradients.  Both paths re-evaluate the final residual independently of
 the iteration before reporting success.
+
+Vector norms and the conjugate-gradient dot products use numpy's own
+pairwise summation, not BLAS.  A threaded BLAS splits every long dot
+product over its threads, which costs a thread wake-up per call and
+keeps the other threads spinning between calls, for thousands of calls
+per solve; it also makes the rounding, and with it the iteration count,
+depend on the BLAS thread count.  With pairwise sums the iteration
+count does not depend on it.
 """
 from __future__ import annotations
 
@@ -60,11 +68,20 @@ def solve_linear(matrix, rhs, rel_tol: float = 1e-12, method: str = "auto") -> S
     return SolveReport(solution=x, iterations=iters, relative_residual=residual, method=tag)
 
 
+def _dot(a, b):
+    """a . b by pairwise summation, without a BLAS call."""
+    return np.add.reduce(a * b)
+
+
+def _norm(a):
+    return np.sqrt(_dot(a, a))
+
+
 def _relative_residual(matrix, x, rhs):
-    norm_rhs = np.linalg.norm(rhs)
+    norm_rhs = _norm(rhs)
     if norm_rhs == 0.0:
         return 0.0
-    return float(np.linalg.norm(matrix @ x - rhs) / norm_rhs)
+    return float(_norm(matrix @ x - rhs) / norm_rhs)
 
 
 def _cholesky_solve(matrix, rhs, rel_tol):
@@ -90,7 +107,7 @@ def _jacobi_pcg(matrix, rhs, rel_tol):
     if np.any(diag <= 0.0):
         raise NotPositiveDefiniteError("nonpositive diagonal entry")
     inv_diag = 1.0 / diag
-    norm_rhs = np.linalg.norm(rhs)
+    norm_rhs = _norm(rhs)
     x = np.zeros(dim)
     if norm_rhs == 0.0:
         return x, 0
@@ -98,12 +115,12 @@ def _jacobi_pcg(matrix, rhs, rel_tol):
     r = rhs.copy()
     z = inv_diag * r
     p = z.copy()
-    rz = r @ z
+    rz = _dot(r, z)
     iterations = 0
     while iterations < max_iter:
         iterations += 1
         ap = matrix @ p
-        curvature = p @ ap
+        curvature = _dot(p, ap)
         if curvature <= 0.0:
             raise NotPositiveDefiniteError(
                 f"negative curvature at iteration {iterations}"
@@ -111,19 +128,19 @@ def _jacobi_pcg(matrix, rhs, rel_tol):
         alpha = rz / curvature
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= rel_tol * norm_rhs:
+        if _norm(r) <= rel_tol * norm_rhs:
             # Recursive residual met the target; verify the true residual
             # and restart from scratch if rounding drifted it above.
             true_r = rhs - matrix @ x
-            if np.linalg.norm(true_r) <= rel_tol * norm_rhs:
+            if _norm(true_r) <= rel_tol * norm_rhs:
                 return x, iterations
             r = true_r
             z = inv_diag * r
             p = z.copy()
-            rz = r @ z
+            rz = _dot(r, z)
             continue
         z = inv_diag * r
-        rz_next = r @ z
+        rz_next = _dot(r, z)
         p = z + (rz_next / rz) * p
         rz = rz_next
     raise MaxIterationsExceededError(f"no convergence within {max_iter} iterations")

@@ -5,8 +5,8 @@ import pytest
 
 from surfnitsche import geometry as geo
 from surfnitsche.errors import MeshInvalidError
-from surfnitsche.mesh import build_mesh, geometric_report
-from surfnitsche.reference import edge_node_ids
+from surfnitsche.mesh import _grid_shape, build_mesh, geometric_report
+from surfnitsche.reference import edge_node_ids, lattice_multi_indices
 
 from conftest import observed_orders
 
@@ -18,6 +18,39 @@ def vertex_edge_counts(mesh):
             corner = {1: (0, 1, 2), 2: (0, 2, 5), 3: (0, 3, 9)}[mesh.order]
             counts[tuple(sorted((element[corner[a]], element[corner[b]])))] += 1
     return counts
+
+
+def loop_connectivity(n_t, n_s, k, rows, cols, periodic):
+    """Element node ids cell by cell, as mesh._connectivity built them before vectorizing."""
+    multi = lattice_multi_indices(k)
+    i_ref, j_ref = multi[:, 0], multi[:, 1]
+    off_lower = np.stack([i_ref + j_ref, j_ref], axis=1)
+    off_upper = np.stack([i_ref, i_ref + j_ref], axis=1)
+    elements = np.empty((2 * n_t * n_s, len(multi)), dtype=int)
+    for ci in range(n_t):
+        for cj in range(n_s):
+            cell = ci * n_s + cj
+            for half, off in ((0, off_lower), (1, off_upper)):
+                t_index = ci * k + off[:, 0]
+                if periodic:
+                    t_index = np.mod(t_index, cols)
+                elements[2 * cell + half] = t_index * rows + (cj * k + off[:, 1])
+    return elements
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize(
+    "problem", [geo.TorusProblem(), geo.FlatSquareProblem(1)], ids=["periodic", "flat"]
+)
+def test_connectivity_matches_cell_loop(problem, order):
+    n_div = 5
+    mesh = build_mesh(n_div, order, problem)
+    n_t, n_s = _grid_shape(n_div, problem)
+    rows = order * n_s + 1
+    cols = order * n_t if problem.periodic else order * n_t + 1
+    expected = loop_connectivity(n_t, n_s, order, rows, cols, problem.periodic)
+    assert mesh.elements.dtype == expected.dtype
+    assert np.array_equal(mesh.elements, expected)
 
 
 class TestFlatMesh:

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from surfnitsche import geometry as geo
+from surfnitsche.assembly import assemble
 from surfnitsche.errors import MaxIterationsExceededError, NotPositiveDefiniteError
-from surfnitsche.solve import solve_linear
+from surfnitsche.mesh import build_mesh
+from surfnitsche.solve import solve_linear, solve_spd
 
 
 def random_spd(dim, seed):
@@ -85,6 +88,20 @@ class TestReportInvariants:
             recomputed = np.linalg.norm(matrix @ report.solution - rhs) / np.linalg.norm(rhs)
             assert report.relative_residual <= 1e-12
             assert recomputed == pytest.approx(report.relative_residual, abs=1e-15)
+
+    def test_cg_on_assembled_system(self):
+        # a k = 2 Nitsche system, small enough for a dense reference solve
+        problem = geo.TorusProblem()
+        system = assemble(build_mesh(4, 2, problem), 1e4, problem)
+        report = solve_spd(system, method="cg")
+        assert report.method == "iterative"
+        dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
+        gap = np.linalg.norm(report.solution - dense) / np.linalg.norm(dense)
+        assert gap <= 1e-8
+        recomputed = np.linalg.norm(
+            system.matrix @ report.solution - system.rhs
+        ) / np.linalg.norm(system.rhs)
+        assert report.relative_residual == pytest.approx(recomputed, rel=1e-12, abs=0.0)
 
     def test_deterministic(self):
         matrix = sp.csr_matrix(random_spd(150, seed=6))
