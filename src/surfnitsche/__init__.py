@@ -14,6 +14,7 @@ from .assembly import SparseSystem, assemble, min_stable_beta_probe
 from .errors import (
     DegenerateElementError,
     DegenerateInputError,
+    InvalidArgumentError,
     InvalidPenaltyError,
     MaxIterationsExceededError,
     MeshInvalidError,
@@ -24,7 +25,6 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .export import write_matrix_market, write_vector_market, write_vtk
-from .fem import ElementFrame, boundary_conormal, element_frame, tangent_gradient
 from .geometry import (
     BoundarySpec,
     FlatSquareProblem,
@@ -57,10 +57,10 @@ __all__ = [
     "ConvergenceRecord",
     "DegenerateElementError",
     "DegenerateInputError",
-    "ElementFrame",
     "ErrorMeasures",
     "FlatSquareProblem",
     "GeometricReport",
+    "InvalidArgumentError",
     "InvalidPenaltyError",
     "MaxIterationsExceededError",
     "MeshInvalidError",
@@ -78,13 +78,11 @@ __all__ = [
     "UnsupportedDegreeError",
     "assemble",
     "basis_eval",
-    "boundary_conormal",
     "boundary_phi",
     "build_mesh",
     "closest_point",
     "convergence_study",
     "edge_rule",
-    "element_frame",
     "error_measures",
     "exact_solution",
     "exact_surface_gradient",
@@ -97,7 +95,6 @@ __all__ = [
     "solve_linear",
     "solve_spd",
     "surface_normal",
-    "tangent_gradient",
     "torus_embed",
     "triangle_rule",
     "write_matrix_market",

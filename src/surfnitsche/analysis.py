@@ -9,7 +9,8 @@ whose three parts are kept separate.  Error quadrature runs two degrees
 above assembly (2k + 4) so measurement error stays below the observed
 rates.  Refinement studies double the grid resolution per level and
 report estimated orders of convergence as log2 of consecutive error
-ratios.
+ratios.  The error integrals run over the batches of the mesh module's
+quadrature walker, the same ones assembly integrates over.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble
-from .fem import ELEMENT_CHUNK, EdgeBundle, frames
-from .mesh import ParametricMesh, build_mesh, grouped_boundary_edges
+from .errors import InvalidArgumentError
+from .mesh import ParametricMesh, build_mesh, edge_batches, element_batches
 from .reference import edge_rule, reference_element, triangle_rule
 from .solve import solve_spd
 
@@ -76,10 +77,7 @@ def error_measures(
 
     l2_sq = 0.0
     grad_sq = 0.0
-    for start in range(0, mesh.num_elements, ELEMENT_CHUNK):
-        ids = np.arange(start, min(start + ELEMENT_CHUNK, mesh.num_elements))
-        bundle = frames(mesh, problem, ids, rule.points)
-        scale = rule.weights[None, :] * bundle.area_factor
+    for ids, bundle, scale in element_batches(mesh, problem, rule):
         coeff = coefficients[mesh.elements[ids]]
         u_h = coeff @ values.T
         grad_u_h = bundle.lift(_reference_gradient(coeff, grads))
@@ -93,21 +91,17 @@ def error_measures(
     jump_sq = 0.0
     mismatch_sq = 0.0
     erule = edge_rule(edge_quad_degree)
-    for (local_edge, side), element_ids in grouped_boundary_edges(mesh).items():
-        ebundle = EdgeBundle(mesh, problem, element_ids, local_edge, erule.points)
-        scale = erule.weights[None, :] * ebundle.line_factor
-        coeff = coefficients[mesh.elements[element_ids]]
-        u_h = coeff @ ebundle.values.T
-        grad_u_h = ebundle.frame.lift(_reference_gradient(coeff, ebundle.grads))
-        u_exact = problem.solution_at(ebundle.frame.position)
-        grad_exact = ebundle.frame.project_tangent(
-            problem.solution_gradient_at(ebundle.frame.position)
-        )
-        flux_diff = np.sum(ebundle.conormal * (grad_exact - grad_u_h), axis=-1)
+    for side, ids, edge, scale in edge_batches(mesh, problem, erule):
+        coeff = coefficients[mesh.elements[ids]]
+        u_h = coeff @ edge.values.T
+        grad_u_h = edge.frame.lift(_reference_gradient(coeff, edge.grads))
+        u_exact = problem.solution_at(edge.frame.position)
+        grad_exact = edge.frame.project_tangent(problem.solution_gradient_at(edge.frame.position))
+        flux_diff = np.sum(edge.conormal * (grad_exact - grad_u_h), axis=-1)
         jump_diff = u_exact - u_h
         flux_sq += float(np.sum(scale * flux_diff**2))
         jump_sq += float(np.sum(scale * jump_diff**2))
-        qpts = ebundle.frame.position.reshape(-1, 3)
+        qpts = edge.frame.position.reshape(-1, 3)
         g_vals = problem.dirichlet_at(problem.project_to_boundary(qpts, side))
         g_diff = u_h - g_vals.reshape(u_h.shape)
         mismatch_sq += float(np.sum(scale * g_diff**2))
@@ -146,7 +140,7 @@ def convergence_study(
 ) -> list[ConvergenceRecord]:
     """Solve on a sequence of meshes n_div = base * 2^level and record errors."""
     if levels < 3:
-        raise ValueError("a study needs at least three levels")
+        raise InvalidArgumentError(f"a study needs at least three levels, got {levels}")
     records: list[ConvergenceRecord] = []
     previous = None
     for level in range(levels):

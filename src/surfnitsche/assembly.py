@@ -22,7 +22,8 @@ holding d_0 phi_i d_1 phi_j + d_1 phi_i d_0 phi_j; every column pair
 (i,j), (j,i) of B is then identical.  The boundary flux nu.grad phi_i
 is the covector G^{-1} J^T nu (shape (e,q,2)) dotted with the reference
 gradients, and the mass-type and load terms are products of weighted
-values with the basis table.
+values with the basis table.  Element and edge terms are integrated over
+the batches of the mesh module's quadrature walker.
 """
 from __future__ import annotations
 
@@ -31,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidPenaltyError, NotPositiveDefiniteError
-from .fem import ELEMENT_CHUNK, EdgeBundle, frames
-from .mesh import ParametricMesh, grouped_boundary_edges
+from .errors import InvalidPenaltyError
+from .mesh import ParametricMesh, edge_batches, element_batches
 from .reference import edge_rule, reference_element, triangle_rule
 
 
@@ -107,10 +107,7 @@ def _assemble_parts(
     rhs_core = np.zeros(n)
     rhs_penalty = np.zeros(n)
 
-    for start in range(0, mesh.num_elements, ELEMENT_CHUNK):
-        ids = np.arange(start, min(start + ELEMENT_CHUNK, mesh.num_elements))
-        bundle = frames(mesh, problem, ids, rule.points)
-        scale = rule.weights[None, :] * bundle.area_factor
+    for ids, bundle, scale in element_batches(mesh, problem, rule):
         inv = bundle.inv_metric
         metric_weights = scale[..., None] * np.stack(
             [inv[..., 0, 0], inv[..., 1, 1], inv[..., 0, 1]], axis=-1
@@ -127,30 +124,28 @@ def _assemble_parts(
     pen_rows, pen_cols, pen_vals = [], [], []
     if boundary_terms:
         erule = edge_rule(edge_quad_degree)
-        for (local_edge, side), element_ids in grouped_boundary_edges(mesh).items():
-            ebundle = EdgeBundle(mesh, problem, element_ids, local_edge, erule.points)
-            scale = erule.weights[None, :] * ebundle.line_factor
-            covector = ebundle.frame.reference_components(ebundle.conormal)
-            flux = (ebundle.grads @ covector[..., None])[..., 0]
-            conn = mesh.elements[element_ids]
+        for side, ids, edge, scale in edge_batches(mesh, problem, erule):
+            covector = edge.frame.reference_components(edge.conormal)
+            flux = (edge.grads @ covector[..., None])[..., 0]
+            conn = mesh.elements[ids]
             r = np.repeat(conn, conn.shape[1], axis=1).ravel()
             c = np.tile(conn, (1, conn.shape[1])).ravel()
 
-            consistency = (scale[..., None] * flux).transpose(0, 2, 1) @ ebundle.values
+            consistency = (scale[..., None] * flux).transpose(0, 2, 1) @ edge.values
             rows.append(r)
             cols.append(c)
             vals.append(-(consistency + consistency.transpose(0, 2, 1)).ravel())
 
-            pen = (ebundle.values.T * scale[:, None, :]) @ ebundle.values
+            pen = (edge.values.T * scale[:, None, :]) @ edge.values
             pen_rows.append(r)
             pen_cols.append(c)
             pen_vals.append(_symmetric(pen).ravel())
 
-            qpts = ebundle.frame.position.reshape(-1, 3)
+            qpts = edge.frame.position.reshape(-1, 3)
             g_vals = problem.dirichlet_at(problem.project_to_boundary(qpts, side))
             weighted_g = scale * g_vals.reshape(scale.shape)
             np.add.at(rhs_core, conn.ravel(), -(weighted_g[:, None, :] @ flux).ravel())
-            np.add.at(rhs_penalty, conn.ravel(), (weighted_g @ ebundle.values).ravel())
+            np.add.at(rhs_penalty, conn.ravel(), (weighted_g @ edge.values).ravel())
 
     def build(rr, cc, vv):
         if not rr:
@@ -216,10 +211,3 @@ def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem, **assemble_k
         table.append((float(beta), is_positive_definite(matrix)))
     return table
 
-
-def require_positive_definite(system: SparseSystem):
-    """Raise :class:`NotPositiveDefiniteError` unless the system passes the probe."""
-    if not is_positive_definite(system.matrix):
-        raise NotPositiveDefiniteError(
-            f"system of dimension {system.dim} failed the Cholesky probe"
-        )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import convergence_study, error_measures, records_table, records_to_csv
 from .assembly import assemble
-from .errors import SurfNitscheError
+from .errors import InvalidArgumentError, SurfNitscheError
 from .export import write_matrix_market, write_vector_market, write_vtk
 from .geometry import FlatSquareProblem, TorusProblem
 from .mesh import build_mesh, geometric_report
@@ -47,10 +47,14 @@ def _resolve(args, name, cast):
     value = getattr(args, name)
     if value is not None:
         return value
-    env = os.environ.get(ENV_PREFIX + name.upper())
-    if env is not None:
+    env_name = ENV_PREFIX + name.upper()
+    env = os.environ.get(env_name)
+    if env is None:
+        return _DEFAULTS[name]
+    try:
         return cast(env)
-    return _DEFAULTS[name]
+    except ValueError:
+        raise InvalidArgumentError(f"{env_name}={env!r} is not a valid {cast.__name__}") from None
 
 
 def make_problem(name: str, k: int):
@@ -60,7 +64,7 @@ def make_problem(name: str, k: int):
         return TorusProblem.simplified()
     if name == "flat-square":
         return FlatSquareProblem(degree=k)
-    raise ValueError(f"unknown problem {name!r}")
+    raise InvalidArgumentError(f"unknown problem {name!r}")
 
 
 def _add_common(parser):

@@ -17,6 +17,10 @@ class UnsupportedDegreeError(SurfNitscheError, ValueError):
     """Requested quadrature or polynomial degree outside the supported range."""
 
 
+class InvalidArgumentError(SurfNitscheError, ValueError):
+    """Argument outside its valid range or set of choices."""
+
+
 class MeshInvalidError(SurfNitscheError, RuntimeError):
     """Mesh construction produced an element with a nonpositive area Jacobian."""
 

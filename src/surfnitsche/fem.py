@@ -17,7 +17,6 @@ to 3-space afterwards.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,29 +32,15 @@ from .reference import (
 if TYPE_CHECKING:  # pragma: no cover
     from .mesh import ParametricMesh
 
-# Elements per frame batch in the quadrature loops; bounds the size of
-# the (e, q, ...) work arrays.
-ELEMENT_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ElementFrame:
-    """Pointwise geometry of one element at one reference point."""
-
-    position: np.ndarray
-    jacobian: np.ndarray
-    metric: np.ndarray
-    area_factor: float
-    normal: np.ndarray
-
-
 class FrameBundle:
     """Vectorized frames for a batch of elements at shared reference points.
 
     Arrays are indexed (element, quad point, ...):
     position (e,q,3), jacobian (e,q,3,2), metric/inv_metric (e,q,2,2),
-    area_factor (e,q), normal (e,q,3).  ``signed_area`` is the raw cross
-    product projected on the exact surface normal; its sign exposes folds.
+    area_factor (e,q), normal (e,q,3).  ``exact_normal`` (e,q,3) is the
+    exact surface normal at the closest point of each position, which
+    orients ``normal``; ``signed_area`` is the raw cross product projected
+    on it, so its sign exposes folds.
     J^T is stored contiguously and ``jacobian`` is a transposed view of it.
     """
 
@@ -85,8 +70,8 @@ class FrameBundle:
         raw = np.cross(jac_t[..., 0, :], jac_t[..., 1, :])
         raw_norm = np.linalg.norm(raw, axis=-1)
         unit = raw / raw_norm[..., None]
-        exact = normal_at_closest(self.position)
-        orient = np.sum(unit * exact, axis=-1)
+        self.exact_normal = normal_at_closest(self.position)
+        orient = np.sum(unit * self.exact_normal, axis=-1)
         if np.any(orient == 0.0):
             raise DegenerateElementError("element normal perpendicular to the surface")
         self.normal = unit * np.sign(orient)[..., None]
@@ -150,27 +135,6 @@ def frames(mesh: "ParametricMesh", problem, element_ids, ref_points) -> FrameBun
     return FrameBundle(coords, values, grads, problem.normal_at_closest)
 
 
-def element_frame(mesh: "ParametricMesh", problem, element: int, ref_point) -> ElementFrame:
-    """Frame of a single element at a single reference point."""
-    bundle = frames(mesh, problem, [element], [ref_point])
-    return ElementFrame(
-        position=bundle.position[0, 0],
-        jacobian=bundle.jacobian[0, 0],
-        metric=bundle.metric[0, 0],
-        area_factor=float(bundle.area_factor[0, 0]),
-        normal=bundle.normal[0, 0],
-    )
-
-
-def tangent_gradient(frame: ElementFrame, ref_gradients, coeffs) -> np.ndarray:
-    """Tangential gradient J G^{-1} grad_ref(v) of v = sum coeffs_i phi_i."""
-    ref_grad = np.asarray(coeffs, dtype=float) @ np.asarray(ref_gradients, dtype=float)
-    try:
-        return frame.jacobian @ np.linalg.solve(frame.metric, ref_grad)
-    except np.linalg.LinAlgError:
-        raise DegenerateElementError("singular first fundamental form") from None
-
-
 class EdgeBundle:
     """Vectorized boundary-edge geometry at shared edge parameters.
 
@@ -200,13 +164,3 @@ class EdgeBundle:
         self.conormal = np.where(flip[..., None], -conormal, conormal)
         self.tangent = unit_tangent
 
-
-def boundary_conormal(mesh: "ParametricMesh", problem, boundary_edge, edge_t: float):
-    """(position, exterior unit conormal, arc-length factor) at one edge point."""
-    element, local_edge = boundary_edge[0], boundary_edge[1]
-    bundle = EdgeBundle(mesh, problem, [element], local_edge, [edge_t])
-    return (
-        bundle.frame.position[0, 0],
-        bundle.conormal[0, 0],
-        float(bundle.line_factor[0, 0]),
-    )

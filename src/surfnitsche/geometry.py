@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ProjectionError
+from .errors import DegenerateInputError, ProjectionError, UnsupportedDegreeError
 
 TWO_PI = 2.0 * np.pi
 
@@ -177,7 +177,10 @@ def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: Torus
 
     Coarse sampling of the closed curve (64 samples per boundary wave, at
     least 64) brackets the minimizer of the squared distance; golden
-    section refines the bracket below 1e-12 in theta.
+    section shrinks the bracket below 1e-12 in theta.  The minimizer is
+    only resolved to about sqrt(eps), though: near the flat minimum the
+    comparisons of squared distances are decided by rounding, and points
+    one ulp apart were measured to project up to 1.3e-9 apart in theta.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
@@ -428,7 +431,7 @@ class FlatSquareProblem:
     def __init__(self, degree: int = 1, coefficients: dict | None = None):
         if coefficients is None:
             if degree not in _FLAT_SOLUTIONS:
-                raise ValueError(f"no built-in flat solution of degree {degree}")
+                raise UnsupportedDegreeError(f"no built-in flat solution of degree {degree}")
             coefficients = _FLAT_SOLUTIONS[degree]
         self.degree = degree
         self.coefficients = dict(coefficients)

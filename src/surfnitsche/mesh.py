@@ -17,6 +17,12 @@ seeding the passes are identities; for facet seeding they reproduce the
 classical curved-mesh pipeline, which remains valid only while the cells
 resolve the boundary waves (the blend softens but cannot remove the
 shear of an under-resolved corrected edge).
+
+Every quadrature over the mesh goes through one walker, used by assembly,
+error measurement, the geometric report and the fold check:
+``element_batches`` yields frames ``ELEMENT_CHUNK`` elements at a time with
+the weights w_q sqrt(det G), ``edge_batches`` one EdgeBundle per (local
+edge, side) group of boundary edges with the weights w_q |x'(t)|.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MeshInvalidError
+from .errors import InvalidArgumentError, MeshInvalidError, UnsupportedDegreeError
 from .fem import EdgeBundle, frames
 from .reference import (
     edge_node_ids,
@@ -33,6 +39,10 @@ from .reference import (
     lattice_multi_indices,
     triangle_rule,
 )
+
+# Elements per frame batch of the quadrature walker; bounds the size of
+# the (e, q, ...) work arrays.
+ELEMENT_CHUNK = 4096
 
 
 class BoundaryEdge(NamedTuple):
@@ -118,11 +128,11 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     nonpositive area Jacobian at a quadrature point after correction.
     """
     if n_div < 2:
-        raise ValueError(f"n_div must be >= 2, got {n_div}")
+        raise InvalidArgumentError(f"n_div must be >= 2, got {n_div}")
     if not 1 <= order <= 3:
-        raise ValueError(f"order must be 1..3, got {order}")
+        raise UnsupportedDegreeError(f"order must be 1..3, got {order}")
     if node_placement not in ("chart", "facet-linear"):
-        raise ValueError(f"unknown node placement {node_placement!r}")
+        raise InvalidArgumentError(f"unknown node placement {node_placement!r}")
     k = order
     n_t, n_s = _grid_shape(n_div, problem)
     periodic = problem.periodic
@@ -298,38 +308,53 @@ def grouped_boundary_edges(mesh: ParametricMesh) -> dict[tuple[int, str], np.nda
     return {key: np.array(ids, dtype=int) for key, ids in groups.items()}
 
 
-def _scaled_jacobians(mesh: ParametricMesh, problem, degree=None):
-    """Per element: min over quad points of the signed area density,
-    normalized by the element's largest density; <= 0 flags a fold."""
-    if degree is None:
-        degree = 2 * mesh.order + 2
-    rule = triangle_rule(degree)
-    bundle = frames(mesh, problem, np.arange(mesh.num_elements), rule.points)
-    signed = bundle.signed_area
-    orient = np.sign(np.sum(signed, axis=1))
-    signed = signed * orient[:, None]
+def element_batches(mesh: ParametricMesh, problem, rule):
+    """Yield (element ids, frames, w_q sqrt(det G)) per chunk of elements."""
+    for start in range(0, mesh.num_elements, ELEMENT_CHUNK):
+        ids = np.arange(start, min(start + ELEMENT_CHUNK, mesh.num_elements))
+        bundle = frames(mesh, problem, ids, rule.points)
+        yield ids, bundle, rule.weights[None, :] * bundle.area_factor
+
+
+def edge_batches(mesh: ParametricMesh, problem, rule):
+    """Yield (side, element ids, edge geometry, w_q |x'(t)|) per boundary group."""
+    for (local_edge, side), ids in grouped_boundary_edges(mesh).items():
+        edge = EdgeBundle(mesh, problem, ids, local_edge, rule.points)
+        yield side, ids, edge, rule.weights[None, :] * edge.line_factor
+
+
+def _scaled_jacobians(signed_area):
+    """Per element of a batch: min over quad points of the signed area
+    density, normalized by the element's largest density; <= 0 flags a fold."""
+    orient = np.sign(np.sum(signed_area, axis=1))
+    signed = signed_area * orient[:, None]
     return signed.min(axis=1) / np.abs(signed).max(axis=1)
 
 
 def _invalid_elements(mesh: ParametricMesh, problem):
-    return np.flatnonzero(_scaled_jacobians(mesh, problem) <= 0.0)
+    batches = element_batches(mesh, problem, triangle_rule(2 * mesh.order + 2))
+    return np.concatenate(
+        [ids[_scaled_jacobians(bundle.signed_area) <= 0.0] for ids, bundle, _ in batches]
+    )
 
 
 def geometric_report(mesh: ParametricMesh, problem, quad_degree=None) -> GeometricReport:
     """Measure how well the mesh approximates the surface and its boundary."""
     if quad_degree is None:
         quad_degree = 2 * mesh.order + 2
-    rule = triangle_rule(quad_degree)
-    bundle = frames(mesh, problem, np.arange(mesh.num_elements), rule.points)
-    rho = problem.signed_distance(bundle.position)
-    exact_normal = problem.normal_at_closest(bundle.position)
-    normal_dev = np.linalg.norm(exact_normal - bundle.normal, axis=-1)
+    max_rho = max_normal_dev = 0.0
+    min_scaled_jacobian = np.inf
+    for _, bundle, _ in element_batches(mesh, problem, triangle_rule(quad_degree)):
+        rho = problem.signed_distance(bundle.position)
+        normal_dev = np.linalg.norm(bundle.exact_normal - bundle.normal, axis=-1)
+        scaled = _scaled_jacobians(bundle.signed_area)
+        max_rho = max(max_rho, float(np.abs(rho).max()))
+        max_normal_dev = max(max_normal_dev, float(normal_dev.max()))
+        min_scaled_jacobian = min(min_scaled_jacobian, float(scaled.min()))
 
-    erule = edge_rule(quad_degree)
     max_edge_dist = 0.0
-    for (local_edge, side), element_ids in grouped_boundary_edges(mesh).items():
-        ebundle = EdgeBundle(mesh, problem, element_ids, local_edge, erule.points)
-        pts = ebundle.frame.position.reshape(-1, 3)
+    for side, _, edge, _ in edge_batches(mesh, problem, edge_rule(quad_degree)):
+        pts = edge.frame.position.reshape(-1, 3)
         proj = problem.project_to_boundary(pts, side)
         max_edge_dist = max(max_edge_dist, float(np.linalg.norm(pts - proj, axis=-1).max()))
 
@@ -341,9 +366,9 @@ def geometric_report(mesh: ParametricMesh, problem, quad_degree=None) -> Geometr
         )
 
     return GeometricReport(
-        max_rho=float(np.abs(rho).max()),
-        max_normal_dev=float(normal_dev.max()),
+        max_rho=max_rho,
+        max_normal_dev=max_normal_dev,
         max_boundary_dist=max_edge_dist,
         max_boundary_node_dist=max_node_dist,
-        min_scaled_jacobian=float(_scaled_jacobians(mesh, problem, quad_degree).min()),
+        min_scaled_jacobian=min_scaled_jacobian,
     )

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import MaxIterationsExceededError, NotPositiveDefiniteError
+from .errors import InvalidArgumentError, MaxIterationsExceededError, NotPositiveDefiniteError
 
 DIRECT_DIM_LIMIT = 2000
 
@@ -47,7 +47,7 @@ def solve_linear(matrix, rhs, rel_tol: float = 1e-12, method: str = "auto") -> S
     "cg" otherwise; both can be forced explicitly.
     """
     if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
+        raise InvalidArgumentError(f"rel_tol must be in (0, 1), got {rel_tol}")
     rhs = np.asarray(rhs, dtype=float)
     dim = rhs.shape[0]
     if method == "auto":
@@ -59,7 +59,7 @@ def solve_linear(matrix, rhs, rel_tol: float = 1e-12, method: str = "auto") -> S
         x, iters = _jacobi_pcg(matrix, rhs, rel_tol)
         tag = "iterative"
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgumentError(f"unknown method {method!r}")
     residual = _relative_residual(matrix, x, rhs)
     if residual > rel_tol:
         raise MaxIterationsExceededError(

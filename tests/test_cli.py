@@ -1,3 +1,5 @@
+import pytest
+
 from surfnitsche.cli import run
 
 
@@ -122,3 +124,31 @@ class TestFailureReporting:
         captured = capsys.readouterr()
         assert status == 1
         assert "error:" in captured.err
+
+
+BAD_INPUT = {
+    "n-div-1": (["solve", "--n-div", "1"], {}),
+    "k-4": (["solve", "--k", "4"], {}),
+    "flat-k-4": (["solve", "--problem", "flat-square", "--k", "4"], {}),
+    "rel-tol-0": (["solve", "--problem", "flat-square", "--n-div", "2", "--rel-tol", "0"], {}),
+    "levels-2": (["convergence", "--problem", "flat-square", "--levels", "2"], {}),
+    "env-k-abc": (["solve"], {"SURFNITSCHE_K": "abc"}),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", list(BAD_INPUT))
+    def test_clean_error(self, case, capsys, monkeypatch):
+        argv, env = BAD_INPUT[case]
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        status = run(argv)
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_env_cast_names_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("SURFNITSCHE_K", "abc")
+        assert run(["solve"]) == 1
+        assert "SURFNITSCHE_K='abc'" in capsys.readouterr().err

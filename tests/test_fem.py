@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from surfnitsche import geometry as geo
-from surfnitsche.fem import EdgeBundle, boundary_conormal, element_frame, frames, tangent_gradient
-from surfnitsche.mesh import ParametricMesh, build_mesh, grouped_boundary_edges
+from surfnitsche.errors import DegenerateElementError
+from surfnitsche.fem import EdgeBundle, frames
+from surfnitsche.mesh import ParametricMesh, build_mesh, edge_batches
 from surfnitsche.reference import edge_rule, lattice_points, reference_element
 
 from conftest import observed_orders
@@ -28,6 +29,12 @@ def flat_mesh_from_triangle(vertices, order=1):
     )
 
 
+def lifted_gradient(bundle, ref_point, coeffs):
+    """Tangential gradient of v = sum coeffs_i phi_i (linear basis) by lift."""
+    grads = reference_element(1).grad(np.array([ref_point]))[0]
+    return bundle.lift((np.asarray(coeffs, dtype=float) @ grads)[None, None, :])[0, 0]
+
+
 @pytest.fixture(scope="module")
 def flat_problem():
     return geo.FlatSquareProblem(1)
@@ -36,15 +43,15 @@ def flat_problem():
 class TestElementFrame:
     def test_reference_congruent(self, flat_problem):
         mesh = flat_mesh_from_triangle([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        frame = element_frame(mesh, flat_problem, 0, [0.25, 0.25])
-        np.testing.assert_allclose(frame.jacobian, [[1, 0], [0, 1], [0, 0]], atol=1e-14)
-        assert frame.area_factor == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(frame.normal, [0, 0, 1], atol=1e-14)
+        bundle = frames(mesh, flat_problem, [0], [[0.25, 0.25]])
+        np.testing.assert_allclose(bundle.jacobian[0, 0], [[1, 0], [0, 1], [0, 0]], atol=1e-14)
+        assert bundle.area_factor[0, 0] == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(bundle.normal[0, 0], [0, 0, 1], atol=1e-14)
 
     def test_affine_area_factor(self, flat_problem):
         mesh = flat_mesh_from_triangle([[0, 0, 0], [2, 0, 0], [0, 1, 0]])
-        frame = element_frame(mesh, flat_problem, 0, [0.3, 0.3])
-        assert frame.area_factor == pytest.approx(2.0, abs=1e-14)
+        bundle = frames(mesh, flat_problem, [0], [[0.3, 0.3]])
+        assert bundle.area_factor[0, 0] == pytest.approx(2.0, abs=1e-14)
 
     def test_torus_frames_unit_normal(self, torus_problem):
         mesh = build_mesh(4, 2, torus_problem)
@@ -61,34 +68,25 @@ class TestElementFrame:
 class TestTangentGradient:
     def test_constant_coefficients(self, flat_problem):
         mesh = flat_mesh_from_triangle([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        frame = element_frame(mesh, flat_problem, 0, [0.2, 0.3])
-        grads = reference_element(1).grad(np.array([[0.2, 0.3]]))[0]
+        bundle = frames(mesh, flat_problem, [0], [[0.2, 0.3]])
         np.testing.assert_allclose(
-            tangent_gradient(frame, grads, [5.0, 5.0, 5.0]), 0.0, atol=1e-14
+            lifted_gradient(bundle, [0.2, 0.3], [5.0, 5.0, 5.0]), 0.0, atol=1e-14
         )
 
     def test_linear_field(self, flat_problem):
         mesh = flat_mesh_from_triangle([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        frame = element_frame(mesh, flat_problem, 0, [0.2, 0.3])
-        grads = reference_element(1).grad(np.array([[0.2, 0.3]]))[0]
+        bundle = frames(mesh, flat_problem, [0], [[0.2, 0.3]])
         # v = x + 2y at the three corners
         coeffs = [0.0, 1.0, 2.0]
-        np.testing.assert_allclose(tangent_gradient(frame, grads, coeffs), [1, 2, 0], atol=1e-14)
-
-    def test_singular_metric_rejected(self):
-        from surfnitsche.errors import DegenerateElementError
-        from surfnitsche.fem import ElementFrame
-
-        collapsed = ElementFrame(
-            position=np.zeros(3),
-            jacobian=np.zeros((3, 2)),
-            metric=np.zeros((2, 2)),
-            area_factor=0.0,
-            normal=np.array([0.0, 0.0, 1.0]),
+        np.testing.assert_allclose(
+            lifted_gradient(bundle, [0.2, 0.3], coeffs), [1, 2, 0], atol=1e-14
         )
-        grads = reference_element(1).grad(np.array([[0.3, 0.3]]))[0]
+
+    def test_singular_metric_rejected(self, flat_problem):
+        # collinear corners: J has parallel columns, so det G is exactly zero
+        mesh = flat_mesh_from_triangle([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
         with pytest.raises(DegenerateElementError):
-            tangent_gradient(collapsed, grads, [1.0, 2.0, 3.0])
+            frames(mesh, flat_problem, [0], [[0.3, 0.3]])
 
     def test_orthogonal_to_normal(self, torus_problem):
         mesh = build_mesh(4, 3, torus_problem)
@@ -106,7 +104,9 @@ class TestTangentGradient:
 class TestBoundaryConormal:
     def test_flat_hypotenuse(self, flat_problem):
         mesh = flat_mesh_from_triangle([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        position, conormal, line_factor = boundary_conormal(mesh, flat_problem, (0, 1), 0.5)
+        edge = EdgeBundle(mesh, flat_problem, [0], 1, [0.5])
+        position, conormal = edge.frame.position[0, 0], edge.conormal[0, 0]
+        line_factor = edge.line_factor[0, 0]
         np.testing.assert_allclose(position, [0.5, 0.5, 0.0], atol=1e-14)
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(np.abs(conormal), [s, s, 0.0], atol=1e-14)
@@ -116,8 +116,7 @@ class TestBoundaryConormal:
     def test_orthogonality(self, torus_problem):
         mesh = build_mesh(4, 2, torus_problem)
         rule = edge_rule(6)
-        for (local_edge, _), ids in grouped_boundary_edges(mesh).items():
-            bundle = EdgeBundle(mesh, torus_problem, ids, local_edge, rule.points)
+        for _, _, bundle, _ in edge_batches(mesh, torus_problem, rule):
             np.testing.assert_allclose(
                 np.sum(bundle.conormal * bundle.frame.normal, axis=-1), 0.0, atol=1e-12
             )
@@ -151,8 +150,7 @@ class TestBoundaryConormal:
         for n_div in (8, 16, 32):
             mesh = build_mesh(n_div, order, simple_problem)
             worst = 0.0
-            for (local_edge, side), ids in grouped_boundary_edges(mesh).items():
-                bundle = EdgeBundle(mesh, simple_problem, ids, local_edge, rule.points)
+            for side, _, bundle, _ in edge_batches(mesh, simple_problem, rule):
                 pts = bundle.frame.position.reshape(-1, 3)
                 dev = np.linalg.norm(
                     exact_conormal(pts, side) - bundle.conormal.reshape(-1, 3), axis=-1

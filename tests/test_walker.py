@@ -1,0 +1,134 @@
+"""The quadrature walker: chunk invariance and the single-pass mesh report.
+
+``mesh.element_batches`` frames ``ELEMENT_CHUNK`` elements at a time, and
+assembly, error measurement, the geometric report and the build-time fold
+check all integrate through it.  Shrinking the chunk must not change what
+they compute; a walker that mixed up local and global element ids would.
+The mesh report is also checked against a copy of the formulation that
+framed all elements at once and the scaled Jacobians in a second pass.
+"""
+import numpy as np
+import pytest
+
+from surfnitsche import geometry as geo
+from surfnitsche import mesh as mesh_module
+from surfnitsche.analysis import error_measures
+from surfnitsche.assembly import _assemble_parts
+from surfnitsche.errors import MeshInvalidError
+from surfnitsche.fem import EdgeBundle, frames
+from surfnitsche.mesh import GeometricReport, build_mesh, geometric_report, grouped_boundary_edges
+from surfnitsche.reference import edge_rule, triangle_rule
+
+# Small and odd, so no chunk boundary lines up with a grid row; it also
+# puts element 32, the first fold of the facet-linear band below, in the
+# third chunk.
+SMALL_CHUNK = 13
+
+# A smaller chunk changes the row count of every element GEMM and the
+# grouping of the per-chunk error sums, which moves values by a few ulps
+# (measured at most 1.3e-14 relative, even at one element per chunk).
+# Geometric report fields are maxima and minima of pointwise values and
+# must not move at all.
+RTOL = 1e-13
+
+PROBLEMS = {
+    "wavy": geo.TorusProblem,
+    "simplified": geo.TorusProblem.simplified,
+    "flat": lambda: geo.FlatSquareProblem(3),
+}
+CASES = [(name, order) for name in PROBLEMS for order in (1, 2, 3)]
+CASE_IDS = [f"{name}-k{order}" for name, order in CASES]
+
+
+def walker_outputs(mesh, problem):
+    coefficients = problem.solution_at(mesh.nodes) + 1e-3 * np.sin(np.arange(mesh.num_nodes))
+    return (
+        _assemble_parts(mesh, problem),
+        error_measures(mesh, coefficients, problem),
+        geometric_report(mesh, problem),
+    )
+
+
+@pytest.mark.parametrize("name, order", CASES, ids=CASE_IDS)
+def test_outputs_do_not_depend_on_chunk_size(name, order, monkeypatch):
+    problem = PROBLEMS[name]()
+    mesh = build_mesh(8, order, problem)
+    assert mesh.num_elements > 4 * SMALL_CHUNK
+    parts, errors, report = walker_outputs(mesh, problem)
+    monkeypatch.setattr(mesh_module, "ELEMENT_CHUNK", SMALL_CHUNK)
+    small_parts, small_errors, small_report = walker_outputs(mesh, problem)
+
+    for field in ("core", "penalty"):
+        matrix, small = getattr(parts, field), getattr(small_parts, field)
+        np.testing.assert_array_equal(small.indptr, matrix.indptr)
+        np.testing.assert_array_equal(small.indices, matrix.indices)
+        scale = np.abs(matrix.data).max()
+        np.testing.assert_allclose(small.data, matrix.data, rtol=0, atol=RTOL * scale)
+    for field in ("rhs_core", "rhs_penalty"):
+        vector, small = getattr(parts, field), getattr(small_parts, field)
+        scale = np.abs(vector).max()
+        np.testing.assert_allclose(small, vector, rtol=0, atol=RTOL * scale)
+    for field in errors.__dataclass_fields__:
+        assert getattr(small_errors, field) == pytest.approx(getattr(errors, field), rel=RTOL)
+    assert small_report == report
+
+
+def test_fold_message_does_not_depend_on_chunk_size(monkeypatch):
+    problem = geo.TorusProblem()
+    with pytest.raises(MeshInvalidError) as default:
+        build_mesh(8, 2, problem, node_placement="facet-linear")
+    monkeypatch.setattr(mesh_module, "ELEMENT_CHUNK", SMALL_CHUNK)
+    with pytest.raises(MeshInvalidError) as small:
+        build_mesh(8, 2, problem, node_placement="facet-linear")
+    assert "element 32" in str(default.value)
+    assert str(small.value) == str(default.value)
+
+
+def all_at_once_report(mesh, problem):
+    """Geometric report with every element framed in one batch.
+
+    The scaled Jacobians come from a second framing of all elements and
+    the exact normals from a separate closest-point query.
+    """
+    quad_degree = 2 * mesh.order + 2
+    rule = triangle_rule(quad_degree)
+    bundle = frames(mesh, problem, np.arange(mesh.num_elements), rule.points)
+    rho = problem.signed_distance(bundle.position)
+    exact_normal = problem.normal_at_closest(bundle.position)
+    normal_dev = np.linalg.norm(exact_normal - bundle.normal, axis=-1)
+
+    erule = edge_rule(quad_degree)
+    max_edge_dist = 0.0
+    for (local_edge, side), element_ids in grouped_boundary_edges(mesh).items():
+        edge = EdgeBundle(mesh, problem, element_ids, local_edge, erule.points)
+        pts = edge.frame.position.reshape(-1, 3)
+        proj = problem.project_to_boundary(pts, side)
+        max_edge_dist = max(max_edge_dist, float(np.linalg.norm(pts - proj, axis=-1).max()))
+
+    max_node_dist = 0.0
+    for side, ids in mesh.boundary_nodes.items():
+        proj = problem.project_to_boundary(mesh.nodes[ids], side)
+        max_node_dist = max(
+            max_node_dist, float(np.linalg.norm(mesh.nodes[ids] - proj, axis=-1).max())
+        )
+
+    signed = frames(mesh, problem, np.arange(mesh.num_elements), rule.points).signed_area
+    signed = signed * np.sign(np.sum(signed, axis=1))[:, None]
+    scaled = signed.min(axis=1) / np.abs(signed).max(axis=1)
+    return GeometricReport(
+        max_rho=float(np.abs(rho).max()),
+        max_normal_dev=float(normal_dev.max()),
+        max_boundary_dist=max_edge_dist,
+        max_boundary_node_dist=max_node_dist,
+        min_scaled_jacobian=float(scaled.min()),
+    )
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_report_matches_all_at_once_oracle(torus_problem, order):
+    mesh = build_mesh(40, order, torus_problem)
+    assert mesh.num_elements > mesh_module.ELEMENT_CHUNK
+    report = geometric_report(mesh, torus_problem)
+    oracle = all_at_once_report(mesh, torus_problem)
+    for field in report.__dataclass_fields__:
+        assert getattr(report, field) == getattr(oracle, field), field
