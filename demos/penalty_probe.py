@@ -6,6 +6,9 @@
 # Because the penalty matrix is positive semidefinite, the success set
 # is upward closed: once a beta works, every larger one does.
 
+import tempfile
+from pathlib import Path
+
 from surfnitsche import (
     TorusProblem,
     assemble,
@@ -32,5 +35,7 @@ print(
 )
 
 # Systems export in MatrixMarket coordinate format for external checks.
-write_matrix_market("torus_system.mtx", system.matrix)
-print("wrote torus_system.mtx")
+with tempfile.TemporaryDirectory() as out_dir:
+    path = Path(out_dir) / "torus_system.mtx"
+    write_matrix_market(path, system.matrix)
+    print(f"wrote {path}")

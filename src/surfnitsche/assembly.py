@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidPenaltyError
+from .errors import InvalidPenaltyError, NotPositiveDefiniteError
 from .mesh import ParametricMesh, edge_batches, element_batches
 from .reference import edge_rule, reference_element, triangle_rule
+from .solve import _factorize_spd
 
 
 @dataclass
@@ -183,15 +184,17 @@ def assemble(
 
 
 def is_positive_definite(matrix) -> bool:
-    """Dense Cholesky probe; intended for desk-scale matrices."""
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-    if dense.shape[0] > 4000:
-        raise ValueError("positive-definiteness probe limited to dim <= 4000")
+    """True if the symmetric matrix is positive definite.
+
+    Decided by one sparse factorization with diagonal pivoting (see the
+    solve module); no size cap, and singular or indefinite input gives
+    False.
+    """
     try:
-        np.linalg.cholesky(dense)
-        return True
-    except np.linalg.LinAlgError:
+        _factorize_spd(matrix)
+    except NotPositiveDefiniteError:
         return False
+    return True
 
 
 def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem, **assemble_kwargs):

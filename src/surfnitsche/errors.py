@@ -38,7 +38,7 @@ class SolverError(SurfNitscheError, RuntimeError):
 
 
 class NotPositiveDefiniteError(SolverError):
-    """Negative curvature encountered; the matrix is not positive definite."""
+    """Negative curvature or a nonpositive pivot; the matrix is not positive definite."""
 
 
 class MaxIterationsExceededError(SolverError):

@@ -1,10 +1,17 @@
 """Symmetric positive definite solves for assembled systems.
 
-Systems up to 2000 unknowns go through a dense Cholesky factorization
+Systems up to 2000 unknowns go through a sparse direct factorization
 (with iterative refinement to push the residual to the requested
 tolerance); larger ones through Jacobi-preconditioned conjugate
 gradients.  Both paths re-evaluate the final residual independently of
 the iteration before reporting success.
+
+The direct factorization is SuperLU with a symmetric fill-reducing
+ordering (minimum degree on A^T + A) and pivots taken from the diagonal
+only, so P A P^T = L U with U = D L^T.  By Sylvester's law of inertia
+the signs of diag(U) are the signs of the eigenvalues of A: one
+factorization both solves and decides definiteness, which is also how
+the assembly module probes the penalty threshold.
 
 Vector norms and the conjugate-gradient dot products use numpy's own
 pairwise summation, not BLAS.  A threaded BLAS splits every long dot
@@ -19,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import InvalidArgumentError, MaxIterationsExceededError, NotPositiveDefiniteError
 
@@ -43,8 +50,8 @@ def solve_spd(system, rel_tol: float = 1e-12, method: str = "auto") -> SolveRepo
 def solve_linear(matrix, rhs, rel_tol: float = 1e-12, method: str = "auto") -> SolveReport:
     """Solve A x = b for symmetric positive definite A.
 
-    method: "auto" picks "direct" (dense Cholesky) for dim <= 2000 and
-    "cg" otherwise; both can be forced explicitly.
+    method: "auto" picks "direct" (sparse symmetric factorization) for
+    dim <= 2000 and "cg" otherwise; both can be forced explicitly.
     """
     if not 0.0 < rel_tol < 1.0:
         raise InvalidArgumentError(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -53,7 +60,7 @@ def solve_linear(matrix, rhs, rel_tol: float = 1e-12, method: str = "auto") -> S
     if method == "auto":
         method = "direct" if dim <= DIRECT_DIM_LIMIT else "cg"
     if method == "direct":
-        x, iters = _cholesky_solve(matrix, rhs, rel_tol)
+        x, iters = _direct_solve(matrix, rhs, rel_tol)
         tag = "direct"
     elif method == "cg":
         x, iters = _jacobi_pcg(matrix, rhs, rel_tol)
@@ -84,19 +91,43 @@ def _relative_residual(matrix, x, rhs):
     return float(_norm(matrix @ x - rhs) / norm_rhs)
 
 
-def _cholesky_solve(matrix, rhs, rel_tol):
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
+def _factorize_spd(matrix):
+    """SuperLU factor of a symmetric matrix that must be positive definite.
+
+    Raises NotPositiveDefiniteError when the factor is singular, when
+    SuperLU had to pivot off the diagonal (a zero diagonal pivot, which a
+    positive definite matrix never produces), or when a pivot of U is not
+    positive; the message then counts the negative eigenvalues.
+    """
+    matrix = sp.csc_matrix(matrix, dtype=float)
     try:
-        factor = scipy.linalg.cho_factor(dense, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from None
-    x = scipy.linalg.cho_solve(factor, rhs)
+        factor = spla.splu(
+            matrix,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError as exc:
+        raise NotPositiveDefiniteError(f"singular matrix: {exc}") from None
+    if not np.array_equal(factor.perm_r, factor.perm_c):
+        raise NotPositiveDefiniteError("zero pivot on the diagonal; the matrix is indefinite")
+    pivots = factor.U.diagonal()
+    if not np.all(pivots > 0.0):
+        raise NotPositiveDefiniteError(
+            f"{np.count_nonzero(pivots < 0.0)} negative eigenvalues of {len(pivots)}"
+        )
+    return factor
+
+
+def _direct_solve(matrix, rhs, rel_tol):
+    factor = _factorize_spd(matrix)
+    x = factor.solve(rhs)
     # Iterative refinement: a couple of cheap triangular solves buy back
     # the digits lost to the condition number.
     for _ in range(3):
-        if _relative_residual(dense, x, rhs) <= rel_tol:
+        if _relative_residual(matrix, x, rhs) <= rel_tol:
             break
-        x = x + scipy.linalg.cho_solve(factor, rhs - dense @ x)
+        x = x + factor.solve(rhs - matrix @ x)
     return x, 0
 
 

@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from surfnitsche import geometry as geo
 from surfnitsche.assembly import assemble, is_positive_definite, min_stable_beta_probe
-from surfnitsche.errors import InvalidPenaltyError
+from surfnitsche.errors import InvalidPenaltyError, NotPositiveDefiniteError
 from surfnitsche.mesh import build_mesh
-from surfnitsche.solve import solve_spd
+from surfnitsche.solve import solve_linear, solve_spd
 
 
 def relative_asymmetry(matrix):
@@ -108,9 +111,63 @@ class TestBetaProbe:
         print(f"beta probe on k=3 mesh: {table}")
         assert table[1][1]
 
+    def test_no_dimension_cap(self, torus_problem):
+        mesh = build_mesh(64, 1, torus_problem)
+        stable = assemble(mesh, 1e4, torus_problem)
+        assert stable.dim == 8256
+        assert is_positive_definite(stable.matrix)
+        assert not is_positive_definite(assemble(mesh, 1e-3, torus_problem).matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.diag([1.0, 0.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
+        ids=["zero-row", "zero-diagonal"],
+    )
+    def test_singular_or_zero_pivot_not_positive_definite(self, matrix):
+        assert not is_positive_definite(sp.csr_matrix(matrix))
+
     def test_probe_validates_grid(self, torus_problem):
         mesh = build_mesh(4, 1, torus_problem)
         with pytest.raises(InvalidPenaltyError):
             min_stable_beta_probe(mesh, [], torus_problem)
         with pytest.raises(InvalidPenaltyError):
             min_stable_beta_probe(mesh, [-1.0, 1.0], torus_problem)
+
+
+def negative_pivot_count(matrix):
+    """Negative eigenvalue count as reported by the direct solve's error message."""
+    try:
+        solve_linear(matrix, np.ones(matrix.shape[0]), method="direct")
+    except NotPositiveDefiniteError as exc:
+        match = re.fullmatch(r"(\d+) negative eigenvalues of (\d+)", str(exc))
+        assert match, str(exc)
+        assert int(match.group(2)) == matrix.shape[0]
+        return int(match.group(1))
+    return 0
+
+
+class TestInertia:
+    def test_negative_pivots_match_eigvalsh(self, torus_problem):
+        mesh = build_mesh(8, 3, torus_problem)
+        counts, oracle = [], []
+        for beta in (1.0, 10.0, 50.0, 89.0, 100.0, 1e4):
+            matrix = assemble(mesh, beta, torus_problem).matrix
+            counts.append(negative_pivot_count(matrix))
+            oracle.append(int(np.count_nonzero(np.linalg.eigvalsh(matrix.toarray()) < 0.0)))
+        assert counts == oracle
+        assert counts[0] > 0
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_probe_matches_dense_cholesky(self, torus_problem, order):
+        mesh = build_mesh(4, order, torus_problem)
+        grid = np.geomspace(1.0, 1e4, 9)
+        dense_flags = []
+        for beta in grid:
+            try:
+                np.linalg.cholesky(assemble(mesh, beta, torus_problem).matrix.toarray())
+                dense_flags.append(True)
+            except np.linalg.LinAlgError:
+                dense_flags.append(False)
+        flags = [ok for _, ok in min_stable_beta_probe(mesh, grid, torus_problem)]
+        assert flags == dense_flags
+        assert True in flags and False in flags

@@ -44,6 +44,16 @@ class TestSolvePaths:
         big = sp.identity(2500, format="csr")
         assert solve_linear(big, np.ones(2500)).method == "iterative"
 
+    def test_forced_direct_above_switch(self):
+        # above the auto switch the direct path factorizes the sparse matrix
+        problem = geo.TorusProblem()
+        system = assemble(build_mesh(32, 2, problem), 1e4, problem)
+        assert system.dim == 8256
+        direct = solve_spd(system, method="direct")
+        assert direct.method == "direct"
+        iterative = solve_spd(system, method="cg")
+        np.testing.assert_allclose(direct.solution, iterative.solution, atol=1e-8)
+
     def test_zero_rhs(self):
         matrix = sp.csr_matrix(random_spd(30, seed=3))
         report = solve_linear(matrix, np.zeros(30), method="cg")
@@ -66,6 +76,15 @@ class TestFailureModes:
         matrix = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NotPositiveDefiniteError):
             solve_linear(matrix, np.ones(2), method="direct")
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.diag([1.0, 0.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
+        ids=["zero-row", "zero-diagonal"],
+    )
+    def test_singular_or_zero_pivot_rejected_by_direct(self, matrix):
+        with pytest.raises(NotPositiveDefiniteError):
+            solve_linear(sp.csr_matrix(matrix), np.ones(len(matrix)), method="direct")
 
     def test_unreachable_tolerance_hits_iteration_cap(self):
         # condition number ~ 1e16 makes a 1e-14 residual unreachable
