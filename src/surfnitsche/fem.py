@@ -9,7 +9,7 @@ J G^{-1} grad_ref, and on boundary edges the exterior unit conormal.
 Batched frames are built with matrix products: positions are
 values @ coords and J^T is one product of the stacked reference gradients
 (2q, n) with each element's (n, 3) coordinates; the 2x2 metric and its
-inverse are formed entrywise.  Kernels that only need G^{-1} and
+inverse, the cross products and the norms are formed entrywise.  Kernels that only need G^{-1} and
 sqrt(det G) (the stiffness matrix ``C_e @ B`` in the assembly module) or
 reference-space covectors (boundary fluxes, error gradients) never build
 the (e, q, n, 3) tangent-gradient tensor; ``lift`` maps a covector field
@@ -67,11 +67,11 @@ class FrameBundle:
         inv[..., 1, 0] = -g[..., 1, 0]
         self.inv_metric = inv / det[..., None, None]
         self.area_factor = np.sqrt(det)
-        raw = np.cross(jac_t[..., 0, :], jac_t[..., 1, :])
-        raw_norm = np.linalg.norm(raw, axis=-1)
+        raw = _cross3(jac_t[..., 0, :], jac_t[..., 1, :])
+        raw_norm = _norm3(raw)
         unit = raw / raw_norm[..., None]
         self.exact_normal = normal_at_closest(self.position)
-        orient = np.sum(unit * self.exact_normal, axis=-1)
+        orient = _dot3(unit, self.exact_normal)
         if np.any(orient == 0.0):
             raise DegenerateElementError("element normal perpendicular to the surface")
         self.normal = unit * np.sign(orient)[..., None]
@@ -121,9 +121,27 @@ class FrameBundle:
         return c0 * jac_t[..., 0, :] + c1 * jac_t[..., 1, :]
 
 
+# Products over a last axis of length 3, written entrywise: np.cross,
+# np.linalg.norm and np.sum over that axis cost several times more.  Each
+# helper rounds exactly as the numpy call it replaces (same products,
+# summed left to right), so the frames do not change.
+
+
 def _dot3(a, b):
     """Dot products over a last axis of length 3, summed left to right."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _cross3(a, b):
+    """Cross products over a last axis of length 3, as np.cross forms them."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _norm3(a):
+    """Euclidean norms over a last axis of length 3, as np.linalg.norm forms them."""
+    return np.sqrt(_dot3(a, a))
 
 
 def frames(mesh: "ParametricMesh", problem, element_ids, ref_points) -> FrameBundle:
@@ -152,15 +170,15 @@ class EdgeBundle:
         coords = mesh.nodes[mesh.elements[np.asarray(element_ids, dtype=int)]]
         self.frame = FrameBundle(coords, self.values, self.grads, problem.normal_at_closest)
         tangent = self.frame.jacobian @ edge_ref_direction(local_edge)
-        self.line_factor = np.linalg.norm(tangent, axis=-1)
+        self.line_factor = _norm3(tangent)
         if np.any(self.line_factor <= 0.0):
             raise DegenerateElementError("degenerate boundary edge")
         unit_tangent = tangent / self.line_factor[..., None]
-        conormal = np.cross(unit_tangent, self.frame.normal)
-        conormal /= np.linalg.norm(conormal, axis=-1, keepdims=True)
+        conormal = _cross3(unit_tangent, self.frame.normal)
+        conormal /= _norm3(conormal)[..., None]
         opposite = coords[:, ref.corner_ids[edge_opposite_corner(local_edge)], :]
         inward = opposite[:, None, :] - self.frame.position
-        flip = np.sum(conormal * inward, axis=-1) > 0.0
+        flip = _dot3(conormal, inward) > 0.0
         self.conormal = np.where(flip[..., None], -conormal, conormal)
         self.tangent = unit_tangent
 

@@ -8,15 +8,15 @@ surface, and the s = 0 / s = 1 rows sit on the exact boundary curves.
 
 Curved-element Lagrange nodes are seeded either on the chart lattice
 (default; every node row follows the boundary waves) or by linear
-interpolation over the flat facets.  Either way the same correction
-passes then run: snap all nodes to the surface with the closest-point
-map, move boundary-chain nodes onto the boundary curves, blend the
-boundary correction into the interiors of boundary-adjacent elements
-with a quadratic falloff, and re-snap the blended nodes.  For chart
-seeding the passes are identities; for facet seeding they reproduce the
-classical curved-mesh pipeline, which remains valid only while the cells
-resolve the boundary waves (the blend softens but cannot remove the
-shear of an under-resolved corrected edge).
+interpolation over the flat facets.  Chart nodes already sit on the
+surface and the boundary curves, so they are used as they are.  Facet
+nodes go through the classical curved-mesh correction passes: snap all
+nodes to the surface with the closest-point map, move boundary-chain
+nodes onto the boundary curves, blend the boundary correction into the
+interiors of boundary-adjacent elements with a quadratic falloff, and
+re-snap the blended nodes.  That pipeline remains valid only while the
+cells resolve the boundary waves (the blend softens but cannot remove
+the shear of an under-resolved corrected edge).
 
 Every quadrature over the mesh goes through one walker, used by assembly,
 error measurement, the geometric report and the fold check:
@@ -31,8 +31,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, MeshInvalidError, UnsupportedDegreeError
-from .fem import EdgeBundle, frames
+from .errors import (
+    DegenerateInputError,
+    InvalidArgumentError,
+    MeshInvalidError,
+    UnsupportedDegreeError,
+)
+from .fem import EdgeBundle, _norm3, frames
 from .reference import (
     edge_node_ids,
     edge_rule,
@@ -113,11 +118,12 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     """Build the order-k mesh of the problem's parameter band.
 
     ``node_placement`` selects how the Lagrange nodes of curved elements
-    are seeded before snapping and boundary correction:
+    are placed:
 
     - ``"chart"`` (default): nodes sit on the chart lattice, so every row
-      of nodes follows the boundary waves and the correction passes reduce
-      to identity.  Valid at every resolution.
+      of nodes follows the boundary waves and lies on the surface, with
+      the boundary rows on the boundary curves; no correction pass runs.
+      Valid at every resolution.
     - ``"facet-linear"``: nodes are interpolated linearly over each facet
       of the vertex triangulation, snapped to the surface, and corrected
       at the boundary with the quadratic interior blend.  On coarse meshes
@@ -125,7 +131,9 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
       can fold, which build_mesh reports as :class:`MeshInvalidError`.
 
     Raises :class:`MeshInvalidError` if any element ends up with a
-    nonpositive area Jacobian at a quadrature point after correction.
+    nonpositive area Jacobian at a quadrature point, or if the cells are
+    so coarse that a node or quadrature point lands where the surface has
+    no unique nearest point.
     """
     if n_div < 2:
         raise InvalidArgumentError(f"n_div must be >= 2, got {n_div}")
@@ -145,31 +153,10 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     sv = np.arange(n_s + 1) / n_s
     vertex = problem.chart(tv[:, None], sv[None, :])
 
-    ti, si = np.meshgrid(np.arange(cols), np.arange(rows), indexing="ij")
-    ti, si = ti.ravel(), si.ravel()
-    if node_placement == "chart":
-        nodes = problem.chart(ti / (k * n_t), si / (k * n_s))
-    else:
-        ci = np.minimum(ti // k, n_t - 1)
-        cj = np.minimum(si // k, n_s - 1)
-        li, lj = ti - k * ci, si - k * cj
-        weights = _triangle_weights(li / k, lj / k, lj <= li)
-        corners_lower = np.stack(
-            [vertex[ci, cj], vertex[ci + 1, cj], vertex[ci + 1, cj + 1]], axis=1
-        )
-        corners_upper = np.stack(
-            [vertex[ci, cj], vertex[ci + 1, cj + 1], vertex[ci, cj + 1]], axis=1
-        )
-        corners = np.where((lj <= li)[:, None, None], corners_lower, corners_upper)
-        nodes = np.einsum("nv,nvd->nd", weights, corners)
-    nodes = problem.closest_point(nodes)
-
     def node_id(t_index, s_index):
         t_index = np.mod(t_index, cols) if periodic else t_index
         return t_index * rows + s_index
 
-    # Boundary chains: move chain nodes onto the curves, remembering the
-    # displacement each node received for the interior blend below.
     ti_grid = np.arange(cols)
     chains = {
         "lower": node_id(ti_grid, 0),
@@ -180,32 +167,62 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
         chains["left"] = node_id(0, si_grid)
         chains["right"] = node_id(cols - 1, si_grid)
     boundary_nodes = {side: ids for side, ids in chains.items() if side in problem.boundary_sides}
-    displacement = np.zeros_like(nodes)
-    for side, ids in boundary_nodes.items():
-        corrected = problem.correct_to_boundary(nodes[ids], side)
-        displacement[ids] = corrected - nodes[ids]
-        nodes[ids] = corrected
-
     elements, boundary_edges = _connectivity(n_t, n_s, k, rows, cols, periodic, problem)
 
-    if k > 1:
-        _blend_boundary_elements(nodes, displacement, elements, boundary_edges, k, problem)
-
-    h = _vertex_mesh_size(vertex)
-    mesh = ParametricMesh(
-        order=k,
-        nodes=nodes,
-        elements=elements,
-        boundary_edges=boundary_edges,
-        boundary_nodes=boundary_nodes,
-        h=h,
-    )
-    bad = _invalid_elements(mesh, problem)
+    ti, si = np.meshgrid(np.arange(cols), np.arange(rows), indexing="ij")
+    ti, si = ti.ravel(), si.ravel()
+    try:
+        if node_placement == "chart":
+            nodes = problem.chart(ti / (k * n_t), si / (k * n_s))
+        else:
+            nodes = _facet_linear_nodes(
+                vertex, ti, si, k, boundary_nodes, elements, boundary_edges, problem
+            )
+        mesh = ParametricMesh(
+            order=k,
+            nodes=nodes,
+            elements=elements,
+            boundary_edges=boundary_edges,
+            boundary_nodes=boundary_nodes,
+            h=_vertex_mesh_size(vertex),
+        )
+        bad = _invalid_elements(mesh, problem)
+    except DegenerateInputError as err:
+        # Cells spanning half the tube put facet nodes or quadrature points
+        # on the center circle, where the surface has no nearest point.
+        raise MeshInvalidError(f"mesh too coarse for the surface: {err}") from err
     if len(bad):
         raise MeshInvalidError(
             f"{len(bad)} element(s) with nonpositive area Jacobian, e.g. element {bad[0]}"
         )
     return mesh
+
+
+def _facet_linear_nodes(vertex, ti, si, k, boundary_nodes, elements, boundary_edges, problem):
+    """Lattice nodes (ti, si) interpolated over the vertex facets, then corrected.
+
+    The interpolated nodes are snapped to the surface, boundary-chain nodes
+    move onto the boundary curves, and for k > 1 the displacement each
+    chain node received is blended into the boundary elements.
+    """
+    n_t, n_s = vertex.shape[0] - 1, vertex.shape[1] - 1
+    ci = np.minimum(ti // k, n_t - 1)
+    cj = np.minimum(si // k, n_s - 1)
+    li, lj = ti - k * ci, si - k * cj
+    weights = _triangle_weights(li / k, lj / k, lj <= li)
+    corners_lower = np.stack([vertex[ci, cj], vertex[ci + 1, cj], vertex[ci + 1, cj + 1]], axis=1)
+    corners_upper = np.stack([vertex[ci, cj], vertex[ci + 1, cj + 1], vertex[ci, cj + 1]], axis=1)
+    corners = np.where((lj <= li)[:, None, None], corners_lower, corners_upper)
+    nodes = problem.closest_point(np.einsum("nv,nvd->nd", weights, corners))
+
+    displacement = np.zeros_like(nodes)
+    for side, ids in boundary_nodes.items():
+        corrected = problem.correct_to_boundary(nodes[ids], side)
+        displacement[ids] = corrected - nodes[ids]
+        nodes[ids] = corrected
+    if k > 1:
+        _blend_boundary_elements(nodes, displacement, elements, boundary_edges, k, problem)
+    return nodes
 
 
 def _connectivity(n_t, n_s, k, rows, cols, periodic, problem):
@@ -241,12 +258,14 @@ def _connectivity(n_t, n_s, k, rows, cols, periodic, problem):
     return elements, boundary_edges
 
 
-# Per local edge: barycentric distance d(xi, eta) from the edge and the
-# orthogonal projection parameter t(xi, eta) onto the edge.
+# Per local edge: k times the barycentric distance from the edge, on the
+# integer lattice indices (i, j) so that nodes on the edge get exactly 0
+# (1 - 1/3 - 2/3 rounds to 1.1e-16), and the orthogonal projection
+# parameter t(xi, eta) onto the edge.
 _EDGE_DISTANCE = (
-    lambda xi, eta: eta,
-    lambda xi, eta: 1.0 - xi - eta,
-    lambda xi, eta: xi,
+    lambda i, j, k: j,
+    lambda i, j, k: k - i - j,
+    lambda i, j, k: i,
 )
 _EDGE_PROJECTION = (
     lambda xi, eta: xi,
@@ -276,11 +295,11 @@ def _blend_boundary_elements(nodes, displacement, elements, boundary_edges, k, p
     back to the surface.  Nodes claimed by two boundary elements (flat
     corners) receive the last claim; there the displacement vanishes.
     """
-    lattice = lattice_multi_indices(k) / k
-    xi, eta = lattice[:, 0], lattice[:, 1]
+    multi = lattice_multi_indices(k)
+    xi, eta = multi[:, 0] / k, multi[:, 1] / k
     moved: dict[int, np.ndarray] = {}
     for element, local_edge, _ in boundary_edges:
-        d = _EDGE_DISTANCE[local_edge](xi, eta)
+        d = _EDGE_DISTANCE[local_edge](multi[:, 0], multi[:, 1], k) / k
         t = np.clip(_EDGE_PROJECTION[local_edge](xi, eta), 0.0, 1.0)
         edge_nodes = elements[element][edge_node_ids(k, local_edge)]
         edge_disp = displacement[edge_nodes]
@@ -346,7 +365,7 @@ def geometric_report(mesh: ParametricMesh, problem, quad_degree=None) -> Geometr
     min_scaled_jacobian = np.inf
     for _, bundle, _ in element_batches(mesh, problem, triangle_rule(quad_degree)):
         rho = problem.signed_distance(bundle.position)
-        normal_dev = np.linalg.norm(bundle.exact_normal - bundle.normal, axis=-1)
+        normal_dev = _norm3(bundle.exact_normal - bundle.normal)
         scaled = _scaled_jacobians(bundle.signed_area)
         max_rho = max(max_rho, float(np.abs(rho).max()))
         max_normal_dev = max(max_normal_dev, float(normal_dev.max()))

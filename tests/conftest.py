@@ -8,6 +8,7 @@ built only from the torus embedding and its derivatives.
 """
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from surfnitsche import geometry as geo
 
@@ -68,6 +69,31 @@ def newton_closest_point(x, torus, grid=400, iters=25):
         step = np.linalg.solve(hess, grad)
         a, b = a - step[0], b - step[1]
     return geo.torus_embed(a, b, torus)
+
+
+def boundary_curve_tangent(side, theta, boundary, torus):
+    """c'(theta) of a boundary curve by the chain rule in Cartesian components."""
+    waves = boundary.waves_lower if side == "lower" else boundary.waves_upper
+    theta = np.asarray(theta, dtype=float)
+    phi = geo.boundary_phi(side, theta, boundary)
+    dphi = -boundary.amplitude * waves * np.sin(waves * theta)
+    r = torus.minor_radius
+    w = torus.major_radius + r * np.cos(theta)
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    return np.stack([-r * st * cp - dphi * w * sp, -r * st * sp + dphi * w * cp, r * ct], axis=-1)
+
+
+def boundary_specs():
+    """Hypothesis strategy for wavy bands: amplitude and 0..6 waves per side.
+
+    Amplitudes up to 0.3 keep the band nonempty under the default offset.
+    """
+    return st.builds(
+        geo.BoundarySpec,
+        amplitude=st.floats(0.0, 0.3),
+        waves_lower=st.integers(0, 6),
+        waves_upper=st.integers(0, 6),
+    )
 
 
 def random_tube_points(rng, torus, count, max_offset=0.18):

@@ -3,7 +3,7 @@ import pytest
 
 from surfnitsche import geometry as geo
 from surfnitsche.errors import DegenerateElementError
-from surfnitsche.fem import EdgeBundle, frames
+from surfnitsche.fem import EdgeBundle, _cross3, _norm3, frames
 from surfnitsche.mesh import ParametricMesh, build_mesh, edge_batches
 from surfnitsche.reference import edge_rule, lattice_points, reference_element
 
@@ -63,6 +63,15 @@ class TestElementFrame:
         # orientation against the exact surface normal
         exact = torus_problem.normal_at_closest(bundle.position)
         assert np.all(np.sum(bundle.normal * exact, axis=-1) > 0.0)
+
+
+def test_entrywise_products_match_numpy():
+    # the frames take cross products and norms of the rows of J^T, so the
+    # operands are strided views of an (e, q, 2, 3) array
+    rows = np.random.default_rng(2).normal(size=(7, 12, 2, 3))
+    a, b = rows[..., 0, :], rows[..., 1, :]
+    assert np.array_equal(_cross3(a, b), np.cross(a, b))
+    assert np.array_equal(_norm3(a), np.linalg.norm(a, axis=-1))
 
 
 class TestTangentGradient:

@@ -6,9 +6,49 @@ from hypothesis import strategies as st
 from surfnitsche import geometry as geo
 from surfnitsche.errors import DegenerateInputError
 
-from conftest import fd_laplace_beltrami, newton_closest_point, random_tube_points
+from conftest import (
+    boundary_curve_tangent,
+    boundary_specs,
+    fd_laplace_beltrami,
+    newton_closest_point,
+    random_tube_points,
+)
 
 TWO_PI = 2.0 * np.pi
+BANDS = pytest.mark.parametrize(
+    "band", ["torus_problem", "simple_problem"], ids=["wavy", "simplified"]
+)
+SIDES = pytest.mark.parametrize("side", ["lower", "upper"])
+
+
+def points_near_curve(problem, side, rng, count, spread):
+    theta = rng.uniform(0.0, TWO_PI, count)
+    on_curve = geo.boundary_curve_point(side, theta, problem.boundary, problem.torus)
+    return on_curve, on_curve + rng.uniform(-spread, spread, (count, 3))
+
+
+def curve_parameter(problem, on_curve):
+    """theta of points on a boundary curve: their toroidal angle theta."""
+    return geo.toroidal_angles(on_curve, problem.torus)[0]
+
+
+def assert_stationary(problem, side, points, projected):
+    """|(x - q) . c'(theta)| <= 1e-12 |x - q| |c'| at every projection q of x.
+
+    theta is a double, so even the best theta leaves a slope of up to
+    ulp(theta) |c'|^2 / 2, about 3e-15 for |c'| <= 2.6 on the bands drawn
+    here; the relative bound resolves that only for points at least 1e-3
+    from the curve, and points closer than 1e-2 are left out.
+    """
+    theta = curve_parameter(problem, projected)
+    tangent = boundary_curve_tangent(side, theta, problem.boundary, problem.torus)
+    gap = points - projected
+    gap_norm = np.linalg.norm(gap, axis=-1)
+    resolved = gap_norm >= 1e-2
+    assert np.any(resolved)
+    slope = np.abs(np.sum(gap * tangent, axis=-1))
+    bound = 1e-12 * gap_norm * np.linalg.norm(tangent, axis=-1)
+    assert np.all(slope[resolved] <= bound[resolved])
 
 
 class TestTorusBasics:
@@ -102,6 +142,24 @@ class TestSurfaceNormal:
         np.testing.assert_allclose(fd, analytic, atol=1e-6)
 
 
+class TestNormalAtClosest:
+    def test_matches_normal_at_closest_angles(self, torus_problem):
+        rng = np.random.default_rng(12)
+        torus = torus_problem.torus
+        pts = random_tube_points(rng, torus, 2000)
+        via_angles = geo.surface_normal(*geo.toroidal_angles(geo.closest_point(pts, torus), torus))
+        np.testing.assert_allclose(
+            torus_problem.normal_at_closest(pts), via_angles, rtol=0.0, atol=1e-14
+        )
+
+    @pytest.mark.parametrize(
+        "point", [[0.0, 0.0, 0.3], [1.0, 0.0, 0.0]], ids=["axis", "center-circle"]
+    )
+    def test_degenerate(self, torus_problem, point):
+        with pytest.raises(DegenerateInputError):
+            torus_problem.normal_at_closest(point)
+
+
 class TestBoundary:
     def test_boundary_phi_values(self):
         waves = geo.BoundarySpec()
@@ -154,6 +212,44 @@ class TestBoundary:
             for x, p in zip(near, projected):
                 dense_min = np.min(np.linalg.norm(curve - x, axis=-1))
                 assert np.linalg.norm(x - p) <= dense_min + 1e-12
+
+
+@BANDS
+@SIDES
+class TestProjectionAccuracy:
+    def test_one_ulp_stable(self, request, band, side):
+        problem = request.getfixturevalue(band)
+        _, near = points_near_curve(problem, side, np.random.default_rng(13), 2000, 0.05)
+        theta = curve_parameter(problem, problem.project_to_boundary(near, side))
+        nudged = near * (1.0 + 2.2e-16)
+        moved = curve_parameter(problem, problem.project_to_boundary(nudged, side))
+        assert np.max(np.abs(np.angle(np.exp(1j * (moved - theta))))) <= 1e-13
+
+    def test_stationary(self, request, band, side):
+        problem = request.getfixturevalue(band)
+        _, near = points_near_curve(problem, side, np.random.default_rng(14), 2000, 0.05)
+        assert_stationary(problem, side, near, problem.project_to_boundary(near, side))
+
+
+@settings(max_examples=30, deadline=None)
+@given(boundary=boundary_specs(), seed=st.integers(0, 2**32 - 1))
+def test_projection_on_random_band(boundary, seed):
+    problem = geo.TorusProblem(boundary=boundary)
+    rng = np.random.default_rng(seed)
+    for side in ("lower", "upper"):
+        on_curve, near = points_near_curve(problem, side, rng, 50, 0.05)
+        np.testing.assert_allclose(
+            problem.project_to_boundary(on_curve, side), on_curve, rtol=0.0, atol=1e-12
+        )
+        projected = problem.project_to_boundary(near, side)
+        assert_stationary(problem, side, near, projected)
+        waves = boundary.waves_lower if side == "lower" else boundary.waves_upper
+        n_samples = 64 * max(1, waves)
+        samples = geo.boundary_curve_point(
+            side, np.arange(n_samples) * (TWO_PI / n_samples), boundary, problem.torus
+        )
+        coarse = np.linalg.norm(near[:, None, :] - samples[None, :, :], axis=-1).min(axis=1)
+        assert np.all(np.linalg.norm(near - projected, axis=-1) <= coarse + 1e-12)
 
 
 class TestManufacturedSolution:

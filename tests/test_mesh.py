@@ -2,13 +2,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfnitsche import geometry as geo
 from surfnitsche.errors import MeshInvalidError
 from surfnitsche.mesh import _grid_shape, build_mesh, geometric_report
 from surfnitsche.reference import edge_node_ids, lattice_multi_indices
 
-from conftest import observed_orders
+from conftest import boundary_specs, observed_orders
 
 
 def vertex_edge_counts(mesh):
@@ -145,6 +147,14 @@ class TestNodePlacementModes:
         assert report.min_scaled_jacobian > 0.05
         assert report.max_boundary_node_dist < 1e-10
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_facet_linear_boundary_nodes_on_wavy_curves(self, torus_problem, order):
+        # the interior blend must leave the corrected chain nodes in place
+        mesh = build_mesh(64, order, torus_problem, node_placement="facet-linear")
+        for side, ids in mesh.boundary_nodes.items():
+            projected = torus_problem.project_to_boundary(mesh.nodes[ids], side)
+            assert np.abs(mesh.nodes[ids] - projected).max() < 1e-10
+
     def test_modes_agree_for_flat_geometry(self):
         problem = geo.FlatSquareProblem(2)
         chart = build_mesh(4, 2, problem)
@@ -163,6 +173,27 @@ class TestNodePlacementModes:
             assert b.energy_error == pytest.approx(a.energy_error, rel=0.02)
             assert b.l2_error == pytest.approx(a.l2_error, rel=0.02)
         assert facet[-1].eoc_energy == pytest.approx(chart[-1].eoc_energy, abs=0.05)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    boundary=boundary_specs(),
+    n_div=st.integers(2, 4),
+    order=st.integers(1, 3),
+    placement=st.sampled_from(["chart", "facet-linear"]),
+)
+def test_random_band_mesh_valid_or_rejected(boundary, n_div, order, placement):
+    problem = geo.TorusProblem(boundary=boundary)
+    try:
+        mesh = build_mesh(n_div, order, problem, placement)
+    except MeshInvalidError:
+        return
+    np.testing.assert_allclose(problem.signed_distance(mesh.nodes), 0.0, atol=1e-12)
+    for side, ids in mesh.boundary_nodes.items():
+        on_curve = mesh.nodes[ids]
+        np.testing.assert_allclose(
+            problem.project_to_boundary(on_curve, side), on_curve, rtol=0.0, atol=1e-10
+        )
 
 
 class TestGeometricConvergence:
