@@ -40,7 +40,6 @@ from .geometry import (
     torus_embed,
 )
 from .mesh import (
-    BoundaryEdge,
     GeometricReport,
     ParametricMesh,
     build_mesh,
@@ -52,7 +51,6 @@ from .solve import SolveReport, solve_linear, solve_spd
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryEdge",
     "BoundarySpec",
     "ConvergenceRecord",
     "DegenerateElementError",

@@ -102,8 +102,7 @@ class FrameBundle:
     # matmul of matrices this small costs a call per point and ran 2-3x
     # slower.  J^T v above stays a matmul; its entrywise form rounds
     # differently, enough to move the Nitsche flux terms and, with them,
-    # where PCG stops on the k = 3 study (2437 -> 2436 iterations at
-    # n_div = 64).
+    # where PCG stops on the k = 3 study.
 
     def _raise(self, covectors):
         """G^{-1} w for covectors w (e,q,2)."""

@@ -231,6 +231,10 @@ def _distance_slope_and_curvature(
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_STEPS = 16
 
+# Points per block of the coarse bracket, which bounds its (block,
+# samples, 3) temporary; the Newton steps run on all points at once.
+_BRACKET_CHUNK = 2048
+
 
 def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: TorusParams):
     """Nearest point of one boundary curve, per input point.
@@ -255,9 +259,13 @@ def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: Torus
     theta_samples = np.arange(n_samples) * (TWO_PI / n_samples)
     curve = boundary_curve_point(side, theta_samples, boundary, torus)
 
-    d2 = np.sum((pts[:, None, :] - curve[None, :, :]) ** 2, axis=-1)
-    best = np.argmin(d2, axis=1)
-    coarse_min = d2[np.arange(len(pts)), best]
+    best = np.empty(len(pts), dtype=int)
+    coarse_min = np.empty(len(pts))
+    for start in range(0, len(pts), _BRACKET_CHUNK):
+        block = slice(start, start + _BRACKET_CHUNK)
+        d2 = np.sum((pts[block, None, :] - curve[None, :, :]) ** 2, axis=-1)
+        best[block] = np.argmin(d2, axis=1)
+        coarse_min[block] = d2[np.arange(len(d2)), best[block]]
     step = TWO_PI / n_samples
     theta = theta_samples[best]
     lo, hi = theta - step, theta + step

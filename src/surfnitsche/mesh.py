@@ -22,12 +22,12 @@ Every quadrature over the mesh goes through one walker, used by assembly,
 error measurement, the geometric report and the fold check:
 ``element_batches`` yields frames ``ELEMENT_CHUNK`` elements at a time with
 the weights w_q sqrt(det G), ``edge_batches`` one EdgeBundle per (local
-edge, side) group of boundary edges with the weights w_q |x'(t)|.
+edge, side) group of ``ParametricMesh.boundary_edges`` with the weights
+w_q |x'(t)|.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,12 @@ from .errors import (
 from .fem import EdgeBundle, _norm3, frames
 from .reference import (
     edge_node_ids,
+    edge_opposite_corner,
+    edge_ref_direction,
+    edge_ref_points,
     edge_rule,
     lattice_multi_indices,
+    lattice_points,
     triangle_rule,
 )
 
@@ -50,27 +54,32 @@ from .reference import (
 ELEMENT_CHUNK = 4096
 
 
-class BoundaryEdge(NamedTuple):
-    element: int
-    local_edge: int
-    side: str
-
-
 @dataclass
 class ParametricMesh:
     """Order-k triangulated surface with isoparametric geometry nodes.
 
     ``elements`` lists, per triangle, the node ids of the reference
     lattice of :func:`surfnitsche.reference.lattice_points` in that order.
-    ``h`` is the longest straight edge of the vertex triangulation.
+    ``boundary_edges`` maps each (local edge, side) group to the ids of
+    the elements whose local edge lies on that boundary side, in element
+    order; the groups run lower, upper, left, right over the sides the
+    problem has.  ``boundary_nodes`` derives each side's node ids from
+    them.  ``h`` is the longest straight edge of the vertex triangulation.
     """
 
     order: int
     nodes: np.ndarray
     elements: np.ndarray
-    boundary_edges: list[BoundaryEdge]
-    boundary_nodes: dict[str, np.ndarray]
+    boundary_edges: dict[tuple[int, str], np.ndarray]
     h: float
+
+    @property
+    def boundary_nodes(self) -> dict[str, np.ndarray]:
+        """Sorted node ids on each boundary side, from the edge groups."""
+        return {
+            side: np.unique(self.elements[ids][:, edge_node_ids(self.order, local_edge)])
+            for (local_edge, side), ids in self.boundary_edges.items()
+        }
 
     @property
     def num_nodes(self) -> int:
@@ -132,8 +141,8 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
 
     Raises :class:`MeshInvalidError` if any element ends up with a
     nonpositive area Jacobian at a quadrature point, or if the cells are
-    so coarse that a node or quadrature point lands where the surface has
-    no unique nearest point.
+    so coarse that a node, or a quadrature point of an element or of a
+    boundary edge, lands where the surface has no unique nearest point.
     """
     if n_div < 2:
         raise InvalidArgumentError(f"n_div must be >= 2, got {n_div}")
@@ -153,58 +162,41 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     sv = np.arange(n_s + 1) / n_s
     vertex = problem.chart(tv[:, None], sv[None, :])
 
-    def node_id(t_index, s_index):
-        t_index = np.mod(t_index, cols) if periodic else t_index
-        return t_index * rows + s_index
-
-    ti_grid = np.arange(cols)
-    chains = {
-        "lower": node_id(ti_grid, 0),
-        "upper": node_id(ti_grid, rows - 1),
-    }
-    if not periodic:
-        si_grid = np.arange(rows)
-        chains["left"] = node_id(0, si_grid)
-        chains["right"] = node_id(cols - 1, si_grid)
-    boundary_nodes = {side: ids for side, ids in chains.items() if side in problem.boundary_sides}
     elements, boundary_edges = _connectivity(n_t, n_s, k, rows, cols, periodic, problem)
-
     ti, si = np.meshgrid(np.arange(cols), np.arange(rows), indexing="ij")
     ti, si = ti.ravel(), si.ravel()
     try:
         if node_placement == "chart":
             nodes = problem.chart(ti / (k * n_t), si / (k * n_s))
         else:
-            nodes = _facet_linear_nodes(
-                vertex, ti, si, k, boundary_nodes, elements, boundary_edges, problem
-            )
+            nodes = _facet_linear_nodes(vertex, ti, si, k, problem)
         mesh = ParametricMesh(
             order=k,
             nodes=nodes,
             elements=elements,
             boundary_edges=boundary_edges,
-            boundary_nodes=boundary_nodes,
             h=_vertex_mesh_size(vertex),
         )
+        if node_placement == "facet-linear":
+            _correct_boundary(mesh, problem)
         bad = _invalid_elements(mesh, problem)
+        if len(bad):
+            raise MeshInvalidError(
+                f"{len(bad)} element(s) with nonpositive area Jacobian, e.g. element {bad[0]}"
+            )
+        # Boundary-edge quadrature points can reach the center circle where
+        # no element quadrature point does; assembly would meet them there.
+        for _ in edge_batches(mesh, problem, edge_rule(2 * k + 2)):
+            pass
     except DegenerateInputError as err:
         # Cells spanning half the tube put facet nodes or quadrature points
         # on the center circle, where the surface has no nearest point.
         raise MeshInvalidError(f"mesh too coarse for the surface: {err}") from err
-    if len(bad):
-        raise MeshInvalidError(
-            f"{len(bad)} element(s) with nonpositive area Jacobian, e.g. element {bad[0]}"
-        )
     return mesh
 
 
-def _facet_linear_nodes(vertex, ti, si, k, boundary_nodes, elements, boundary_edges, problem):
-    """Lattice nodes (ti, si) interpolated over the vertex facets, then corrected.
-
-    The interpolated nodes are snapped to the surface, boundary-chain nodes
-    move onto the boundary curves, and for k > 1 the displacement each
-    chain node received is blended into the boundary elements.
-    """
+def _facet_linear_nodes(vertex, ti, si, k, problem):
+    """Lattice nodes (ti, si) interpolated over the vertex facets, snapped to the surface."""
     n_t, n_s = vertex.shape[0] - 1, vertex.shape[1] - 1
     ci = np.minimum(ti // k, n_t - 1)
     cj = np.minimum(si // k, n_s - 1)
@@ -213,16 +205,19 @@ def _facet_linear_nodes(vertex, ti, si, k, boundary_nodes, elements, boundary_ed
     corners_lower = np.stack([vertex[ci, cj], vertex[ci + 1, cj], vertex[ci + 1, cj + 1]], axis=1)
     corners_upper = np.stack([vertex[ci, cj], vertex[ci + 1, cj + 1], vertex[ci, cj + 1]], axis=1)
     corners = np.where((lj <= li)[:, None, None], corners_lower, corners_upper)
-    nodes = problem.closest_point(np.einsum("nv,nvd->nd", weights, corners))
+    return problem.closest_point(np.einsum("nv,nvd->nd", weights, corners))
 
-    displacement = np.zeros_like(nodes)
-    for side, ids in boundary_nodes.items():
-        corrected = problem.correct_to_boundary(nodes[ids], side)
-        displacement[ids] = corrected - nodes[ids]
-        nodes[ids] = corrected
-    if k > 1:
-        _blend_boundary_elements(nodes, displacement, elements, boundary_edges, k, problem)
-    return nodes
+
+def _correct_boundary(mesh: ParametricMesh, problem):
+    """Move boundary-chain nodes onto the boundary curves and, for k > 1,
+    blend the displacement each received into the boundary elements."""
+    displacement = np.zeros_like(mesh.nodes)
+    for side, ids in mesh.boundary_nodes.items():
+        corrected = problem.correct_to_boundary(mesh.nodes[ids], side)
+        displacement[ids] = corrected - mesh.nodes[ids]
+        mesh.nodes[ids] = corrected
+    if mesh.order > 1:
+        _blend_boundary_elements(mesh, displacement, problem)
 
 
 def _connectivity(n_t, n_s, k, rows, cols, periodic, problem):
@@ -240,38 +235,18 @@ def _connectivity(n_t, n_s, k, rows, cols, periodic, problem):
     s_index = k * np.arange(n_s)[None, :, None, None] + off[None, None, :, :, 1]
     elements = (t_index * rows + s_index).reshape(2 * n_t * n_s, len(multi))
 
-    boundary_edges: list[BoundaryEdge] = []
-    sides = problem.boundary_sides
-    if "lower" in sides:
-        boundary_edges += [BoundaryEdge(2 * (ci * n_s), 0, "lower") for ci in range(n_t)]
-    if "upper" in sides:
-        boundary_edges += [
-            BoundaryEdge(2 * (ci * n_s + n_s - 1) + 1, 1, "upper") for ci in range(n_t)
-        ]
+    # Lower halves of the bottom cell row, upper halves of the top row,
+    # upper halves of the first cell column, lower halves of the last.
+    ci, cj = np.arange(n_t), np.arange(n_s)
+    groups = {
+        (0, "lower"): 2 * ci * n_s,
+        (1, "upper"): 2 * (ci * n_s + n_s - 1) + 1,
+    }
     if not periodic:
-        if "left" in sides:
-            boundary_edges += [BoundaryEdge(2 * cj + 1, 2, "left") for cj in range(n_s)]
-        if "right" in sides:
-            boundary_edges += [
-                BoundaryEdge(2 * ((n_t - 1) * n_s + cj), 1, "right") for cj in range(n_s)
-            ]
-    return elements, boundary_edges
-
-
-# Per local edge: k times the barycentric distance from the edge, on the
-# integer lattice indices (i, j) so that nodes on the edge get exactly 0
-# (1 - 1/3 - 2/3 rounds to 1.1e-16), and the orthogonal projection
-# parameter t(xi, eta) onto the edge.
-_EDGE_DISTANCE = (
-    lambda i, j, k: j,
-    lambda i, j, k: k - i - j,
-    lambda i, j, k: i,
-)
-_EDGE_PROJECTION = (
-    lambda xi, eta: xi,
-    lambda xi, eta: 0.5 * (1.0 - xi + eta),
-    lambda xi, eta: 1.0 - eta,
-)
+        groups[(2, "left")] = 2 * cj + 1
+        groups[(1, "right")] = 2 * ((n_t - 1) * n_s + cj)
+    sides = problem.boundary_sides
+    return elements, {key: ids for key, ids in groups.items() if key[1] in sides}
 
 
 def _lagrange_1d(order, t):
@@ -286,30 +261,36 @@ def _lagrange_1d(order, t):
     return vals
 
 
-def _blend_boundary_elements(nodes, displacement, elements, boundary_edges, k, problem):
+def _blend_boundary_elements(mesh: ParametricMesh, displacement, problem):
     """Carry the boundary correction into boundary-adjacent elements.
 
     Each off-edge node moves by (1 - d)^2 times the correction displacement
     interpolated at its orthogonal projection onto the boundary edge, where
     d is its barycentric distance from that edge; moved nodes are snapped
     back to the surface.  Nodes claimed by two boundary elements (flat
-    corners) receive the last claim; there the displacement vanishes.
+    corners) receive the last claim in group and element order; there the
+    displacement vanishes.
     """
+    k = mesh.order
     multi = lattice_multi_indices(k)
-    xi, eta = multi[:, 0] / k, multi[:, 1] / k
-    moved: dict[int, np.ndarray] = {}
-    for element, local_edge, _ in boundary_edges:
-        d = _EDGE_DISTANCE[local_edge](multi[:, 0], multi[:, 1], k) / k
-        t = np.clip(_EDGE_PROJECTION[local_edge](xi, eta), 0.0, 1.0)
-        edge_nodes = elements[element][edge_node_ids(k, local_edge)]
-        edge_disp = displacement[edge_nodes]
+    # Barycentric coordinates on the integer lattice, so that nodes on an
+    # edge get exactly d = 0 (1 - 1/3 - 2/3 rounds to 1.1e-16).
+    barycentric = np.column_stack([k - multi[:, 0] - multi[:, 1], multi[:, 0], multi[:, 1]])
+    claims, targets = [], []
+    for (local_edge, _), ids in mesh.boundary_edges.items():
+        d = barycentric[:, edge_opposite_corner(local_edge)] / k
+        direction = edge_ref_direction(local_edge)
+        along = (lattice_points(k) - edge_ref_points(local_edge, 0.0)) @ direction
+        t = np.clip(along / (direction @ direction), 0.0, 1.0)
+        conn = mesh.elements[ids]
+        edge_disp = displacement[conn[:, edge_node_ids(k, local_edge)]]
         blend = _lagrange_1d(k, t) @ edge_disp * ((1.0 - d) ** 2)[:, None]
-        for local, node in enumerate(elements[element]):
-            if 0.0 < d[local] < 1.0:
-                moved[int(node)] = nodes[node] + blend[local]
-    if moved:
-        ids = np.array(sorted(moved), dtype=int)
-        nodes[ids] = problem.closest_point(np.array([moved[int(i)] for i in ids]))
+        off_edge = (0.0 < d) & (d < 1.0)
+        claims.append(conn[:, off_edge].ravel())
+        targets.append((mesh.nodes[conn[:, off_edge]] + blend[:, off_edge]).reshape(-1, 3))
+    # Unique over the reversed claims keeps each node's last claim, in id order.
+    node_ids, last = np.unique(np.concatenate(claims)[::-1], return_index=True)
+    mesh.nodes[node_ids] = problem.closest_point(np.concatenate(targets)[::-1][last])
 
 
 def _vertex_mesh_size(vertex):
@@ -317,14 +298,6 @@ def _vertex_mesh_size(vertex):
     vert = np.linalg.norm(vertex[:, 1:] - vertex[:, :-1], axis=-1)
     diag = np.linalg.norm(vertex[1:, 1:] - vertex[:-1, :-1], axis=-1)
     return float(max(horiz.max(), vert.max(), diag.max()))
-
-
-def grouped_boundary_edges(mesh: ParametricMesh) -> dict[tuple[int, str], np.ndarray]:
-    """Boundary-edge element ids grouped by (local edge, side), in list order."""
-    groups: dict[tuple[int, str], list[int]] = {}
-    for element, local_edge, side in mesh.boundary_edges:
-        groups.setdefault((local_edge, side), []).append(element)
-    return {key: np.array(ids, dtype=int) for key, ids in groups.items()}
 
 
 def element_batches(mesh: ParametricMesh, problem, rule):
@@ -337,7 +310,7 @@ def element_batches(mesh: ParametricMesh, problem, rule):
 
 def edge_batches(mesh: ParametricMesh, problem, rule):
     """Yield (side, element ids, edge geometry, w_q |x'(t)|) per boundary group."""
-    for (local_edge, side), ids in grouped_boundary_edges(mesh).items():
+    for (local_edge, side), ids in mesh.boundary_edges.items():
         edge = EdgeBundle(mesh, problem, ids, local_edge, rule.points)
         yield side, ids, edge, rule.weights[None, :] * edge.line_factor
 

@@ -23,8 +23,7 @@ def flat_mesh_from_triangle(vertices, order=1):
         order=order,
         nodes=nodes,
         elements=np.arange(len(nodes), dtype=int)[None, :],
-        boundary_edges=[],
-        boundary_nodes={},
+        boundary_edges={},
         h=1.0,
     )
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,26 @@ class TestProjectionAccuracy:
         problem = request.getfixturevalue(band)
         _, near = points_near_curve(problem, side, np.random.default_rng(14), 2000, 0.05)
         assert_stationary(problem, side, near, problem.project_to_boundary(near, side))
+
+
+class TestProjectionBracketBlocks:
+    def test_memory_bounded(self, torus_problem):
+        # Over all 50,000 points at once, the coarse bracket would hold a
+        # (50,000, 256, 3) temporary, about 300 MB.
+        _, near = points_near_curve(torus_problem, "lower", np.random.default_rng(15), 50_000, 0.05)
+        tracemalloc.start()
+        try:
+            torus_problem.project_to_boundary(near, "lower")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_block_size_invariant(self, torus_problem, monkeypatch):
+        _, near = points_near_curve(torus_problem, "upper", np.random.default_rng(16), 3000, 0.05)
+        expected = torus_problem.project_to_boundary(near, "upper")
+        monkeypatch.setattr(geo, "_BRACKET_CHUNK", 7)
+        assert np.array_equal(torus_problem.project_to_boundary(near, "upper"), expected)
 
 
 @settings(max_examples=30, deadline=None)

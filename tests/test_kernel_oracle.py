@@ -14,7 +14,7 @@ from surfnitsche import geometry as geo
 from surfnitsche.analysis import error_measures
 from surfnitsche.assembly import _assemble_parts
 from surfnitsche.fem import EdgeBundle, frames
-from surfnitsche.mesh import build_mesh, grouped_boundary_edges
+from surfnitsche.mesh import build_mesh
 from surfnitsche.reference import edge_rule, reference_element, triangle_rule
 
 RTOL = 1e-12
@@ -79,7 +79,7 @@ def einsum_parts(mesh, problem):
     np.add.at(rhs_core, conn, np.einsum("eq,eq,qj->ej", scale, f_vals, values))
 
     erule = edge_rule(2 * k + 2)
-    for (local_edge, side), ids in grouped_boundary_edges(mesh).items():
+    for (local_edge, side), ids in mesh.boundary_edges.items():
         edge = EdgeBundle(mesh, problem, ids, local_edge, erule.points)
         conn = mesh.elements[ids]
         position, jac, inv_metric, _ = einsum_frames(mesh.nodes[conn], edge.values, edge.grads)
@@ -114,7 +114,7 @@ def einsum_error_measures(mesh, coefficients, problem):
 
     flux_sq = jump_sq = mismatch_sq = 0.0
     erule = edge_rule(2 * k + 4)
-    for (local_edge, side), ids in grouped_boundary_edges(mesh).items():
+    for (local_edge, side), ids in mesh.boundary_edges.items():
         edge = EdgeBundle(mesh, problem, ids, local_edge, erule.points)
         conn = mesh.elements[ids]
         position, jac, inv_metric, _ = einsum_frames(mesh.nodes[conn], edge.values, edge.grads)

@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfnitsche import geometry as geo
+from surfnitsche.assembly import assemble
 from surfnitsche.errors import MeshInvalidError
-from surfnitsche.mesh import _grid_shape, build_mesh, geometric_report
+from surfnitsche.mesh import (
+    _blend_boundary_elements,
+    _grid_shape,
+    _lagrange_1d,
+    build_mesh,
+    geometric_report,
+)
 from surfnitsche.reference import edge_node_ids, lattice_multi_indices
 
 from conftest import boundary_specs, observed_orders
@@ -38,6 +45,49 @@ def loop_connectivity(n_t, n_s, k, rows, cols, periodic):
                     t_index = np.mod(t_index, cols)
                 elements[2 * cell + half] = t_index * rows + (cj * k + off[:, 1])
     return elements
+
+
+def loop_blend(mesh, displacement, problem):
+    """Blended nodes edge by edge and node by node, as
+    mesh._blend_boundary_elements computed them before vectorizing.
+
+    Also returns how many claims overwrote an earlier claim on a node.
+    """
+    k = mesh.order
+    multi = lattice_multi_indices(k)
+    xi, eta = multi[:, 0] / k, multi[:, 1] / k
+    distance = (multi[:, 1], k - multi[:, 0] - multi[:, 1], multi[:, 0])
+    projection = (xi, 0.5 * (1.0 - xi + eta), 1.0 - eta)
+    nodes = mesh.nodes.copy()
+    moved, repeats = {}, 0
+    for (local_edge, _), ids in mesh.boundary_edges.items():
+        for element in ids:
+            d = distance[local_edge] / k
+            t = np.clip(projection[local_edge], 0.0, 1.0)
+            edge_nodes = mesh.elements[element][edge_node_ids(k, local_edge)]
+            edge_disp = displacement[edge_nodes]
+            blend = _lagrange_1d(k, t) @ edge_disp * ((1.0 - d) ** 2)[:, None]
+            for local, node in enumerate(mesh.elements[element]):
+                if 0.0 < d[local] < 1.0:
+                    repeats += int(node) in moved
+                    moved[int(node)] = nodes[node] + blend[local]
+    ids = np.array(sorted(moved), dtype=int)
+    nodes[ids] = problem.closest_point(np.array([moved[int(i)] for i in ids]))
+    return nodes, repeats
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize(
+    "problem", [geo.TorusProblem(), geo.FlatSquareProblem(2)], ids=["wavy", "flat"]
+)
+def test_blend_matches_node_loop(problem, order):
+    mesh = build_mesh(6, order, problem)
+    displacement = 0.01 * np.random.default_rng(order).standard_normal(mesh.nodes.shape)
+    expected, repeats = loop_blend(mesh, displacement, problem)
+    # the flat square's corner cells claim diagonal nodes from two edges
+    assert (repeats > 0) == (not problem.periodic)
+    _blend_boundary_elements(mesh, displacement, problem)
+    assert np.array_equal(mesh.nodes, expected)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -87,7 +137,7 @@ class TestTorusMesh:
         mesh = build_mesh(4, 1, torus_problem)
         counts = Counter(vertex_edge_counts(mesh).values())
         assert set(counts) == {1, 2}
-        assert counts[1] == len(mesh.boundary_edges)
+        assert counts[1] == sum(len(ids) for ids in mesh.boundary_edges.values())
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_conforming_high_order_edges(self, torus_problem, order):
@@ -113,8 +163,15 @@ class TestTorusMesh:
 
     def test_boundary_edges_cover_chains(self, torus_problem):
         mesh = build_mesh(4, 2, torus_problem)
-        sides = Counter(edge.side for edge in mesh.boundary_edges)
+        sides = {side: len(ids) for (_, side), ids in mesh.boundary_edges.items()}
         assert sides == {"lower": 4, "upper": 4}
+
+    def test_boundary_edges_through_center_circle_rejected(self):
+        # cells spanning half the tube: every element quadrature point is
+        # clear of the center circle, but boundary-edge points are not
+        flat_band = geo.BoundarySpec(amplitude=0.0, waves_lower=0, waves_upper=0)
+        with pytest.raises(MeshInvalidError, match="center circle"):
+            build_mesh(2, 1, geo.TorusProblem(boundary=flat_band))
 
     def test_coarse_wavy_mesh_matches_figure_regime(self, torus_problem):
         # order-3 coarse mesh of the wavy band: boundary nodes on the exact
@@ -194,6 +251,9 @@ def test_random_band_mesh_valid_or_rejected(boundary, n_div, order, placement):
         np.testing.assert_allclose(
             problem.project_to_boundary(on_curve, side), on_curve, rtol=0.0, atol=1e-10
         )
+    # an accepted mesh must carry the rest of the pipeline
+    assemble(mesh, 1e4, problem)
+    geometric_report(mesh, problem)
 
 
 class TestGeometricConvergence:

@@ -16,7 +16,7 @@ from surfnitsche.analysis import error_measures
 from surfnitsche.assembly import _assemble_parts
 from surfnitsche.errors import MeshInvalidError
 from surfnitsche.fem import EdgeBundle, frames
-from surfnitsche.mesh import GeometricReport, build_mesh, geometric_report, grouped_boundary_edges
+from surfnitsche.mesh import GeometricReport, build_mesh, geometric_report
 from surfnitsche.reference import edge_rule, triangle_rule
 
 # Small and odd, so no chunk boundary lines up with a grid row; it also
@@ -99,7 +99,7 @@ def all_at_once_report(mesh, problem):
 
     erule = edge_rule(quad_degree)
     max_edge_dist = 0.0
-    for (local_edge, side), element_ids in grouped_boundary_edges(mesh).items():
+    for (local_edge, side), element_ids in mesh.boundary_edges.items():
         edge = EdgeBundle(mesh, problem, element_ids, local_edge, erule.points)
         pts = edge.frame.position.reshape(-1, 3)
         proj = problem.project_to_boundary(pts, side)
