@@ -1,10 +1,19 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from surfnitsche import geometry as geo
-from surfnitsche.assembly import assemble
-from surfnitsche.errors import MaxIterationsExceededError, NotPositiveDefiniteError
+from surfnitsche import solve
+from surfnitsche.assembly import assemble, is_positive_definite
+from surfnitsche.errors import (
+    InvalidArgumentError,
+    MaxIterationsExceededError,
+    NotPositiveDefiniteError,
+)
 from surfnitsche.mesh import build_mesh
 from surfnitsche.solve import solve_linear, solve_spd
 
@@ -13,6 +22,12 @@ def random_spd(dim, seed):
     rng = np.random.default_rng(seed)
     factor = rng.normal(size=(dim, dim))
     return factor @ factor.T + dim * np.eye(dim)
+
+
+@pytest.fixture(scope="module")
+def torus_k2_system():
+    problem = geo.TorusProblem()
+    return assemble(build_mesh(32, 2, problem), 1e4, problem)
 
 
 class TestSolvePaths:
@@ -44,10 +59,9 @@ class TestSolvePaths:
         big = sp.identity(2500, format="csr")
         assert solve_linear(big, np.ones(2500)).method == "iterative"
 
-    def test_forced_direct_above_switch(self):
+    def test_forced_direct_above_switch(self, torus_k2_system):
         # above the auto switch the direct path factorizes the sparse matrix
-        problem = geo.TorusProblem()
-        system = assemble(build_mesh(32, 2, problem), 1e4, problem)
+        system = torus_k2_system
         assert system.dim == 8256
         direct = solve_spd(system, method="direct")
         assert direct.method == "direct"
@@ -129,3 +143,142 @@ class TestReportInvariants:
         second = solve_linear(matrix, rhs, method="cg")
         assert first.iterations == second.iterations
         assert np.array_equal(first.solution, second.solution)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("method", ["direct", "cg"])
+    def test_nonfinite_rhs(self, method):
+        rhs = np.ones(2500)
+        rhs[7] = np.nan
+        with pytest.raises(InvalidArgumentError, match="rhs"):
+            solve_linear(sp.identity(2500, format="csr"), rhs, method=method)
+
+    @pytest.mark.parametrize("method", ["direct", "cg"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_matrix(self, method, bad):
+        matrix = sp.csr_matrix(random_spd(20, seed=8))
+        matrix.data[5] = bad
+        with pytest.raises(InvalidArgumentError, match="matrix"):
+            solve_linear(matrix, np.ones(20), method=method)
+
+    def test_nonfinite_matrix_in_probe(self):
+        matrix = sp.csr_matrix(random_spd(20, seed=9))
+        matrix.data[0] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            is_positive_definite(matrix)
+
+    @pytest.mark.parametrize(
+        "shape, rhs_len", [((3, 4), 3), ((4, 3), 4), ((4, 4), 3)], ids=["wide", "tall", "rhs"]
+    )
+    def test_shape_mismatch(self, shape, rhs_len):
+        matrix = sp.csr_matrix(np.ones(shape))
+        with pytest.raises(InvalidArgumentError) as info:
+            solve_linear(matrix, np.ones(rhs_len))
+        assert str(shape) in str(info.value) and str((rhs_len,)) in str(info.value)
+
+    def test_nan_residual_is_not_success(self, monkeypatch):
+        # a NaN residual compares false with any tolerance
+        monkeypatch.setattr(solve, "_direct_solve", lambda m, b, tol: (np.full(len(b), np.nan), 0))
+        with pytest.raises(MaxIterationsExceededError):
+            solve_linear(sp.identity(4, format="csr"), np.ones(4), method="direct")
+
+
+def laplacian_2d(nx, ny, seed):
+    """Dirichlet 5-point Laplacian, symmetrically scaled by a random diagonal."""
+    def second_difference(n):
+        return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+
+    lap = sp.kronsum(second_difference(nx), second_difference(ny))
+    scale = sp.diags(np.random.default_rng(seed).uniform(0.5, 2.0, nx * ny))
+    return (scale @ lap @ scale).tocsr()
+
+
+def record_splits(monkeypatch):
+    """Allow the two-thread path at any size above 128; returns the split sizes seen."""
+    seen = []
+    pairwise_split = solve._pairwise_split
+    monkeypatch.setattr(solve, "_SPLIT_MIN_DIM", 129)
+    monkeypatch.setattr(solve, "_pairwise_split", lambda n: seen.append(n) or pairwise_split(n))
+    return seen
+
+
+def force_split(monkeypatch):
+    """Take the two-thread path at any size above 128, whatever the CPU count."""
+    monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+    return record_splits(monkeypatch)
+
+
+def assert_same_report(first, second):
+    assert first.iterations == second.iterations
+    assert first.relative_residual == second.relative_residual
+    assert np.array_equal(first.solution, second.solution)
+
+
+class TestRowSplit:
+    """The two-thread PCG gives the one-block iterates bit for bit."""
+
+    def test_premise_pairwise_split(self):
+        # np.add.reduce first halves an array where the solver splits its rows
+        assert solve._SPLIT_MIN_DIM > 128
+        rng = np.random.default_rng(10)
+        for n in [*range(129, 1200), 4705, 8256, 18528, 73920, 300000]:
+            values = rng.normal(size=n)
+            s = solve._pairwise_split(n)
+            assert np.add.reduce(values) == np.add.reduce(values[:s]) + np.add.reduce(values[s:])
+
+    @pytest.mark.parametrize("case", ["torus-k2", "odd"])
+    def test_split_matches_one_block(self, case, torus_k2_system, monkeypatch):
+        if case == "torus-k2":
+            matrix, rhs = torus_k2_system.matrix, torus_k2_system.rhs
+        else:
+            matrix = laplacian_2d(61, 77, seed=11)
+            rhs = np.random.default_rng(12).normal(size=matrix.shape[0])
+        dim = matrix.shape[0]
+        assert case != "odd" or dim % 2 == 1
+        one_block = solve_linear(matrix, rhs, method="cg")
+        seen = force_split(monkeypatch)
+        split = solve_linear(matrix, rhs, method="cg")
+        assert seen == [dim]
+        assert_same_report(split, one_block)
+
+    def test_one_cpu(self, monkeypatch):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity control on this platform")
+        matrix = laplacian_2d(45, 53, seed=13)
+        rhs = np.random.default_rng(14).normal(size=matrix.shape[0])
+        one_block = solve_linear(matrix, rhs, method="cg")
+        cpus = os.sched_getaffinity(0)
+        switch_interval = sys.getswitchinterval()
+        os.sched_setaffinity(0, {min(cpus)})
+        # frequent thread switches give a race between the halves its chance
+        sys.setswitchinterval(1e-6)
+        try:
+            # the affinity check sees one CPU and keeps one block
+            assert solve._usable_cpus() == 1
+            gated_splits = record_splits(monkeypatch)
+            gated = solve_linear(matrix, rhs, method="cg")
+            assert gated_splits == []
+            # forced onto the split path, both threads share the one CPU
+            seen = force_split(monkeypatch)
+            split = solve_linear(matrix, rhs, method="cg")
+        finally:
+            sys.setswitchinterval(switch_interval)
+            os.sched_setaffinity(0, cpus)
+        assert seen == [matrix.shape[0]]
+        assert_same_report(gated, one_block)
+        assert_same_report(split, one_block)
+
+    def test_no_thread_outlives_solve(self, monkeypatch):
+        matrix = laplacian_2d(33, 35, seed=15)
+        rhs = np.ones(matrix.shape[0])
+        one_block = solve_linear(matrix, rhs, method="cg")
+        indefinite = (matrix - 0.5 * sp.identity(matrix.shape[0])).tocsr()
+        seen = force_split(monkeypatch)
+        before = threading.active_count()
+        split = solve_linear(matrix, rhs, method="cg")
+        assert threading.active_count() == before
+        with pytest.raises(NotPositiveDefiniteError):
+            solve_linear(indefinite, rhs, method="cg")
+        assert threading.active_count() == before
+        assert seen == [matrix.shape[0]] * 2
+        assert_same_report(split, one_block)
