@@ -55,24 +55,14 @@ class ConvergenceRecord:
     eoc_energy: float | None
 
 
-def error_measures(
-    mesh: ParametricMesh,
-    coefficients,
-    problem,
-    quad_degree=None,
-    edge_quad_degree=None,
-) -> ErrorMeasures:
+def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures:
     """Measure u(p(x)) - u_h in the L2 and energy norms."""
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (mesh.num_nodes,):
-        raise ValueError("coefficient vector does not match mesh nodes")
-    k = mesh.order
-    if quad_degree is None:
-        quad_degree = 2 * k + 4
-    if edge_quad_degree is None:
-        edge_quad_degree = 2 * k + 4
-    ref = reference_element(k)
-    rule = triangle_rule(quad_degree)
+        raise InvalidArgumentError("coefficient vector does not match mesh nodes")
+    degree = 2 * mesh.order + 4
+    ref = reference_element(mesh.order)
+    rule = triangle_rule(degree)
     values, grads = ref.tabulate(rule.points)
 
     l2_sq = 0.0
@@ -90,8 +80,7 @@ def error_measures(
     flux_sq = 0.0
     jump_sq = 0.0
     mismatch_sq = 0.0
-    erule = edge_rule(edge_quad_degree)
-    for side, ids, edge, scale in edge_batches(mesh, problem, erule):
+    for side, ids, edge, scale in edge_batches(mesh, problem, edge_rule(degree)):
         coeff = coefficients[mesh.elements[ids]]
         u_h = coeff @ edge.values.T
         grad_u_h = edge.frame.lift(_reference_gradient(coeff, edge.grads))
@@ -134,8 +123,6 @@ def convergence_study(
     problem,
     base_divisions: int = 8,
     rel_tol: float = 1e-12,
-    quad_degree=None,
-    edge_quad_degree=None,
     node_placement: str = "chart",
 ) -> list[ConvergenceRecord]:
     """Solve on a sequence of meshes n_div = base * 2^level and record errors."""
@@ -145,10 +132,7 @@ def convergence_study(
     previous = None
     for level in range(levels):
         mesh = build_mesh(base_divisions * 2**level, order, problem, node_placement)
-        system = assemble(
-            mesh, beta, problem, quad_degree=quad_degree, edge_quad_degree=edge_quad_degree
-        )
-        report = solve_spd(system, rel_tol=rel_tol)
+        report = solve_spd(assemble(mesh, beta, problem), rel_tol=rel_tol)
         err = error_measures(mesh, report.solution, problem)
         eoc_l2 = eoc_energy = None
         if previous is not None:

@@ -9,8 +9,8 @@ The bilinear and linear forms on the discrete surface are
 with tangential gradients, nu the exterior conormal of the boundary
 edges, p the closest-point map onto the surface, q the closest-point map
 onto the boundary curve, and a single global mesh size h in the penalty
-weight.  All terms are integrated with rules of exactness degree 2k + 2
-by default (overridable for sensitivity studies).
+weight.  All terms are integrated with rules of exactness degree 2k + 2,
+the degree the mesh checks use (``mesh.assembly_degree``).
 
 Element kernels are matrix products.  Since grad v . grad w =
 grad_ref v^T G^{-1} grad_ref w, the element stiffness matrix is
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidPenaltyError, NotPositiveDefiniteError
-from .mesh import ParametricMesh, edge_batches, element_batches
+from .mesh import ParametricMesh, assembly_degree, edge_batches, element_batches
 from .reference import edge_rule, reference_element, triangle_rule
 from .solve import _factorize_spd
 
@@ -85,20 +85,10 @@ def _symmetric(local):
     return 0.5 * (local + local.transpose(0, 2, 1))
 
 
-def _assemble_parts(
-    mesh: ParametricMesh,
-    problem,
-    quad_degree=None,
-    edge_quad_degree=None,
-    boundary_terms=True,
-) -> _Parts:
-    k = mesh.order
-    if quad_degree is None:
-        quad_degree = 2 * k + 2
-    if edge_quad_degree is None:
-        edge_quad_degree = 2 * k + 2
-    ref = reference_element(k)
-    rule = triangle_rule(quad_degree)
+def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
+    degree = assembly_degree(mesh.order)
+    ref = reference_element(mesh.order)
+    rule = triangle_rule(degree)
     values, grads = ref.tabulate(rule.points)
     num_local = values.shape[1]
     stiffness_table = _stiffness_table(grads)
@@ -123,30 +113,28 @@ def _assemble_parts(
         np.add.at(rhs_core, conn.ravel(), ((scale * f_vals) @ values).ravel())
 
     pen_rows, pen_cols, pen_vals = [], [], []
-    if boundary_terms:
-        erule = edge_rule(edge_quad_degree)
-        for side, ids, edge, scale in edge_batches(mesh, problem, erule):
-            covector = edge.frame.reference_components(edge.conormal)
-            flux = (edge.grads @ covector[..., None])[..., 0]
-            conn = mesh.elements[ids]
-            r = np.repeat(conn, conn.shape[1], axis=1).ravel()
-            c = np.tile(conn, (1, conn.shape[1])).ravel()
+    for side, ids, edge, scale in edge_batches(mesh, problem, edge_rule(degree)):
+        covector = edge.frame.reference_components(edge.conormal)
+        flux = (edge.grads @ covector[..., None])[..., 0]
+        conn = mesh.elements[ids]
+        r = np.repeat(conn, conn.shape[1], axis=1).ravel()
+        c = np.tile(conn, (1, conn.shape[1])).ravel()
 
-            consistency = (scale[..., None] * flux).transpose(0, 2, 1) @ edge.values
-            rows.append(r)
-            cols.append(c)
-            vals.append(-(consistency + consistency.transpose(0, 2, 1)).ravel())
+        consistency = (scale[..., None] * flux).transpose(0, 2, 1) @ edge.values
+        rows.append(r)
+        cols.append(c)
+        vals.append(-(consistency + consistency.transpose(0, 2, 1)).ravel())
 
-            pen = (edge.values.T * scale[:, None, :]) @ edge.values
-            pen_rows.append(r)
-            pen_cols.append(c)
-            pen_vals.append(_symmetric(pen).ravel())
+        pen = (edge.values.T * scale[:, None, :]) @ edge.values
+        pen_rows.append(r)
+        pen_cols.append(c)
+        pen_vals.append(_symmetric(pen).ravel())
 
-            qpts = edge.frame.position.reshape(-1, 3)
-            g_vals = problem.dirichlet_at(problem.project_to_boundary(qpts, side))
-            weighted_g = scale * g_vals.reshape(scale.shape)
-            np.add.at(rhs_core, conn.ravel(), -(weighted_g[:, None, :] @ flux).ravel())
-            np.add.at(rhs_penalty, conn.ravel(), (weighted_g @ edge.values).ravel())
+        qpts = edge.frame.position.reshape(-1, 3)
+        g_vals = problem.dirichlet_at(problem.project_to_boundary(qpts, side))
+        weighted_g = scale * g_vals.reshape(scale.shape)
+        np.add.at(rhs_core, conn.ravel(), -(weighted_g[:, None, :] @ flux).ravel())
+        np.add.at(rhs_penalty, conn.ravel(), (weighted_g @ edge.values).ravel())
 
     def build(rr, cc, vv):
         if not rr:
@@ -165,18 +153,11 @@ def _assemble_parts(
     )
 
 
-def assemble(
-    mesh: ParametricMesh,
-    beta: float,
-    problem,
-    quad_degree=None,
-    edge_quad_degree=None,
-    boundary_terms=True,
-) -> SparseSystem:
+def assemble(mesh: ParametricMesh, beta: float, problem) -> SparseSystem:
     """Assemble the Nitsche system with penalty weight beta / h."""
-    if beta <= 0.0:
-        raise InvalidPenaltyError(f"penalty must be positive, got beta={beta}")
-    parts = _assemble_parts(mesh, problem, quad_degree, edge_quad_degree, boundary_terms)
+    if not (np.isfinite(beta) and beta > 0.0):
+        raise InvalidPenaltyError(f"penalty must be finite and positive, got beta={beta}")
+    parts = _assemble_parts(mesh, problem)
     weight = beta / parts.h
     matrix = (parts.core + weight * parts.penalty).tocsr()
     rhs = parts.rhs_core + weight * parts.rhs_penalty
@@ -197,7 +178,7 @@ def is_positive_definite(matrix) -> bool:
     return True
 
 
-def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem, **assemble_kwargs):
+def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem):
     """Tabulate (beta, positive definite?) over a grid of penalty values.
 
     The penalty matrix is positive semidefinite, so the success set is
@@ -205,9 +186,9 @@ def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem, **assemble_k
     where the threshold sits.
     """
     betas = np.asarray(beta_grid, dtype=float)
-    if betas.size == 0 or np.any(betas <= 0.0):
-        raise InvalidPenaltyError("beta grid must be nonempty and positive")
-    parts = _assemble_parts(mesh, problem, **assemble_kwargs)
+    if betas.size == 0 or not np.all(np.isfinite(betas) & (betas > 0.0)):
+        raise InvalidPenaltyError(f"beta grid must be nonempty, finite and positive, got {betas}")
+    parts = _assemble_parts(mesh, problem)
     table = []
     for beta in betas:
         matrix = parts.core + (beta / parts.h) * parts.penalty

@@ -7,8 +7,10 @@ Three subcommands drive the pipeline end to end:
     surfnitsche mesh-report  --problem torus --k 3 --n-div 8 [--out report.txt]
 
 Every option falls back to an environment variable with prefix
-SURFNITSCHE_ (flag --quad-degree -> SURFNITSCHE_QUAD_DEGREE) before its
-default.  Exit status is 0 iff every stage succeeded.
+SURFNITSCHE_ (flag --n-div -> SURFNITSCHE_N_DIV) before its default.
+Each subcommand accepts only the options it reads, so --beta and
+--rel-tol belong to solve and convergence but not to mesh-report.  Exit
+status is 0 iff every stage succeeded.
 """
 from __future__ import annotations
 
@@ -36,8 +38,6 @@ _DEFAULTS = {
     "n_div": 8,
     "levels": 4,
     "base_divisions": 8,
-    "quad_degree": None,
-    "edge_quad_degree": None,
     "node_placement": "chart",
 }
 
@@ -72,12 +72,6 @@ def _add_common(parser):
         "--problem", choices=["torus", "torus-simple", "flat-square"], default=None
     )
     parser.add_argument("--k", type=int, default=None, help="element order, 1..3")
-    parser.add_argument("--beta", type=float, default=None, help="Nitsche penalty")
-    parser.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    parser.add_argument("--quad-degree", type=int, default=None, dest="quad_degree")
-    parser.add_argument(
-        "--edge-quad-degree", type=int, default=None, dest="edge_quad_degree"
-    )
     parser.add_argument(
         "--node-placement",
         choices=["chart", "facet-linear"],
@@ -111,6 +105,10 @@ def build_parser():
     _add_common(p_mesh)
     p_mesh.add_argument("--n-div", type=int, default=None, dest="n_div")
     p_mesh.add_argument("--out", help="also write the report to a file")
+
+    for solving in (p_solve, p_conv):
+        solving.add_argument("--beta", type=float, default=None, help="Nitsche penalty")
+        solving.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
     return parser
 
 
@@ -120,13 +118,7 @@ def cmd_solve(args) -> int:
     mesh = build_mesh(
         _resolve(args, "n_div", int), k, problem, _resolve(args, "node_placement", str)
     )
-    system = assemble(
-        mesh,
-        _resolve(args, "beta", float),
-        problem,
-        quad_degree=_resolve(args, "quad_degree", int),
-        edge_quad_degree=_resolve(args, "edge_quad_degree", int),
-    )
+    system = assemble(mesh, _resolve(args, "beta", float), problem)
     report = solve_spd(system, rel_tol=_resolve(args, "rel_tol", float))
     err = error_measures(mesh, report.solution, problem)
     exact = problem.solution_at(mesh.nodes)
@@ -163,8 +155,6 @@ def cmd_convergence(args) -> int:
         problem,
         base_divisions=_resolve(args, "base_divisions", int),
         rel_tol=_resolve(args, "rel_tol", float),
-        quad_degree=_resolve(args, "quad_degree", int),
-        edge_quad_degree=_resolve(args, "edge_quad_degree", int),
         node_placement=_resolve(args, "node_placement", str),
     )
     print(records_table(records), end="")
@@ -181,7 +171,7 @@ def cmd_mesh_report(args) -> int:
     mesh = build_mesh(
         _resolve(args, "n_div", int), k, problem, _resolve(args, "node_placement", str)
     )
-    report = geometric_report(mesh, problem, quad_degree=_resolve(args, "quad_degree", int))
+    report = geometric_report(mesh, problem)
     lines = [
         f"n_div = {_resolve(args, 'n_div', int)}",
         f"k = {k}",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import InvalidArgumentError
 from .mesh import ParametricMesh
 from .reference import lattice_multi_indices
 
@@ -71,7 +72,7 @@ def write_vtk(path, mesh: ParametricMesh, point_data: dict | None = None, title=
         for name, values in point_data.items():
             values = np.asarray(values, dtype=float)
             if values.shape != (mesh.num_nodes,):
-                raise ValueError(f"point data {name!r} does not match node count")
+                raise InvalidArgumentError(f"point data {name!r} does not match node count")
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
             lines += [f"{v:.17g}" for v in values]

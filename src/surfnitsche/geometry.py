@@ -32,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ProjectionError, UnsupportedDegreeError
+from .errors import (
+    DegenerateInputError,
+    InvalidArgumentError,
+    ProjectionError,
+    UnsupportedDegreeError,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,7 +60,7 @@ class TorusParams:
 
     def __post_init__(self):
         if not 0.0 < self.minor_radius < self.major_radius:
-            raise ValueError(
+            raise InvalidArgumentError(
                 "torus radii must satisfy 0 < minor_radius < major_radius, "
                 f"got minor={self.minor_radius}, major={self.major_radius}"
             )
@@ -79,7 +84,7 @@ class BoundarySpec:
         theta = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
         gap = boundary_phi("upper", theta, self) - boundary_phi("lower", theta, self)
         if not np.all(gap > 0.0):
-            raise ValueError("boundary curves cross; the band is empty somewhere")
+            raise InvalidArgumentError("boundary curves cross; the band is empty somewhere")
 
 
 def torus_embed(theta, phi, torus: TorusParams):
@@ -172,7 +177,7 @@ def boundary_phi(side, theta, boundary: BoundarySpec):
         return boundary.amplitude * np.cos(boundary.waves_lower * theta)
     if side == "upper":
         return boundary.amplitude * np.cos(boundary.waves_upper * theta) + boundary.offset
-    raise ValueError(f"unknown boundary side {side!r}")
+    raise InvalidArgumentError(f"unknown boundary side {side!r}")
 
 
 def boundary_curve_point(side, theta, boundary: BoundarySpec, torus: TorusParams):

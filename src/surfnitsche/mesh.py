@@ -54,6 +54,12 @@ from .reference import (
 ELEMENT_CHUNK = 4096
 
 
+def assembly_degree(order: int) -> int:
+    """Exactness degree 2k + 2 of the assembly rules; the fold check, the
+    boundary-edge walk and the geometric report use it to meet assembly's points."""
+    return 2 * order + 2
+
+
 @dataclass
 class ParametricMesh:
     """Order-k triangulated surface with isoparametric geometry nodes.
@@ -186,7 +192,7 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
             )
         # Boundary-edge quadrature points can reach the center circle where
         # no element quadrature point does; assembly would meet them there.
-        for _ in edge_batches(mesh, problem, edge_rule(2 * k + 2)):
+        for _ in edge_batches(mesh, problem, edge_rule(assembly_degree(k))):
             pass
     except DegenerateInputError as err:
         # Cells spanning half the tube put facet nodes or quadrature points
@@ -324,19 +330,18 @@ def _scaled_jacobians(signed_area):
 
 
 def _invalid_elements(mesh: ParametricMesh, problem):
-    batches = element_batches(mesh, problem, triangle_rule(2 * mesh.order + 2))
+    batches = element_batches(mesh, problem, triangle_rule(assembly_degree(mesh.order)))
     return np.concatenate(
         [ids[_scaled_jacobians(bundle.signed_area) <= 0.0] for ids, bundle, _ in batches]
     )
 
 
-def geometric_report(mesh: ParametricMesh, problem, quad_degree=None) -> GeometricReport:
+def geometric_report(mesh: ParametricMesh, problem) -> GeometricReport:
     """Measure how well the mesh approximates the surface and its boundary."""
-    if quad_degree is None:
-        quad_degree = 2 * mesh.order + 2
+    degree = assembly_degree(mesh.order)
     max_rho = max_normal_dev = 0.0
     min_scaled_jacobian = np.inf
-    for _, bundle, _ in element_batches(mesh, problem, triangle_rule(quad_degree)):
+    for _, bundle, _ in element_batches(mesh, problem, triangle_rule(degree)):
         rho = problem.signed_distance(bundle.position)
         normal_dev = _norm3(bundle.exact_normal - bundle.normal)
         scaled = _scaled_jacobians(bundle.signed_area)
@@ -345,7 +350,7 @@ def geometric_report(mesh: ParametricMesh, problem, quad_degree=None) -> Geometr
         min_scaled_jacobian = min(min_scaled_jacobian, float(scaled.min()))
 
     max_edge_dist = 0.0
-    for side, _, edge, _ in edge_batches(mesh, problem, edge_rule(quad_degree)):
+    for side, _, edge, _ in edge_batches(mesh, problem, edge_rule(degree)):
         pts = edge.frame.position.reshape(-1, 3)
         proj = problem.project_to_boundary(pts, side)
         max_edge_dist = max(max_edge_dist, float(np.linalg.norm(pts - proj, axis=-1).max()))

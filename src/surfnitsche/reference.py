@@ -27,27 +27,16 @@ REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 EDGE_CORNERS = ((0, 1), (1, 2), (2, 0))
 
 
-def lattice_points(order: int) -> np.ndarray:
-    """Uniform barycentric lattice of the reference triangle, shape (n, 2)."""
-    pts = [
-        (i / order, j / order)
-        for j in range(order + 1)
-        for i in range(order + 1 - j)
-    ]
-    return np.array(pts)
-
-
 def lattice_multi_indices(order: int) -> np.ndarray:
-    """Integer lattice offsets (i, j) matching :func:`lattice_points`."""
+    """Integer lattice offsets (i, j), i + j <= order; also the monomial exponents."""
     return np.array(
         [(i, j) for j in range(order + 1) for i in range(order + 1 - j)], dtype=int
     )
 
 
-def _monomial_exponents(order: int) -> np.ndarray:
-    return np.array(
-        [(a, b) for b in range(order + 1) for a in range(order + 1 - b)], dtype=int
-    )
+def lattice_points(order: int) -> np.ndarray:
+    """Uniform barycentric lattice of the reference triangle, shape (n, 2)."""
+    return lattice_multi_indices(order) / order
 
 
 class ReferenceElement:
@@ -62,7 +51,7 @@ class ReferenceElement:
             raise UnsupportedDegreeError(f"element order must be 1..3, got {order}")
         self.order = order
         self.nodes = lattice_points(order)
-        self._exponents = _monomial_exponents(order)
+        self._exponents = lattice_multi_indices(order)
         vandermonde = self._monomials(self.nodes)
         self._coeffs = np.linalg.inv(vandermonde)
 

@@ -82,6 +82,19 @@ def test_criterion_2_l2_rates(torus_studies):
     report("criterion 2 (L2 rates h^(k+1))", ok, "; ".join(details))
 
 
+def test_k1_rate_headroom(torus_problem):
+    # The four-level k = 1 finest pair is still pre-asymptotic (eoc_l2 sits
+    # just above criterion 2's lower bound); a fifth level shows the rates
+    # with margin against the bounds of criteria 1 and 2.
+    finest = convergence_study(1, 5, BETA, torus_problem, base_divisions=8)[-1]
+    ok = 1.75 <= finest.eoc_l2 <= 2.4 and 0.75 <= finest.eoc_energy <= 1.4
+    detail = (
+        f"eoc_l2={finest.eoc_l2:.3f} in [1.75,2.4]; "
+        f"eoc_energy={finest.eoc_energy:.3f} in [0.75,1.4]"
+    )
+    report("k=1 rate headroom (five levels)", ok, detail)
+
+
 def test_criterion_3_simplified_stability(simple_problem):
     records = convergence_study(3, 3, BETA, simple_problem, base_divisions=16)
     eocs = [rec.eoc_energy for rec in records[1:]]

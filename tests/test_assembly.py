@@ -11,6 +11,22 @@ from surfnitsche.mesh import build_mesh
 from surfnitsche.solve import solve_linear, solve_spd
 
 
+class ConstantData:
+    """The problem with load f = 0 and Dirichlet data g = 1."""
+
+    def __init__(self, problem):
+        self._problem = problem
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def load_at(self, points):
+        return np.zeros(np.shape(points)[:-1])
+
+    def dirichlet_at(self, points):
+        return np.ones(np.shape(points)[:-1])
+
+
 def relative_asymmetry(matrix):
     gap = np.abs(matrix - matrix.T)
     return gap.max() / np.abs(matrix).max()
@@ -34,11 +50,14 @@ class TestSystemStructure:
         assert system.h_used == mesh.h
 
     def test_constants_in_stiffness_kernel(self, torus_problem):
-        mesh = build_mesh(4, 2, torus_problem)
-        system = assemble(mesh, 1e4, torus_problem, boundary_terms=False)
-        ones = np.ones(system.dim)
-        scale = np.abs(system.matrix).max()
-        assert np.abs(system.matrix @ ones).max() <= 1e-10 * scale
+        # With f = 0 and g = 1 the Nitsche terms of u = 1 and of g cancel
+        # row by row (the conormal flux of a constant vanishes), so A 1 = b
+        # holds exactly when the stiffness annihilates constants.
+        problem = ConstantData(torus_problem)
+        mesh = build_mesh(4, 2, problem)
+        system = assemble(mesh, 1e4, problem)
+        residual = system.matrix @ np.ones(system.dim) - system.rhs
+        assert np.abs(residual).max() <= 1e-10 * np.abs(system.matrix).max()
 
     def test_zero_data_gives_zero_rhs(self):
         problem = geo.FlatSquareProblem(coefficients={})
@@ -52,6 +71,14 @@ class TestSystemStructure:
             assemble(mesh, 0.0, torus_problem)
         with pytest.raises(InvalidPenaltyError):
             assemble(mesh, -1.0, torus_problem)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta(self, torus_problem, beta):
+        mesh = build_mesh(4, 1, torus_problem)
+        with pytest.raises(InvalidPenaltyError, match="beta"):
+            assemble(mesh, beta, torus_problem)
+        with pytest.raises(InvalidPenaltyError, match="beta"):
+            min_stable_beta_probe(mesh, [1.0, beta], torus_problem)
 
 
 class TestNitscheConsistency:

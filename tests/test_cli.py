@@ -125,6 +125,36 @@ class TestFailureReporting:
         assert status == 1
         assert "error:" in captured.err
 
+    def test_non_finite_beta_names_beta(self, capsys):
+        status = run(
+            ["solve", "--problem", "flat-square", "--k", "1", "--n-div", "2", "--beta", "nan"]
+        )
+        lines = capsys.readouterr().err.splitlines()
+        assert status == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "beta" in lines[0]
+
+
+UNKNOWN_OPTIONS = [
+    ["mesh-report", "--beta", "1"],
+    ["mesh-report", "--rel-tol", "0.1"],
+] + [
+    [command, flag, "4"]
+    for command in ("solve", "convergence", "mesh-report")
+    for flag in ("--quad-degree", "--edge-quad-degree")
+]
+
+
+@pytest.mark.parametrize(
+    "argv", UNKNOWN_OPTIONS, ids=[f"{a[0]}:{a[1].lstrip('-')}" for a in UNKNOWN_OPTIONS]
+)
+def test_option_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 BAD_INPUT = {
     "n-div-1": (["solve", "--n-div", "1"], {}),
