@@ -45,7 +45,7 @@ from .mesh import (
     build_mesh,
     geometric_report,
 )
-from .reference import QuadratureRule, ReferenceElement, basis_eval, edge_rule, triangle_rule
+from .reference import QuadratureRule, ReferenceElement, edge_rule, triangle_rule
 from .solve import SolveReport, solve_linear, solve_spd
 
 __version__ = "0.1.0"
@@ -75,7 +75,6 @@ __all__ = [
     "TorusProblem",
     "UnsupportedDegreeError",
     "assemble",
-    "basis_eval",
     "boundary_phi",
     "build_mesh",
     "closest_point",

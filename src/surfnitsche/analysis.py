@@ -122,7 +122,6 @@ def convergence_study(
     beta: float,
     problem,
     base_divisions: int = 8,
-    rel_tol: float = 1e-12,
     node_placement: str = "chart",
 ) -> list[ConvergenceRecord]:
     """Solve on a sequence of meshes n_div = base * 2^level and record errors."""
@@ -132,7 +131,7 @@ def convergence_study(
     previous = None
     for level in range(levels):
         mesh = build_mesh(base_divisions * 2**level, order, problem, node_placement)
-        report = solve_spd(assemble(mesh, beta, problem), rel_tol=rel_tol)
+        report = solve_spd(assemble(mesh, beta, problem))
         err = error_measures(mesh, report.solution, problem)
         eoc_l2 = eoc_energy = None
         if previous is not None:

@@ -32,20 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidPenaltyError, NotPositiveDefiniteError
+from .errors import InvalidPenaltyError
 from .mesh import ParametricMesh, assembly_degree, edge_batches, element_batches
 from .reference import edge_rule, reference_element, triangle_rule
-from .solve import _factorize_spd
+from .solve import is_positive_definite
 
 
 @dataclass
 class SparseSystem:
-    """Assembled symmetric system A x = b with its penalty bookkeeping."""
+    """Assembled symmetric Nitsche system A x = b."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    beta: float
-    h_used: float
 
     @property
     def dim(self) -> int:
@@ -60,7 +58,6 @@ class _Parts:
     penalty: sp.csr_matrix
     rhs_core: np.ndarray
     rhs_penalty: np.ndarray
-    h: float
 
 
 def _stiffness_table(grads):
@@ -149,33 +146,35 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
         penalty=build(pen_rows, pen_cols, pen_vals),
         rhs_core=rhs_core,
         rhs_penalty=rhs_penalty,
-        h=mesh.h,
     )
 
 
+def _penalized(parts: _Parts, beta: float, h: float):
+    """A = core + beta/h * penalty and b = rhs_core + beta/h * rhs_penalty.
+
+    Raises InvalidPenaltyError, without a floating-point warning, when
+    beta is so large that an entry of A or the norm of b overflows.
+    """
+    weight = beta / h
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = (parts.core + weight * parts.penalty).tocsr()
+        rhs = parts.rhs_core + weight * parts.rhs_penalty
+        overflow = not (np.all(np.isfinite(matrix.data)) and np.isfinite(rhs @ rhs))
+    if overflow:
+        raise InvalidPenaltyError(f"penalty beta={float(beta)} is too large: the system overflows")
+    return matrix, rhs
+
+
 def assemble(mesh: ParametricMesh, beta: float, problem) -> SparseSystem:
-    """Assemble the Nitsche system with penalty weight beta / h."""
+    """Assemble the Nitsche system with penalty weight beta / h.
+
+    beta must be finite, positive and small enough that the system does
+    not overflow; otherwise InvalidPenaltyError names it.
+    """
     if not (np.isfinite(beta) and beta > 0.0):
         raise InvalidPenaltyError(f"penalty must be finite and positive, got beta={beta}")
-    parts = _assemble_parts(mesh, problem)
-    weight = beta / parts.h
-    matrix = (parts.core + weight * parts.penalty).tocsr()
-    rhs = parts.rhs_core + weight * parts.rhs_penalty
-    return SparseSystem(matrix=matrix, rhs=rhs, beta=beta, h_used=parts.h)
-
-
-def is_positive_definite(matrix) -> bool:
-    """True if the symmetric matrix is positive definite.
-
-    Decided by one sparse factorization with diagonal pivoting (see the
-    solve module); no size cap, and singular or indefinite input gives
-    False.
-    """
-    try:
-        _factorize_spd(matrix)
-    except NotPositiveDefiniteError:
-        return False
-    return True
+    matrix, rhs = _penalized(_assemble_parts(mesh, problem), beta, mesh.h)
+    return SparseSystem(matrix=matrix, rhs=rhs)
 
 
 def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem):
@@ -183,7 +182,8 @@ def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem):
 
     The penalty matrix is positive semidefinite, so the success set is
     upward closed in beta; the probe records the table without asserting
-    where the threshold sits.
+    where the threshold sits.  A beta that assemble would reject raises
+    InvalidPenaltyError.
     """
     betas = np.asarray(beta_grid, dtype=float)
     if betas.size == 0 or not np.all(np.isfinite(betas) & (betas > 0.0)):
@@ -191,7 +191,6 @@ def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem):
     parts = _assemble_parts(mesh, problem)
     table = []
     for beta in betas:
-        matrix = parts.core + (beta / parts.h) * parts.penalty
+        matrix, _ = _penalized(parts, beta, mesh.h)
         table.append((float(beta), is_positive_definite(matrix)))
     return table
-

@@ -6,16 +6,15 @@ Three subcommands drive the pipeline end to end:
     surfnitsche convergence  --problem torus --k 2 --levels 4 [--csv out.csv]
     surfnitsche mesh-report  --problem torus --k 3 --n-div 8 [--out report.txt]
 
-Every option falls back to an environment variable with prefix
-SURFNITSCHE_ (flag --n-div -> SURFNITSCHE_N_DIV) before its default.
-Each subcommand accepts only the options it reads, so --beta and
---rel-tol belong to solve and convergence but not to mesh-report.  Exit
-status is 0 iff every stage succeeded.
+Options are read from the command line only; each has one default, set
+where the parser declares it.  Each subcommand accepts only the options
+it reads, so --beta belongs to solve and convergence but not to
+mesh-report.  The solver tolerance is fixed (solve.REL_TOL) and is not
+an option.  Exit status is 0 iff every stage succeeded.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -27,34 +26,6 @@ from .export import write_matrix_market, write_vector_market, write_vtk
 from .geometry import FlatSquareProblem, TorusProblem
 from .mesh import build_mesh, geometric_report
 from .solve import solve_spd
-
-ENV_PREFIX = "SURFNITSCHE_"
-
-_DEFAULTS = {
-    "problem": "torus",
-    "k": 1,
-    "beta": 1e4,
-    "rel_tol": 1e-12,
-    "n_div": 8,
-    "levels": 4,
-    "base_divisions": 8,
-    "node_placement": "chart",
-}
-
-
-def _resolve(args, name, cast):
-    """Option precedence: flag > SURFNITSCHE_<NAME> environment > default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    env_name = ENV_PREFIX + name.upper()
-    env = os.environ.get(env_name)
-    if env is None:
-        return _DEFAULTS[name]
-    try:
-        return cast(env)
-    except ValueError:
-        raise InvalidArgumentError(f"{env_name}={env!r} is not a valid {cast.__name__}") from None
 
 
 def make_problem(name: str, k: int):
@@ -69,13 +40,13 @@ def make_problem(name: str, k: int):
 
 def _add_common(parser):
     parser.add_argument(
-        "--problem", choices=["torus", "torus-simple", "flat-square"], default=None
+        "--problem", choices=["torus", "torus-simple", "flat-square"], default="torus"
     )
-    parser.add_argument("--k", type=int, default=None, help="element order, 1..3")
+    parser.add_argument("--k", type=int, default=1, help="element order, 1..3")
     parser.add_argument(
         "--node-placement",
         choices=["chart", "facet-linear"],
-        default=None,
+        default="chart",
         dest="node_placement",
     )
 
@@ -89,7 +60,7 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="solve one discrete problem")
     _add_common(p_solve)
-    p_solve.add_argument("--n-div", type=int, default=None, dest="n_div")
+    p_solve.add_argument("--n-div", type=int, default=8, dest="n_div")
     p_solve.add_argument("--vtk", help="write solution and pointwise error as VTK")
     p_solve.add_argument(
         "--matrix-out", dest="matrix_out", help="path prefix for MatrixMarket export"
@@ -97,29 +68,25 @@ def build_parser():
 
     p_conv = sub.add_parser("convergence", help="run a refinement study")
     _add_common(p_conv)
-    p_conv.add_argument("--levels", type=int, default=None)
-    p_conv.add_argument("--base-divisions", type=int, default=None, dest="base_divisions")
+    p_conv.add_argument("--levels", type=int, default=4)
+    p_conv.add_argument("--base-divisions", type=int, default=8, dest="base_divisions")
     p_conv.add_argument("--csv", help="write the study as CSV")
 
     p_mesh = sub.add_parser("mesh-report", help="geometric approximation report")
     _add_common(p_mesh)
-    p_mesh.add_argument("--n-div", type=int, default=None, dest="n_div")
+    p_mesh.add_argument("--n-div", type=int, default=8, dest="n_div")
     p_mesh.add_argument("--out", help="also write the report to a file")
 
     for solving in (p_solve, p_conv):
-        solving.add_argument("--beta", type=float, default=None, help="Nitsche penalty")
-        solving.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
+        solving.add_argument("--beta", type=float, default=1e4, help="Nitsche penalty")
     return parser
 
 
 def cmd_solve(args) -> int:
-    k = _resolve(args, "k", int)
-    problem = make_problem(_resolve(args, "problem", str), k)
-    mesh = build_mesh(
-        _resolve(args, "n_div", int), k, problem, _resolve(args, "node_placement", str)
-    )
-    system = assemble(mesh, _resolve(args, "beta", float), problem)
-    report = solve_spd(system, rel_tol=_resolve(args, "rel_tol", float))
+    problem = make_problem(args.problem, args.k)
+    mesh = build_mesh(args.n_div, args.k, problem, args.node_placement)
+    system = assemble(mesh, args.beta, problem)
+    report = solve_spd(system)
     err = error_measures(mesh, report.solution, problem)
     exact = problem.solution_at(mesh.nodes)
     max_nodal = float(np.abs(report.solution - exact).max())
@@ -146,16 +113,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    k = _resolve(args, "k", int)
-    problem = make_problem(_resolve(args, "problem", str), k)
+    problem = make_problem(args.problem, args.k)
     records = convergence_study(
-        k,
-        _resolve(args, "levels", int),
-        _resolve(args, "beta", float),
+        args.k,
+        args.levels,
+        args.beta,
         problem,
-        base_divisions=_resolve(args, "base_divisions", int),
-        rel_tol=_resolve(args, "rel_tol", float),
-        node_placement=_resolve(args, "node_placement", str),
+        base_divisions=args.base_divisions,
+        node_placement=args.node_placement,
     )
     print(records_table(records), end="")
     if args.csv:
@@ -166,15 +131,12 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_mesh_report(args) -> int:
-    k = _resolve(args, "k", int)
-    problem = make_problem(_resolve(args, "problem", str), k)
-    mesh = build_mesh(
-        _resolve(args, "n_div", int), k, problem, _resolve(args, "node_placement", str)
-    )
+    problem = make_problem(args.problem, args.k)
+    mesh = build_mesh(args.n_div, args.k, problem, args.node_placement)
     report = geometric_report(mesh, problem)
     lines = [
-        f"n_div = {_resolve(args, 'n_div', int)}",
-        f"k = {k}",
+        f"n_div = {args.n_div}",
+        f"k = {args.k}",
         f"h = {mesh.h:.12e}",
         f"dof = {mesh.num_nodes}",
         f"elements = {mesh.num_elements}",

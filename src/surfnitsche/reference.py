@@ -96,13 +96,6 @@ class ReferenceElement:
         return self.eval(points), self.grad(points)
 
 
-def basis_eval(order: int, point):
-    """Nodal values and reference gradients at one reference point."""
-    ref = reference_element(order)
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    return ref.eval(pts)[0], ref.grad(pts)[0]
-
-
 @lru_cache(maxsize=None)
 def reference_element(order: int) -> ReferenceElement:
     return ReferenceElement(order)

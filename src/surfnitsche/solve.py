@@ -1,19 +1,22 @@
 """Symmetric positive definite solves for assembled systems.
 
-Systems up to 2000 unknowns go through a sparse direct factorization
-(with iterative refinement to push the residual to the requested
-tolerance); larger ones through Jacobi-preconditioned conjugate
-gradients.  Both paths re-evaluate the final residual independently of
-the iteration before reporting success.  A system with a non-finite
-entry, or whose shapes do not match, is rejected before either path
-runs.
+Every solve stops at one fixed relative residual, REL_TOL = 1e-12
+(||A x - b|| <= REL_TOL ||b||); it is not a parameter.  Systems up to
+2000 unknowns go through a sparse direct factorization (with iterative
+refinement to push the residual below REL_TOL); larger ones through
+Jacobi-preconditioned conjugate gradients.  Both paths re-evaluate the
+final residual independently of the iteration before reporting
+success.  A system with a non-finite entry, whose shapes do not match,
+or whose rhs is so large that its norm overflows is rejected before
+either path runs.
 
 The direct factorization is SuperLU with a symmetric fill-reducing
 ordering (minimum degree on A^T + A) and pivots taken from the diagonal
 only, so P A P^T = L U with U = D L^T.  By Sylvester's law of inertia
 the signs of diag(U) are the signs of the eigenvalues of A: one
-factorization both solves and decides definiteness, which is also how
-the assembly module probes the penalty threshold.
+factorization both solves and decides definiteness
+(is_positive_definite), which is also how the assembly module probes the
+penalty threshold.
 
 Vector norms and the conjugate-gradient dot products use numpy's own
 pairwise summation, not BLAS.  A threaded BLAS splits every long dot
@@ -51,6 +54,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InvalidArgumentError, MaxIterationsExceededError, NotPositiveDefiniteError
 
+REL_TOL = 1e-12
 DIRECT_DIM_LIMIT = 2000
 # PCG splits its rows over two threads from this many unknowns up.  The
 # second thread costs about 0.2 ms per iteration in hand-offs; on a 2-vCPU
@@ -69,21 +73,20 @@ class SolveReport:
     method: str
 
 
-def solve_spd(system, rel_tol: float = 1e-12, method: str = "auto") -> SolveReport:
+def solve_spd(system, method: str = "auto") -> SolveReport:
     """Solve an assembled :class:`~surfnitsche.assembly.SparseSystem`."""
-    return solve_linear(system.matrix, system.rhs, rel_tol=rel_tol, method=method)
+    return solve_linear(system.matrix, system.rhs, method=method)
 
 
-def solve_linear(matrix, rhs, rel_tol: float = 1e-12, method: str = "auto") -> SolveReport:
-    """Solve A x = b for symmetric positive definite A.
+def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
+    """Solve A x = b for symmetric positive definite A to REL_TOL.
 
     method: "auto" picks "direct" (sparse symmetric factorization) for
     dim <= 2000 and "cg" otherwise; both can be forced explicitly.  A
-    non-square matrix, an rhs of another length or a non-finite entry
-    raises InvalidArgumentError.
+    non-square matrix, an rhs of another length, a non-finite entry or
+    an rhs whose norm overflows raises InvalidArgumentError; a final
+    residual above REL_TOL raises MaxIterationsExceededError.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise InvalidArgumentError(f"rel_tol must be in (0, 1), got {rel_tol}")
     matrix = sp.csr_matrix(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     dim = matrix.shape[0]
@@ -94,20 +97,23 @@ def solve_linear(matrix, rhs, rel_tol: float = 1e-12, method: str = "auto") -> S
         )
     _require_finite(matrix.data, "matrix")
     _require_finite(rhs, "rhs")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(_dot(rhs, rhs)):
+            raise InvalidArgumentError("rhs norm overflows")
     if method == "auto":
         method = "direct" if dim <= DIRECT_DIM_LIMIT else "cg"
     if method == "direct":
-        x, iters = _direct_solve(matrix, rhs, rel_tol)
+        x, iters = _direct_solve(matrix, rhs)
         tag = "direct"
     elif method == "cg":
-        x, iters = _jacobi_pcg(matrix, rhs, rel_tol)
+        x, iters = _jacobi_pcg(matrix, rhs)
         tag = "iterative"
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
     residual = _relative_residual(matrix, x, rhs)
-    if not residual <= rel_tol:
+    if not residual <= REL_TOL:
         raise MaxIterationsExceededError(
-            f"final residual {residual:.3e} above tolerance {rel_tol:.3e}"
+            f"final residual {residual:.3e} above tolerance {REL_TOL:.3e}"
         )
     return SolveReport(solution=x, iterations=iters, relative_residual=residual, method=tag)
 
@@ -163,19 +169,33 @@ def _factorize_spd(matrix):
     return factor
 
 
-def _direct_solve(matrix, rhs, rel_tol):
+def is_positive_definite(matrix) -> bool:
+    """True if the symmetric matrix is positive definite.
+
+    Decided by one sparse factorization with diagonal pivoting (see the
+    module docstring); no size cap, and singular or indefinite input gives
+    False.
+    """
+    try:
+        _factorize_spd(matrix)
+    except NotPositiveDefiniteError:
+        return False
+    return True
+
+
+def _direct_solve(matrix, rhs):
     factor = _factorize_spd(matrix)
     x = factor.solve(rhs)
     # Iterative refinement: a couple of cheap triangular solves buy back
     # the digits lost to the condition number.
     for _ in range(3):
-        if _relative_residual(matrix, x, rhs) <= rel_tol:
+        if _relative_residual(matrix, x, rhs) <= REL_TOL:
             break
         x = x + factor.solve(rhs - matrix @ x)
     return x, 0
 
 
-def _jacobi_pcg(matrix, rhs, rel_tol):
+def _jacobi_pcg(matrix, rhs):
     dim = rhs.shape[0]
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
@@ -207,11 +227,11 @@ def _jacobi_pcg(matrix, rhs, rel_tol):
                 )
             alpha = rz / curvature
             rr, rz_next = _on_blocks(pool, blocks, _RowBlock.step, alpha)
-            if np.sqrt(rr) <= rel_tol * norm_rhs:
+            if np.sqrt(rr) <= REL_TOL * norm_rhs:
                 # Recursive residual met the target; verify the true residual
                 # and restart from scratch if rounding drifted it above.
                 r[:] = rhs - matrix @ x
-                if _norm(r) <= rel_tol * norm_rhs:
+                if _norm(r) <= REL_TOL * norm_rhs:
                     return x, iterations
                 np.multiply(inv_diag, r, out=z)
                 p[:] = z

@@ -17,10 +17,10 @@ import scipy.sparse as sp
 
 from surfnitsche import geometry as geo
 from surfnitsche.analysis import convergence_study, error_measures
-from surfnitsche.assembly import assemble, is_positive_definite, min_stable_beta_probe
+from surfnitsche.assembly import assemble, min_stable_beta_probe
 from surfnitsche.mesh import build_mesh, geometric_report
 from surfnitsche.reference import triangle_rule
-from surfnitsche.solve import solve_linear, solve_spd
+from surfnitsche.solve import is_positive_definite, solve_linear, solve_spd
 
 from conftest import fd_laplace_beltrami, newton_closest_point, observed_orders, random_tube_points
 

@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from surfnitsche import geometry as geo
-from surfnitsche.assembly import assemble, is_positive_definite, min_stable_beta_probe
+from surfnitsche.assembly import assemble, min_stable_beta_probe
 from surfnitsche.errors import InvalidPenaltyError, NotPositiveDefiniteError
 from surfnitsche.mesh import build_mesh
-from surfnitsche.solve import solve_linear, solve_spd
+from surfnitsche.solve import is_positive_definite, solve_linear, solve_spd
 
 
 class ConstantData:
@@ -47,7 +47,6 @@ class TestSystemStructure:
         system = assemble(mesh, 1e4, problem)
         assert relative_asymmetry(system.matrix) <= 1e-12
         assert system.dim == mesh.num_nodes
-        assert system.h_used == mesh.h
 
     def test_constants_in_stiffness_kernel(self, torus_problem):
         # With f = 0 and g = 1 the Nitsche terms of u = 1 and of g cancel
@@ -72,13 +71,23 @@ class TestSystemStructure:
         with pytest.raises(InvalidPenaltyError):
             assemble(mesh, -1.0, torus_problem)
 
-    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    # 1e155 and 1e308 are finite, but the squared norm of the rhs overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf, 1e155, 1e308])
     def test_non_finite_beta(self, torus_problem, beta):
         mesh = build_mesh(4, 1, torus_problem)
         with pytest.raises(InvalidPenaltyError, match="beta"):
             assemble(mesh, beta, torus_problem)
         with pytest.raises(InvalidPenaltyError, match="beta"):
             min_stable_beta_probe(mesh, [1.0, beta], torus_problem)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_matrix_names_beta(self):
+        # with zero data the rhs stays 0; only the penalty entries overflow
+        problem = geo.FlatSquareProblem(coefficients={})
+        mesh = build_mesh(4, 2, problem)
+        with pytest.raises(InvalidPenaltyError, match="beta"):
+            assemble(mesh, 1e308, problem)
 
 
 class TestNitscheConsistency:
@@ -97,7 +106,7 @@ class TestNitscheConsistency:
     def test_galerkin_residual(self, torus_problem):
         mesh = build_mesh(4, 2, torus_problem)
         system = assemble(mesh, 1e4, torus_problem)
-        report = solve_spd(system, rel_tol=1e-12)
+        report = solve_spd(system)
         residual = np.linalg.norm(system.matrix @ report.solution - system.rhs)
         assert residual <= 1e-12 * np.linalg.norm(system.rhs)
 

@@ -1,6 +1,8 @@
+import argparse
+
 import pytest
 
-from surfnitsche.cli import run
+from surfnitsche.cli import build_parser, run
 
 
 def parse_report(capsys):
@@ -82,20 +84,29 @@ class TestMeshReportCommand:
         assert out.read_text().startswith("n_div = 8")
 
 
-class TestConfigPrecedence:
-    def test_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("SURFNITSCHE_N_DIV", "6")
-        status = run(["solve", "--problem", "flat-square", "--k", "1"])
-        values, _ = parse_report(capsys)
-        assert status == 0
-        assert values["dof"] == "49"  # (6+1)^2 vertices
+def test_environment_not_read(capsys, monkeypatch):
+    monkeypatch.setenv("SURFNITSCHE_N_DIV", "6")
+    status = run(["solve", "--problem", "flat-square", "--k", "1"])
+    values, _ = parse_report(capsys)
+    assert status == 0
+    assert values["dof"] == "81"  # (8+1)^2 vertices of the default --n-div 8
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SURFNITSCHE_N_DIV", "6")
-        status = run(["solve", "--problem", "flat-square", "--k", "1", "--n-div", "2"])
-        values, _ = parse_report(capsys)
-        assert status == 0
-        assert values["dof"] == "9"
+
+def test_parser_options_pinned():
+    # every option of every subcommand; a new run parameter must be added here
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    common = ["-h", "--help", "--problem", "--k", "--node-placement"]
+    expected = {
+        "solve": common + ["--n-div", "--vtk", "--matrix-out", "--beta"],
+        "convergence": common + ["--levels", "--base-divisions", "--csv", "--beta"],
+        "mesh-report": common + ["--n-div", "--out"],
+    }
+    options = {
+        name: [flag for action in sub._actions for flag in action.option_strings]
+        for name, sub in commands.choices.items()
+    }
+    assert options == expected
 
 
 class TestFailureReporting:
@@ -125,20 +136,25 @@ class TestFailureReporting:
         assert status == 1
         assert "error:" in captured.err
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_beta_names_beta(self, capsys):
-        status = run(
-            ["solve", "--problem", "flat-square", "--k", "1", "--n-div", "2", "--beta", "nan"]
-        )
-        lines = capsys.readouterr().err.splitlines()
-        assert status == 1
-        assert len(lines) == 1
-        assert lines[0].startswith("error:")
-        assert "beta" in lines[0]
+        # 1e155 and 1e308 are finite, but the squared norm of the rhs overflows
+        for beta in ("nan", "1e155", "1e308"):
+            status = run(
+                ["solve", "--problem", "flat-square", "--k", "1", "--n-div", "2", "--beta", beta]
+            )
+            lines = capsys.readouterr().err.splitlines()
+            assert status == 1
+            assert len(lines) == 1
+            assert lines[0].startswith("error:")
+            assert "beta" in lines[0]
 
 
 UNKNOWN_OPTIONS = [
     ["mesh-report", "--beta", "1"],
     ["mesh-report", "--rel-tol", "0.1"],
+    ["solve", "--rel-tol", "0", "--problem", "flat-square", "--n-div", "2"],
+    ["convergence", "--rel-tol", "0.1"],
 ] + [
     [command, flag, "4"]
     for command in ("solve", "convergence", "mesh-report")
@@ -157,28 +173,18 @@ def test_option_not_read_is_rejected(argv, capsys):
 
 
 BAD_INPUT = {
-    "n-div-1": (["solve", "--n-div", "1"], {}),
-    "k-4": (["solve", "--k", "4"], {}),
-    "flat-k-4": (["solve", "--problem", "flat-square", "--k", "4"], {}),
-    "rel-tol-0": (["solve", "--problem", "flat-square", "--n-div", "2", "--rel-tol", "0"], {}),
-    "levels-2": (["convergence", "--problem", "flat-square", "--levels", "2"], {}),
-    "env-k-abc": (["solve"], {"SURFNITSCHE_K": "abc"}),
+    "n-div-1": ["solve", "--n-div", "1"],
+    "k-4": ["solve", "--k", "4"],
+    "flat-k-4": ["solve", "--problem", "flat-square", "--k", "4"],
+    "levels-2": ["convergence", "--problem", "flat-square", "--levels", "2"],
 }
 
 
 class TestBadInput:
     @pytest.mark.parametrize("case", list(BAD_INPUT))
-    def test_clean_error(self, case, capsys, monkeypatch):
-        argv, env = BAD_INPUT[case]
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        status = run(argv)
+    def test_clean_error(self, case, capsys):
+        status = run(BAD_INPUT[case])
         captured = capsys.readouterr()
         assert status == 1
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
-
-    def test_env_cast_names_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("SURFNITSCHE_K", "abc")
-        assert run(["solve"]) == 1
-        assert "SURFNITSCHE_K='abc'" in capsys.readouterr().err

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from conftest import boundary_specs
 from surfnitsche import geometry as geo
-from surfnitsche.assembly import assemble, is_positive_definite
+from surfnitsche.assembly import assemble
 from surfnitsche.errors import MeshInvalidError
 from surfnitsche.mesh import build_mesh
-from surfnitsche.solve import solve_spd
+from surfnitsche.solve import is_positive_definite, solve_spd
 
 
 class ScaledData:
