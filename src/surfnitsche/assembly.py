@@ -27,6 +27,7 @@ the batches of the mesh module's quadrature walker.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,17 +181,30 @@ def assemble(mesh: ParametricMesh, beta: float, problem) -> SparseSystem:
 def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem):
     """Tabulate (beta, positive definite?) over a grid of penalty values.
 
-    The penalty matrix is positive semidefinite, so the success set is
-    upward closed in beta; the probe records the table without asserting
-    where the threshold sits.  A beta that assemble would reject raises
-    InvalidPenaltyError.
+    A(beta) = core + beta/h * penalty with the penalty matrix positive
+    semidefinite, so the success set is upward closed in beta.  The probe
+    factorizes the largest beta first and, if it is stable, bisects the
+    sorted grid for the first stable point: at most 1 + ceil(log2 n)
+    factorizations for n points.  Flags of the points it did not factorize
+    follow from upward closedness.  The table lists every input beta once,
+    in input order, and records where the threshold sits without
+    asserting it.  A beta that assemble would reject raises
+    InvalidPenaltyError; overflow grows with beta, so checking the largest
+    first catches it anywhere in the grid.
     """
     betas = np.asarray(beta_grid, dtype=float)
     if betas.size == 0 or not np.all(np.isfinite(betas) & (betas > 0.0)):
         raise InvalidPenaltyError(f"beta grid must be nonempty, finite and positive, got {betas}")
     parts = _assemble_parts(mesh, problem)
-    table = []
-    for beta in betas:
-        matrix, _ = _penalized(parts, beta, mesh.h)
-        table.append((float(beta), is_positive_definite(matrix)))
-    return table
+    order = np.argsort(betas, kind="stable")
+
+    def stable(position):
+        matrix, _ = _penalized(parts, betas[order[position]], mesh.h)
+        return is_positive_definite(matrix)
+
+    # sorted position of the first stable beta; size if even the largest fails
+    last = betas.size - 1
+    first = bisect.bisect_left(range(last), True, key=stable) if stable(last) else betas.size
+    flags = np.empty(betas.size, dtype=bool)
+    flags[order] = np.arange(betas.size) >= first
+    return [(float(beta), bool(flag)) for beta, flag in zip(betas, flags)]

@@ -169,6 +169,62 @@ class TestBetaProbe:
         with pytest.raises(InvalidPenaltyError):
             min_stable_beta_probe(mesh, [-1.0, 1.0], torus_problem)
 
+    # The unsorted grid lists 1e2 twice, and its threshold falls at a
+    # different grid point for each k.
+    @pytest.mark.parametrize(
+        "grid,flag_set",
+        [
+            ([1e2, 1.0, 1e4, 10.0, 1e2, 30.0, 1e-2, 300.0], {True, False}),
+            ([1e-2, 1e4, 1.0], {True, False}),
+            ([1e-3, 1e-2, 0.1], {False}),
+            ([1e5, 1e3, 1e4], {True}),
+            ([1e4], {True}),
+            ([1e-3], {False}),
+        ],
+        ids=[
+            "unsorted-duplicate",
+            "only-largest-stable",
+            "all-unstable",
+            "all-stable",
+            "one-stable",
+            "one-unstable",
+        ],
+    )
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_probe_matches_full_scan(self, torus_problem, order, grid, flag_set):
+        mesh = build_mesh(4, order, torus_problem)
+        oracle = [
+            (beta, is_positive_definite(assemble(mesh, beta, torus_problem).matrix))
+            for beta in grid
+        ]
+        assert {flag for _, flag in oracle} == flag_set
+        assert min_stable_beta_probe(mesh, grid, torus_problem) == oracle
+
+    @pytest.mark.parametrize(
+        "grid,most_calls",
+        [(np.geomspace(1.0, 1e4, 17), 6), ([1e4], 1), ([1e-3], 1)],
+        ids=["17-points", "one-stable", "one-unstable"],
+    )
+    def test_probe_factorization_count(self, torus_problem, monkeypatch, grid, most_calls):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return is_positive_definite(matrix)
+
+        monkeypatch.setattr("surfnitsche.assembly.is_positive_definite", counting)
+        min_stable_beta_probe(build_mesh(4, 2, torus_problem), grid, torus_problem)
+        assert 1 <= len(calls) <= most_calls
+
+    # the probe factorizes the largest beta first, so an overflowing beta
+    # raises wherever it sits in the grid
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", [[1e155, 1.0], [1.0, 1e308, 10.0]], ids=["first", "middle"])
+    def test_probe_overflow_anywhere_in_grid(self, torus_problem, grid):
+        mesh = build_mesh(4, 1, torus_problem)
+        with pytest.raises(InvalidPenaltyError, match="beta"):
+            min_stable_beta_probe(mesh, grid, torus_problem)
+
 
 def negative_pivot_count(matrix):
     """Negative eigenvalue count as reported by the direct solve's error message."""
