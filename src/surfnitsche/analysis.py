@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble
+from .assembly import _solve_at_penalty, assemble
 from .errors import InvalidArgumentError
 from .mesh import ParametricMesh, build_mesh, edge_batches, element_batches
 from .reference import edge_rule, reference_element, triangle_rule
-from .solve import solve_spd
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def convergence_study(
     previous = None
     for level in range(levels):
         mesh = build_mesh(base_divisions * 2**level, order, problem, node_placement)
-        report = solve_spd(assemble(mesh, beta, problem))
+        report = _solve_at_penalty(assemble(mesh, beta, problem), beta)
         err = error_measures(mesh, report.solution, problem)
         eoc_l2 = eoc_energy = None
         if previous is not None:

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidPenaltyError
+from .errors import InvalidPenaltyError, NotPositiveDefiniteError
 from .mesh import ParametricMesh, assembly_degree, edge_batches, element_batches
 from .reference import edge_rule, reference_element, triangle_rule
-from .solve import is_positive_definite
+from .solve import SolveReport, is_positive_definite, solve_spd
 
 
 @dataclass
@@ -176,6 +176,21 @@ def assemble(mesh: ParametricMesh, beta: float, problem) -> SparseSystem:
         raise InvalidPenaltyError(f"penalty must be finite and positive, got beta={beta}")
     matrix, rhs = _penalized(_assemble_parts(mesh, problem), beta, mesh.h)
     return SparseSystem(matrix=matrix, rhs=rhs)
+
+
+def _solve_at_penalty(system: SparseSystem, beta: float) -> SolveReport:
+    """solve_spd for a system assembled with penalty beta.
+
+    A(beta) is positive definite exactly from the mesh's stability
+    threshold up, so NotPositiveDefiniteError is re-raised as
+    InvalidPenaltyError naming beta, with the solver's message.
+    """
+    try:
+        return solve_spd(system)
+    except NotPositiveDefiniteError as err:
+        raise InvalidPenaltyError(
+            f"penalty beta={beta:g} is below this mesh's stability threshold: {err}"
+        ) from err
 
 
 def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem):

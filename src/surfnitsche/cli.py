@@ -20,12 +20,11 @@ import sys
 import numpy as np
 
 from .analysis import convergence_study, error_measures, records_table, records_to_csv
-from .assembly import assemble
+from .assembly import _solve_at_penalty, assemble
 from .errors import InvalidArgumentError, SurfNitscheError
 from .export import write_matrix_market, write_vector_market, write_vtk
 from .geometry import FlatSquareProblem, TorusProblem
 from .mesh import build_mesh, geometric_report
-from .solve import solve_spd
 
 
 def make_problem(name: str, k: int):
@@ -86,7 +85,7 @@ def cmd_solve(args) -> int:
     problem = make_problem(args.problem, args.k)
     mesh = build_mesh(args.n_div, args.k, problem, args.node_placement)
     system = assemble(mesh, args.beta, problem)
-    report = solve_spd(system)
+    report = _solve_at_penalty(system, args.beta)
     err = error_measures(mesh, report.solution, problem)
     exact = problem.solution_at(mesh.nodes)
     max_nodal = float(np.abs(report.solution - exact).max())

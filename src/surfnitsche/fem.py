@@ -17,6 +17,7 @@ to 3-space afterwards.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,6 +43,8 @@ class FrameBundle:
     orients ``normal``; ``signed_area`` is the raw cross product projected
     on it, so its sign exposes folds.
     J^T is stored contiguously and ``jacobian`` is a transposed view of it.
+    ``inv_metric`` is formed on first use: the fold check, the geometric
+    report and the boundary-edge geometry never read it.
     """
 
     def __init__(self, coords, values, grads, normal_at_closest):
@@ -60,12 +63,7 @@ class FrameBundle:
         if np.any(det <= 0.0):
             raise DegenerateElementError("singular first fundamental form")
         self.metric = g
-        inv = np.empty_like(g)
-        inv[..., 0, 0] = g[..., 1, 1]
-        inv[..., 1, 1] = g[..., 0, 0]
-        inv[..., 0, 1] = -g[..., 0, 1]
-        inv[..., 1, 0] = -g[..., 1, 0]
-        self.inv_metric = inv / det[..., None, None]
+        self._det = det
         self.area_factor = np.sqrt(det)
         raw = _cross3(jac_t[..., 0, :], jac_t[..., 1, :])
         raw_norm = _norm3(raw)
@@ -76,6 +74,17 @@ class FrameBundle:
             raise DegenerateElementError("element normal perpendicular to the surface")
         self.normal = unit * np.sign(orient)[..., None]
         self.signed_area = raw_norm * np.sign(orient)
+
+    @cached_property
+    def inv_metric(self):
+        """G^{-1} (e,q,2,2), formed on first use."""
+        g = self.metric
+        inv = np.empty_like(g)
+        inv[..., 0, 0] = g[..., 1, 1]
+        inv[..., 1, 1] = g[..., 0, 0]
+        inv[..., 0, 1] = -g[..., 0, 1]
+        inv[..., 1, 0] = -g[..., 1, 0]
+        return inv / self._det[..., None, None]
 
     def basis_tangent_gradients(self, grads):
         """Tangential gradients of all basis functions; shape (e,q,n,3)."""

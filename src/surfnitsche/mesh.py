@@ -23,11 +23,14 @@ error measurement, the geometric report and the fold check:
 ``element_batches`` yields frames ``ELEMENT_CHUNK`` elements at a time with
 the weights w_q sqrt(det G), ``edge_batches`` one EdgeBundle per (local
 edge, side) group of ``ParametricMesh.boundary_edges`` with the weights
-w_q |x'(t)|.
+w_q |x'(t)|.  The geometric report and the fold check share one element
+pass: ``build_mesh`` walks the elements once, raises on folds and keeps
+the element side of the report on the mesh, so ``geometric_report`` of a
+built mesh against its build problem frames no element again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +74,10 @@ class ParametricMesh:
     order; the groups run lower, upper, left, right over the sides the
     problem has.  ``boundary_nodes`` derives each side's node ids from
     them.  ``h`` is the longest straight edge of the vertex triangulation.
+
+    ``_element_side`` is set by :func:`build_mesh` only: the element-side
+    fields of the geometric report, with the problem and the node and
+    element arrays they were measured for.
     """
 
     order: int
@@ -78,6 +85,7 @@ class ParametricMesh:
     elements: np.ndarray
     boundary_edges: dict[tuple[int, str], np.ndarray]
     h: float
+    _element_side: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def boundary_nodes(self) -> dict[str, np.ndarray]:
@@ -149,6 +157,12 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     nonpositive area Jacobian at a quadrature point, or if the cells are
     so coarse that a node, or a quadrature point of an element or of a
     boundary edge, lands where the surface has no unique nearest point.
+
+    The fold check measures the element side of the geometric report
+    (``max_rho``, ``max_normal_dev``, ``min_scaled_jacobian``) in the same
+    pass, and the mesh keeps it for :func:`geometric_report` against this
+    problem.  The returned mesh's ``nodes``, ``elements`` and boundary-edge
+    id arrays are read-only, so those values cannot go stale.
     """
     if n_div < 2:
         raise InvalidArgumentError(f"n_div must be >= 2, got {n_div}")
@@ -185,7 +199,7 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
         )
         if node_placement == "facet-linear":
             _correct_boundary(mesh, problem)
-        bad = _invalid_elements(mesh, problem)
+        bad, element_side = _element_pass(mesh, problem)
         if len(bad):
             raise MeshInvalidError(
                 f"{len(bad)} element(s) with nonpositive area Jacobian, e.g. element {bad[0]}"
@@ -198,6 +212,9 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
         # Cells spanning half the tube put facet nodes or quadrature points
         # on the center circle, where the surface has no nearest point.
         raise MeshInvalidError(f"mesh too coarse for the surface: {err}") from err
+    for array in (mesh.nodes, mesh.elements, *mesh.boundary_edges.values()):
+        array.flags.writeable = False
+    mesh._element_side = (problem, mesh.nodes, mesh.elements, element_side)
     return mesh
 
 
@@ -296,7 +313,10 @@ def _blend_boundary_elements(mesh: ParametricMesh, displacement, problem):
         targets.append((mesh.nodes[conn[:, off_edge]] + blend[:, off_edge]).reshape(-1, 3))
     # Unique over the reversed claims keeps each node's last claim, in id order.
     node_ids, last = np.unique(np.concatenate(claims)[::-1], return_index=True)
-    mesh.nodes[node_ids] = problem.closest_point(np.concatenate(targets)[::-1][last])
+    # A new array: the nodes of a built mesh are read-only.
+    nodes = mesh.nodes.copy()
+    nodes[node_ids] = problem.closest_point(np.concatenate(targets)[::-1][last])
+    mesh.nodes = nodes
 
 
 def _vertex_mesh_size(vertex):
@@ -329,26 +349,47 @@ def _scaled_jacobians(signed_area):
     return signed.min(axis=1) / np.abs(signed).max(axis=1)
 
 
-def _invalid_elements(mesh: ParametricMesh, problem):
-    batches = element_batches(mesh, problem, triangle_rule(assembly_degree(mesh.order)))
-    return np.concatenate(
-        [ids[_scaled_jacobians(bundle.signed_area) <= 0.0] for ids, bundle, _ in batches]
-    )
+def _element_pass(mesh: ParametricMesh, problem):
+    """Fold element ids and the element-side report fields, in one walk.
 
-
-def geometric_report(mesh: ParametricMesh, problem) -> GeometricReport:
-    """Measure how well the mesh approximates the surface and its boundary."""
-    degree = assembly_degree(mesh.order)
+    Folds are the elements whose scaled Jacobian is <= 0; the fields are
+    ``max_rho``, ``max_normal_dev`` and ``min_scaled_jacobian``.
+    """
     max_rho = max_normal_dev = 0.0
     min_scaled_jacobian = np.inf
-    for _, bundle, _ in element_batches(mesh, problem, triangle_rule(degree)):
+    folds = []
+    rule = triangle_rule(assembly_degree(mesh.order))
+    for ids, bundle, _ in element_batches(mesh, problem, rule):
         rho = problem.signed_distance(bundle.position)
         normal_dev = _norm3(bundle.exact_normal - bundle.normal)
         scaled = _scaled_jacobians(bundle.signed_area)
+        folds.append(ids[scaled <= 0.0])
         max_rho = max(max_rho, float(np.abs(rho).max()))
         max_normal_dev = max(max_normal_dev, float(normal_dev.max()))
         min_scaled_jacobian = min(min_scaled_jacobian, float(scaled.min()))
+    element_side = dict(
+        max_rho=max_rho,
+        max_normal_dev=max_normal_dev,
+        min_scaled_jacobian=min_scaled_jacobian,
+    )
+    return np.concatenate(folds), element_side
 
+
+def geometric_report(mesh: ParametricMesh, problem) -> GeometricReport:
+    """Measure how well the mesh approximates the surface and its boundary.
+
+    The element side is the one :func:`build_mesh` measured when
+    ``problem`` is the problem the mesh was built for and the mesh still
+    holds the arrays it was built with; any other mesh or problem gets the
+    same element pass here.  The boundary edges and nodes are always
+    measured here: their projections onto the boundary curves are Newton
+    solves whose failures are the report's, not the build's.
+    """
+    built_for, nodes, elements, element_side = mesh._element_side or (None,) * 4
+    if not (built_for is problem and nodes is mesh.nodes and elements is mesh.elements):
+        _, element_side = _element_pass(mesh, problem)
+
+    degree = assembly_degree(mesh.order)
     max_edge_dist = 0.0
     for side, _, edge, _ in edge_batches(mesh, problem, edge_rule(degree)):
         pts = edge.frame.position.reshape(-1, 3)
@@ -363,9 +404,7 @@ def geometric_report(mesh: ParametricMesh, problem) -> GeometricReport:
         )
 
     return GeometricReport(
-        max_rho=max_rho,
-        max_normal_dev=max_normal_dev,
         max_boundary_dist=max_edge_dist,
         max_boundary_node_dist=max_node_dist,
-        min_scaled_jacobian=min_scaled_jacobian,
+        **element_side,
     )

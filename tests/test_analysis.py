@@ -8,6 +8,7 @@ from surfnitsche.analysis import (
     records_table,
     records_to_csv,
 )
+from surfnitsche.errors import InvalidPenaltyError
 from surfnitsche.fem import frames
 from surfnitsche.mesh import build_mesh
 from surfnitsche.reference import triangle_rule
@@ -116,6 +117,10 @@ class TestConvergenceStudy:
     def test_validates_levels(self, torus_problem):
         with pytest.raises(ValueError):
             convergence_study(1, 2, 1e4, torus_problem)
+
+    def test_sub_threshold_beta_names_itself(self, torus_problem):
+        with pytest.raises(InvalidPenaltyError, match=r"beta=0\.5 is below .* negative eigenvalues"):
+            convergence_study(1, 3, 0.5, torus_problem, base_divisions=4)
 
 
 class TestSerialization:

@@ -3,12 +3,16 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfnitsche import geometry as geo
 from surfnitsche.assembly import assemble, min_stable_beta_probe
-from surfnitsche.errors import InvalidPenaltyError, NotPositiveDefiniteError
+from surfnitsche.errors import InvalidPenaltyError, MeshInvalidError, NotPositiveDefiniteError
 from surfnitsche.mesh import build_mesh
 from surfnitsche.solve import is_positive_definite, solve_linear, solve_spd
+
+from conftest import boundary_specs
 
 
 class ConstantData:
@@ -263,3 +267,20 @@ class TestInertia:
         flags = [ok for _, ok in min_stable_beta_probe(mesh, grid, torus_problem)]
         assert flags == dense_flags
         assert True in flags and False in flags
+
+    # A(beta) = core + beta/h * P with P positive semidefinite, so raising
+    # beta can only move eigenvalues up: the negative count never grows.
+    @settings(max_examples=10, deadline=None)
+    @given(boundary=boundary_specs(), n_div=st.integers(2, 5), order=st.integers(1, 3))
+    def test_negative_pivots_non_increasing_in_beta(self, boundary, n_div, order):
+        problem = geo.TorusProblem(boundary=boundary)
+        try:
+            mesh = build_mesh(n_div, order, problem)
+        except MeshInvalidError:
+            return
+        assert mesh.num_nodes < 2000
+        counts = [
+            negative_pivot_count(assemble(mesh, beta, problem).matrix)
+            for beta in np.geomspace(1.0, 1e3, 7)
+        ]
+        assert counts == sorted(counts, reverse=True)

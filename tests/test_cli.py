@@ -150,6 +150,26 @@ class TestFailureReporting:
             assert "beta" in lines[0]
 
 
+# Each beta is below its mesh's stability threshold.  The first fails in
+# the direct factorization, the others in PCG; all must name beta.
+SUB_THRESHOLD = [
+    ["--k", "3", "--n-div", "8", "--beta", "10"],
+    ["--k", "3", "--n-div", "16", "--beta", "10"],
+    ["--k", "1", "--n-div", "32", "--beta", "5"],
+    ["--k", "3", "--n-div", "16", "--beta", "80"],
+]
+
+
+@pytest.mark.parametrize("argv", SUB_THRESHOLD, ids=[" ".join(a) for a in SUB_THRESHOLD])
+def test_sub_threshold_beta_names_itself(argv, capsys):
+    status = run(["solve", *argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert status == 1
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert f"beta={argv[-1]}" in lines[0]
+
+
 UNKNOWN_OPTIONS = [
     ["mesh-report", "--beta", "1"],
     ["mesh-report", "--rel-tol", "0.1"],

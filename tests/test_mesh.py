@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfnitsche import geometry as geo
+from surfnitsche import mesh as mesh_module
 from surfnitsche.assembly import assemble
 from surfnitsche.errors import MeshInvalidError
+from surfnitsche.fem import frames
 from surfnitsche.mesh import (
+    ParametricMesh,
     _blend_boundary_elements,
     _grid_shape,
     _lagrange_1d,
@@ -276,3 +279,70 @@ class TestGeometricConvergence:
         sizes = [build_mesh(n, 1, problem).h for n in (4, 8, 16)]
         for coarse, fine in zip(sizes, sizes[1:]):
             assert coarse / fine == pytest.approx(2.0, rel=1e-12)
+
+
+MEMO_PROBLEMS = {
+    "wavy": geo.TorusProblem,
+    "simplified": geo.TorusProblem.simplified,
+    "flat": lambda: geo.FlatSquareProblem(3),
+}
+# Every chart build, and the facet-linear builds that do not fold at n_div 8.
+MEMO_CASES = [(name, order, "chart") for name in MEMO_PROBLEMS for order in (1, 2, 3)] + [
+    ("wavy", 1, "facet-linear"),
+    *[(name, order, "facet-linear") for name in ("simplified", "flat") for order in (1, 2, 3)],
+]
+
+
+def memo_free_copy(mesh):
+    """The same mesh, built by the constructor: its report measures every element."""
+    return ParametricMesh(
+        mesh.order, mesh.nodes.copy(), mesh.elements.copy(), mesh.boundary_edges, mesh.h
+    )
+
+
+class TestBuildReportMemo:
+    """build_mesh keeps the element side of the report; geometric_report reuses it."""
+
+    @pytest.mark.parametrize(
+        "name, order, placement", MEMO_CASES, ids=[f"{n}-k{k}-{p}" for n, k, p in MEMO_CASES]
+    )
+    def test_report_equals_memo_free_report(self, name, order, placement):
+        problem = MEMO_PROBLEMS[name]()
+        mesh = build_mesh(8, order, problem, placement)
+        expected = geometric_report(memo_free_copy(mesh), problem)
+        assert geometric_report(mesh, problem) == expected
+
+    def test_build_and_report_frame_each_element_once(self, torus_problem, monkeypatch):
+        framed = []
+
+        def counting(mesh, problem, element_ids, ref_points):
+            framed.append(len(element_ids))
+            return frames(mesh, problem, element_ids, ref_points)
+
+        monkeypatch.setattr(mesh_module, "frames", counting)
+        mesh = build_mesh(8, 2, torus_problem)
+        geometric_report(mesh, torus_problem)
+        assert sum(framed) == mesh.num_elements
+
+    # The simplified band shares the wavy band's torus, so only its
+    # boundary parts differ; the thicker tube also moves max_rho.
+    @pytest.mark.parametrize(
+        "other",
+        [geo.TorusProblem.simplified(), geo.TorusProblem(geo.TorusParams(minor_radius=0.42))],
+        ids=["simplified", "thicker-tube"],
+    )
+    def test_report_against_another_problem(self, torus_problem, other):
+        mesh = build_mesh(8, 2, torus_problem)
+        expected = geometric_report(memo_free_copy(mesh), other)
+        assert expected != geometric_report(mesh, torus_problem)
+        assert geometric_report(mesh, other) == expected
+
+    def test_built_arrays_are_read_only(self, torus_problem):
+        mesh = build_mesh(4, 2, torus_problem)
+        with pytest.raises(ValueError):
+            mesh.nodes[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            mesh.elements[0, 0] = 1
+        for ids in mesh.boundary_edges.values():
+            with pytest.raises(ValueError):
+                ids[0] = 0

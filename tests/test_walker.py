@@ -56,7 +56,9 @@ def test_outputs_do_not_depend_on_chunk_size(name, order, monkeypatch):
     assert mesh.num_elements > 4 * SMALL_CHUNK
     parts, errors, report = walker_outputs(mesh, problem)
     monkeypatch.setattr(mesh_module, "ELEMENT_CHUNK", SMALL_CHUNK)
-    small_parts, small_errors, small_report = walker_outputs(mesh, problem)
+    # rebuilt, so that the report's element side is measured at this chunk
+    # and not read from the default-chunk build
+    small_parts, small_errors, small_report = walker_outputs(build_mesh(8, order, problem), problem)
 
     for field in ("core", "penalty"):
         matrix, small = getattr(parts, field), getattr(small_parts, field)
