@@ -10,11 +10,13 @@ Options are read from the command line only; each has one default, set
 where the parser declares it.  Each subcommand accepts only the options
 it reads, so --beta belongs to solve and convergence but not to
 mesh-report.  The solver tolerance is fixed (solve.REL_TOL) and is not
-an option.  Exit status is 0 iff every stage succeeded.
+an option.  An output path that cannot be written is rejected before any
+stage runs.  Exit status is 0 iff every stage succeeded.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -153,6 +155,26 @@ def cmd_mesh_report(args) -> int:
     return 0
 
 
+def _check_output_paths(args):
+    """Raise InvalidArgumentError for an output file that cannot be written."""
+    for dest in ("vtk", "matrix_out", "csv", "out"):
+        value = getattr(args, dest, None)
+        if not value:
+            continue
+        paths = [value + "_matrix.mtx", value + "_rhs.mtx"] if dest == "matrix_out" else [value]
+        for path in paths:
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                reason = f"no directory {directory}"
+            elif os.path.isdir(path):
+                reason = "it is a directory"
+            elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+                reason = "permission denied"
+            else:
+                continue
+            raise InvalidArgumentError(f"cannot write --{dest.replace('_', '-')} {path}: {reason}")
+
+
 _COMMANDS = {
     "solve": cmd_solve,
     "convergence": cmd_convergence,
@@ -163,6 +185,7 @@ _COMMANDS = {
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output_paths(args)
         return _COMMANDS[args.command](args)
     except SurfNitscheError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,13 +20,17 @@ the shear of an under-resolved corrected edge).
 
 Every quadrature over the mesh goes through one walker, used by assembly,
 error measurement, the geometric report and the fold check:
-``element_batches`` yields frames ``ELEMENT_CHUNK`` elements at a time with
-the weights w_q sqrt(det G), ``edge_batches`` one EdgeBundle per (local
-edge, side) group of ``ParametricMesh.boundary_edges`` with the weights
-w_q |x'(t)|.  The geometric report and the fold check share one element
-pass: ``build_mesh`` walks the elements once, raises on folds and keeps
-the element side of the report on the mesh, so ``geometric_report`` of a
-built mesh against its build problem frames no element again.
+``element_batches`` yields frames in batches of at most ``BATCH_POINTS``
+quadrature points with the weights w_q sqrt(det G), ``edge_batches`` one
+EdgeBundle per (local edge, side) group of ``ParametricMesh.boundary_edges``
+with the weights w_q |x'(t)|.  Bounding a batch by points rather than by
+elements keeps its (e, q, ...) work arrays the same size at every order
+and rule, small enough to be reused from batch to batch.  The geometric
+report and the fold check share one element pass: ``build_mesh`` walks
+the elements once, raises on folds and keeps the element side of the
+report on the mesh, so ``geometric_report`` of a built mesh against its
+build problem frames no element again, and it measures the boundary
+edges from their positions alone.
 """
 from __future__ import annotations
 
@@ -49,12 +53,14 @@ from .reference import (
     edge_rule,
     lattice_multi_indices,
     lattice_points,
+    reference_element,
     triangle_rule,
 )
 
-# Elements per frame batch of the quadrature walker; bounds the size of
-# the (e, q, ...) work arrays.
-ELEMENT_CHUNK = 4096
+# Quadrature points per element batch of the walker: 384 KiB per (e, q, 3)
+# work array.  Batches of 4,096 elements made those arrays 2.4-3.4 MiB at
+# k = 3, large enough to be faulted in again by every batch.
+BATCH_POINTS = 16384
 
 
 def assembly_degree(order: int) -> int:
@@ -327,9 +333,17 @@ def _vertex_mesh_size(vertex):
 
 
 def element_batches(mesh: ParametricMesh, problem, rule):
-    """Yield (element ids, frames, w_q sqrt(det G)) per chunk of elements."""
-    for start in range(0, mesh.num_elements, ELEMENT_CHUNK):
-        ids = np.arange(start, min(start + ELEMENT_CHUNK, mesh.num_elements))
+    """Yield (element ids, frames, w_q sqrt(det G)) per batch of elements.
+
+    Batches run over the elements in order.  They are the fewest that keep
+    each batch within ``BATCH_POINTS`` quadrature points (or one element),
+    and their sizes differ by at most one, so no batch is a small
+    remainder: BLAS takes another kernel for small products, whose rows
+    round differently from the same rows in a large one.
+    """
+    per_batch = max(1, BATCH_POINTS // len(rule.weights))
+    count = -(-mesh.num_elements // per_batch)
+    for ids in np.array_split(np.arange(mesh.num_elements), count):
         bundle = frames(mesh, problem, ids, rule.points)
         yield ids, bundle, rule.weights[None, :] * bundle.area_factor
 
@@ -383,16 +397,19 @@ def geometric_report(mesh: ParametricMesh, problem) -> GeometricReport:
     holds the arrays it was built with; any other mesh or problem gets the
     same element pass here.  The boundary edges and nodes are always
     measured here: their projections onto the boundary curves are Newton
-    solves whose failures are the report's, not the build's.
+    solves whose failures are the report's, not the build's.  Edge points
+    are interpolated from the element nodes; no edge frame is built.
     """
     built_for, nodes, elements, element_side = mesh._element_side or (None,) * 4
     if not (built_for is problem and nodes is mesh.nodes and elements is mesh.elements):
         _, element_side = _element_pass(mesh, problem)
 
-    degree = assembly_degree(mesh.order)
+    ref = reference_element(mesh.order)
+    t_points = edge_rule(assembly_degree(mesh.order)).points
     max_edge_dist = 0.0
-    for side, _, edge, _ in edge_batches(mesh, problem, edge_rule(degree)):
-        pts = edge.frame.position.reshape(-1, 3)
+    for (local_edge, side), ids in mesh.boundary_edges.items():
+        values = ref.eval(edge_ref_points(local_edge, t_points))
+        pts = (values @ mesh.nodes[mesh.elements[ids]]).reshape(-1, 3)
         proj = problem.project_to_boundary(pts, side)
         max_edge_dist = max(max_edge_dist, float(np.linalg.norm(pts - proj, axis=-1).max()))
 

@@ -2,6 +2,7 @@ import argparse
 
 import pytest
 
+from surfnitsche import cli
 from surfnitsche.cli import build_parser, run
 
 
@@ -135,6 +136,33 @@ class TestFailureReporting:
         captured = capsys.readouterr()
         assert status == 1
         assert "error:" in captured.err
+
+    # One output option per subcommand, plus solve's matrix prefix and a
+    # path that names a directory; the pipeline must not start.
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["solve", "--vtk"], "missing/out.vtk"),
+            (["solve", "--matrix-out"], "missing/system"),
+            (["convergence", "--levels", "2", "--csv"], "missing/x.csv"),
+            (["mesh-report", "--out"], "missing/r.txt"),
+            (["mesh-report", "--out"], "."),
+        ],
+        ids=["solve-vtk", "solve-matrix-out", "convergence-csv", "mesh-report-out", "directory"],
+    )
+    def test_unwritable_output_path(self, argv, target, tmp_path, capsys, monkeypatch):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "build_mesh", no_stage)
+        monkeypatch.setattr(cli, "convergence_study", no_stage)
+        path = str(tmp_path / target)
+        status = run(argv + [path])
+        lines = capsys.readouterr().err.splitlines()
+        assert status == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write --")
+        assert str(tmp_path) in lines[0]
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_beta_names_beta(self, capsys):

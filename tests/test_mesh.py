@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfnitsche import fem
 from surfnitsche import geometry as geo
 from surfnitsche import mesh as mesh_module
 from surfnitsche.assembly import assemble
@@ -323,6 +324,23 @@ class TestBuildReportMemo:
         mesh = build_mesh(8, 2, torus_problem)
         geometric_report(mesh, torus_problem)
         assert sum(framed) == mesh.num_elements
+
+    def test_report_builds_no_edge_frames(self, torus_problem, monkeypatch):
+        built = []
+
+        class CountingEdgeBundle(fem.EdgeBundle):
+            def __init__(self, *args):
+                built.append(args[2])
+                super().__init__(*args)
+
+        monkeypatch.setattr(fem, "EdgeBundle", CountingEdgeBundle)
+        monkeypatch.setattr(mesh_module, "EdgeBundle", CountingEdgeBundle)
+        mesh = build_mesh(8, 2, torus_problem)
+        assert built  # the build's center-circle check frames the edges
+        built.clear()
+        geometric_report(mesh, torus_problem)
+        geometric_report(memo_free_copy(mesh), torus_problem)
+        assert built == []
 
     # The simplified band shares the wavy band's torus, so only its
     # boundary parts differ; the thicker tube also moves max_rho.

@@ -1,12 +1,18 @@
-"""The quadrature walker: chunk invariance and the single-pass mesh report.
+"""The quadrature walker: batch invariance and the single-pass mesh report.
 
-``mesh.element_batches`` frames ``ELEMENT_CHUNK`` elements at a time, and
-assembly, error measurement, the geometric report and the build-time fold
-check all integrate through it.  Shrinking the chunk must not change what
-they compute; a walker that mixed up local and global element ids would.
-The mesh report is also checked against a copy of the formulation that
-framed all elements at once and the scaled Jacobians in a second pass.
+``mesh.element_batches`` frames the elements in batches of at most
+``BATCH_POINTS`` quadrature points, so the number of elements per batch
+depends on the rule, and assembly, error measurement, the geometric
+report and the build-time fold check all integrate through it.  The
+batches must cover every element once, in order, within the budget.
+Shrinking the budget must not change what they compute; a walker that
+mixed up local and global element ids would.  The mesh report is also
+checked against a copy of the formulation that framed all elements at
+once, the scaled Jacobians in a second pass and the boundary edges
+through full edge frames.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,17 +22,24 @@ from surfnitsche.analysis import error_measures
 from surfnitsche.assembly import _assemble_parts
 from surfnitsche.errors import MeshInvalidError
 from surfnitsche.fem import EdgeBundle, frames
-from surfnitsche.mesh import GeometricReport, build_mesh, geometric_report
+from surfnitsche.mesh import (
+    GeometricReport,
+    ParametricMesh,
+    build_mesh,
+    element_batches,
+    geometric_report,
+)
 from surfnitsche.reference import edge_rule, triangle_rule
 
-# Small and odd, so no chunk boundary lines up with a grid row; it also
-# puts element 32, the first fold of the facet-linear band below, in the
-# third chunk.
-SMALL_CHUNK = 13
+# Small and odd (prime), so no batch boundary lines up with a grid row at
+# any rule: at most 23, 13 and 8 elements per batch at the k = 1, 2, 3
+# assembly rules.  At k = 2 it puts element 32, the first fold of the
+# facet-linear band below, in the third batch.
+SMALL_BATCH_POINTS = 211
 
-# A smaller chunk changes the row count of every element GEMM and the
-# grouping of the per-chunk error sums, which moves values by a few ulps
-# (measured at most 1.3e-14 relative, even at one element per chunk).
+# A smaller batch changes the row count of every element GEMM and the
+# grouping of the per-batch error sums, which moves values by a few ulps
+# (measured at most 1.3e-14 relative, even at one element per batch).
 # Geometric report fields are maxima and minima of pointwise values and
 # must not move at all.
 RTOL = 1e-13
@@ -53,11 +66,12 @@ def walker_outputs(mesh, problem):
 def test_outputs_do_not_depend_on_chunk_size(name, order, monkeypatch):
     problem = PROBLEMS[name]()
     mesh = build_mesh(8, order, problem)
-    assert mesh.num_elements > 4 * SMALL_CHUNK
+    points = len(triangle_rule(2 * order + 2).weights)
+    assert mesh.num_elements > 4 * (SMALL_BATCH_POINTS // points)
     parts, errors, report = walker_outputs(mesh, problem)
-    monkeypatch.setattr(mesh_module, "ELEMENT_CHUNK", SMALL_CHUNK)
-    # rebuilt, so that the report's element side is measured at this chunk
-    # and not read from the default-chunk build
+    monkeypatch.setattr(mesh_module, "BATCH_POINTS", SMALL_BATCH_POINTS)
+    # rebuilt, so that the report's element side is measured at this budget
+    # and not read from the default-budget build
     small_parts, small_errors, small_report = walker_outputs(build_mesh(8, order, problem), problem)
 
     for field in ("core", "penalty"):
@@ -79,7 +93,7 @@ def test_fold_message_does_not_depend_on_chunk_size(monkeypatch):
     problem = geo.TorusProblem()
     with pytest.raises(MeshInvalidError) as default:
         build_mesh(8, 2, problem, node_placement="facet-linear")
-    monkeypatch.setattr(mesh_module, "ELEMENT_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(mesh_module, "BATCH_POINTS", SMALL_BATCH_POINTS)
     with pytest.raises(MeshInvalidError) as small:
         build_mesh(8, 2, problem, node_placement="facet-linear")
     assert "element 32" in str(default.value)
@@ -127,10 +141,46 @@ def all_at_once_report(mesh, problem):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_report_matches_all_at_once_oracle(torus_problem, order):
+def test_report_matches_all_at_once_oracle(torus_problem, order, monkeypatch):
+    batches = []
+
+    def counting(mesh, problem, element_ids, ref_points):
+        batches.append(len(element_ids))
+        return frames(mesh, problem, element_ids, ref_points)
+
+    monkeypatch.setattr(mesh_module, "frames", counting)
     mesh = build_mesh(40, order, torus_problem)
-    assert mesh.num_elements > mesh_module.ELEMENT_CHUNK
+    assert len(batches) > 1
     report = geometric_report(mesh, torus_problem)
     oracle = all_at_once_report(mesh, torus_problem)
     for field in report.__dataclass_fields__:
         assert getattr(report, field) == getattr(oracle, field), field
+
+
+@pytest.mark.parametrize("budget", ["default", 7])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_batches_cover_elements_within_budget(order, budget, monkeypatch):
+    """Every element once, in order; over budget only as a single element;
+    no small remainder batch.
+
+    The mesh is a stand-in with 5,003 elements, and ``frames`` a stub, so
+    only the batching runs.  A budget of 7 is below every rule's size.
+    """
+    if budget != "default":
+        monkeypatch.setattr(mesh_module, "BATCH_POINTS", budget)
+
+    def stub_frames(mesh, problem, ids, points):
+        return SimpleNamespace(area_factor=np.ones((len(ids), len(points))))
+
+    monkeypatch.setattr(mesh_module, "frames", stub_frames)
+    num_elements = 5003
+    mesh = ParametricMesh(order, np.zeros((1, 3)), np.zeros((num_elements, 1), dtype=int), {}, 1.0)
+    for degree in (2 * order + 2, 2 * order + 4):
+        rule = triangle_rule(degree)
+        batches = [ids for ids, _, _ in element_batches(mesh, None, rule)]
+        assert len(batches) > 1
+        np.testing.assert_array_equal(np.concatenate(batches), np.arange(num_elements))
+        for ids in batches:
+            assert len(ids) == 1 or len(ids) * len(rule.weights) <= mesh_module.BATCH_POINTS
+        sizes = [len(ids) for ids in batches]
+        assert max(sizes) - min(sizes) <= 1
