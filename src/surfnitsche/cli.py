@@ -29,20 +29,16 @@ from .geometry import FlatSquareProblem, TorusProblem
 from .mesh import build_mesh, geometric_report
 
 
-def make_problem(name: str, k: int):
-    if name == "torus":
-        return TorusProblem()
-    if name == "torus-simple":
-        return TorusProblem.simplified()
-    if name == "flat-square":
-        return FlatSquareProblem(degree=k)
-    raise InvalidArgumentError(f"unknown problem {name!r}")
+# The problem each --problem name builds for element order k.
+PROBLEMS = {
+    "torus": lambda k: TorusProblem(),
+    "torus-simple": lambda k: TorusProblem.simplified(),
+    "flat-square": lambda k: FlatSquareProblem(degree=k),
+}
 
 
 def _add_common(parser):
-    parser.add_argument(
-        "--problem", choices=["torus", "torus-simple", "flat-square"], default="torus"
-    )
+    parser.add_argument("--problem", choices=list(PROBLEMS), default="torus")
     parser.add_argument("--k", type=int, default=1, help="element order, 1..3")
     parser.add_argument(
         "--node-placement",
@@ -84,7 +80,7 @@ def build_parser():
 
 
 def cmd_solve(args) -> int:
-    problem = make_problem(args.problem, args.k)
+    problem = PROBLEMS[args.problem](args.k)
     mesh = build_mesh(args.n_div, args.k, problem, args.node_placement)
     system = assemble(mesh, args.beta, problem)
     report = _solve_at_penalty(system, args.beta)
@@ -114,7 +110,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    problem = make_problem(args.problem, args.k)
+    problem = PROBLEMS[args.problem](args.k)
     records = convergence_study(
         args.k,
         args.levels,
@@ -132,7 +128,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_mesh_report(args) -> int:
-    problem = make_problem(args.problem, args.k)
+    problem = PROBLEMS[args.problem](args.k)
     mesh = build_mesh(args.n_div, args.k, problem, args.node_placement)
     report = geometric_report(mesh, problem)
     lines = [

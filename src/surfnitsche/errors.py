@@ -22,7 +22,7 @@ class InvalidArgumentError(SurfNitscheError, ValueError):
 
 
 class MeshInvalidError(SurfNitscheError, RuntimeError):
-    """Mesh construction produced an element with a nonpositive area Jacobian."""
+    """Mesh with a folded element (nonpositive area Jacobian), or too coarse for the surface."""
 
 
 class DegenerateElementError(SurfNitscheError, RuntimeError):
@@ -30,7 +30,7 @@ class DegenerateElementError(SurfNitscheError, RuntimeError):
 
 
 class InvalidPenaltyError(SurfNitscheError, ValueError):
-    """Penalty parameter must be strictly positive."""
+    """Penalty beta not finite and positive, overflowing the system, or below stability."""
 
 
 class SolverError(SurfNitscheError, RuntimeError):

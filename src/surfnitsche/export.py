@@ -31,23 +31,18 @@ import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 from .mesh import ParametricMesh
-from .reference import lattice_multi_indices
+from .reference import edge_node_ids, reference_element
 
 VTK_LAGRANGE_TRIANGLE = 69
 
 
 def vtk_node_order(order: int) -> np.ndarray:
     """Permutation from the reference lattice to VTK Lagrange ordering."""
-    multi = [tuple(ij) for ij in lattice_multi_indices(order)]
-    lookup = {ij: m for m, ij in enumerate(multi)}
-    k = order
-    path = [(0, 0), (k, 0), (0, k)]
-    path += [(m, 0) for m in range(1, k)]
-    path += [(k - m, m) for m in range(1, k)]
-    path += [(0, k - m) for m in range(1, k)]
-    interior = [ij for ij in multi if ij[0] > 0 and ij[1] > 0 and ij[0] + ij[1] < k]
-    path += interior
-    return np.array([lookup[ij] for ij in path], dtype=int)
+    element = reference_element(order)
+    edges = [edge_node_ids(order, local_edge)[1:-1] for local_edge in range(3)]
+    boundary = np.concatenate([element.corner_ids, *edges])
+    interior = np.setdiff1d(np.arange(element.num_nodes), boundary)
+    return np.concatenate([boundary, interior])
 
 
 def write_vtk(path, mesh: ParametricMesh, point_data: dict | None = None, title="surfnitsche mesh"):

@@ -53,15 +53,15 @@ def normalize_angle(angle):
 
 @dataclass(frozen=True)
 class TorusParams:
-    """Radii of the torus of revolution; requires 0 < minor < major."""
+    """Radii of the torus of revolution; requires 0 < minor < major < inf."""
 
     major_radius: float = 1.0
     minor_radius: float = 0.4
 
     def __post_init__(self):
-        if not 0.0 < self.minor_radius < self.major_radius:
+        if not 0.0 < self.minor_radius < self.major_radius < np.inf:
             raise InvalidArgumentError(
-                "torus radii must satisfy 0 < minor_radius < major_radius, "
+                "torus radii must satisfy 0 < minor_radius < major_radius < inf, "
                 f"got minor={self.minor_radius}, major={self.major_radius}"
             )
 
@@ -70,9 +70,10 @@ class TorusParams:
 class BoundarySpec:
     """Wavy boundary curves of the band, phi = A cos(W theta) (+ offset).
 
-    ``waves_lower``/``waves_upper`` are the integer wave counts of the two
-    curves; zero waves give constant-phi circles.  The band must be
-    nonempty: phi_lower(theta) < phi_upper(theta) for every theta.
+    ``waves_lower``/``waves_upper`` are the whole wave counts of the two
+    curves, so that they close up where the periodic mesh does; zero waves
+    give constant-phi circles.  The band must be nonempty:
+    phi_lower(theta) < phi_upper(theta) for every theta.
     """
 
     amplitude: float = 0.2
@@ -81,6 +82,11 @@ class BoundarySpec:
     offset: float = 0.6 * TWO_PI
 
     def __post_init__(self):
+        for waves in (self.waves_lower, self.waves_upper):
+            if not float(waves).is_integer():
+                raise InvalidArgumentError(f"wave counts must be whole numbers, got {waves}")
+        if not np.isfinite([self.amplitude, self.offset]).all():
+            raise InvalidArgumentError("boundary amplitude and offset must be finite")
         theta = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
         gap = boundary_phi("upper", theta, self) - boundary_phi("lower", theta, self)
         if not np.all(gap > 0.0):
@@ -102,22 +108,17 @@ def torus_embed(theta, phi, torus: TorusParams):
 def toroidal_angles(points, torus: TorusParams):
     """Toroidal angles (theta, phi) of points near the torus, each in [0, 2*pi).
 
-    theta is measured in the (radial, z) half-plane around the center
-    circle, phi is the azimuth.  Points on the symmetry axis have no
-    azimuth and are rejected.
+    theta = atan2(z, zeta) is measured in the (radial, z) half-plane around
+    the center circle, phi = atan2(y, x) is the azimuth.  Both are constant
+    on each normal ray from the center circle, so a point and its closest
+    surface point have the same angles.
     """
-    pts = np.asarray(points, dtype=float)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    d = np.hypot(x, y)
-    if np.any(d < _DEGENERATE_EPS):
-        raise DegenerateInputError("point on the symmetry axis has no azimuth")
-    theta = normalize_angle(np.arctan2(z, d - torus.major_radius))
-    phi = normalize_angle(np.arctan2(y, x))
-    return theta, phi
+    x, y, z, _, zeta, _ = _tube_coordinates(points, torus)
+    return normalize_angle(np.arctan2(z, zeta)), normalize_angle(np.arctan2(y, x))
 
 
 def signed_distance(points, torus: TorusParams):
-    """Signed distance to the torus surface; negative inside the tube."""
+    """Signed distance to the torus surface; negative inside the tube, -r on its center circle."""
     pts = np.asarray(points, dtype=float)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     d = np.hypot(x, y)
@@ -129,18 +130,19 @@ def signed_distance(points, torus: TorusParams):
 def _tube_coordinates(points, torus: TorusParams):
     """(x, y, z, d, zeta, ell) of points: d = hypot(x, y), zeta = d - R, ell = hypot(zeta, z).
 
-    Points on the symmetry axis (d = 0) or on the center circle (ell = 0)
-    have no unique nearest surface point and are rejected.
+    Points on the symmetry axis (d = 0) have no azimuth, points on the
+    center circle (ell = 0) no tube angle; at both the nearest surface
+    point is not unique, and both are rejected.
     """
     pts = np.asarray(points, dtype=float)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     d = np.hypot(x, y)
     if np.any(d < _DEGENERATE_EPS):
-        raise DegenerateInputError("closest point not unique on the symmetry axis")
+        raise DegenerateInputError("closest point and angles not unique on the symmetry axis")
     zeta = d - torus.major_radius
     ell = np.hypot(zeta, z)
     if np.any(ell < _DEGENERATE_EPS):
-        raise DegenerateInputError("closest point not unique on the center circle")
+        raise DegenerateInputError("closest point and angles not unique on the center circle")
     return x, y, z, d, zeta, ell
 
 
@@ -326,8 +328,8 @@ def exact_surface_gradient(theta, phi, torus: TorusParams):
     return (u_t / r)[..., None] * e_theta + (u_p / w)[..., None] * e_phi
 
 
-def laplace_beltrami_of_solution(theta, phi, torus: TorusParams):
-    """Intrinsic Laplacian of the manufactured solution on the torus."""
+def load(theta, phi, torus: TorusParams):
+    """Load f = -lap u, the intrinsic Laplacian of the manufactured solution negated."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     c = np.cos(3.0 * phi + 5.0 * theta)
@@ -339,12 +341,7 @@ def laplace_beltrami_of_solution(theta, phi, torus: TorusParams):
     u_pp = -9.0 * c * s2
     r = torus.minor_radius
     w = torus.major_radius + r * np.cos(theta)
-    return u_tt / r**2 - np.sin(theta) * u_t / (r * w) + u_pp / w**2
-
-
-def load(theta, phi, torus: TorusParams):
-    """Load f = -lap u consistent with the manufactured solution."""
-    return -laplace_beltrami_of_solution(theta, phi, torus)
+    return -(u_tt / r**2 - np.sin(theta) * u_t / (r * w) + u_pp / w**2)
 
 
 class TorusProblem:
@@ -426,8 +423,8 @@ class TorusProblem:
         return boundary_curve_point(side, theta, self.boundary, self.torus)
 
     def solution_at(self, points):
-        """Closest-point extension of the exact solution, u(p(x))."""
-        return exact_solution(*toroidal_angles(self.closest_point(points), self.torus))
+        """Closest-point extension of the exact solution, u(p(x)): u at the angles of x."""
+        return exact_solution(*toroidal_angles(points, self.torus))
 
     def solution_gradient_at(self, points):
         """Ambient gradient of the closest-point extension of the solution.
@@ -436,25 +433,15 @@ class TorusProblem:
         gradient is u_theta grad(theta) + u_phi grad(phi) with the exact
         ambient gradients of the angle fields.
         """
-        pts = np.asarray(points, dtype=float)
-        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        d = np.hypot(x, y)
-        if np.any(d < _DEGENERATE_EPS):
-            raise DegenerateInputError("gradient undefined on the symmetry axis")
-        zeta = d - self.torus.major_radius
-        ell2 = zeta**2 + z**2
-        if np.any(ell2 < _DEGENERATE_EPS**2):
-            raise DegenerateInputError("gradient undefined on the center circle")
-        theta = np.arctan2(z, zeta)
-        phi = np.arctan2(y, x)
-        u_t, u_p = _solution_partials(theta, phi)
-        grad_theta = np.stack([-z * x / d, -z * y / d, zeta], axis=-1) / ell2[..., None]
+        x, y, z, d, zeta, ell = _tube_coordinates(points, self.torus)
+        u_t, u_p = _solution_partials(np.arctan2(z, zeta), np.arctan2(y, x))
+        grad_theta = np.stack([-z * x / d, -z * y / d, zeta], axis=-1) / (ell * ell)[..., None]
         grad_phi = np.stack([-y / d**2, x / d**2, np.zeros_like(d)], axis=-1)
         return u_t[..., None] * grad_theta + u_p[..., None] * grad_phi
 
     def load_at(self, points):
-        """Closest-point extension of the load, f(p(x))."""
-        return load(*toroidal_angles(self.closest_point(points), self.torus), self.torus)
+        """Closest-point extension of the load, f(p(x)): f at the angles of x."""
+        return load(*toroidal_angles(points, self.torus), self.torus)
 
     def dirichlet_at(self, points):
         """Dirichlet data at points assumed to lie on the boundary curves."""

@@ -278,18 +278,6 @@ def _connectivity(n_t, n_s, k, rows, cols, periodic, problem):
     return elements, {key: ids for key, ids in groups.items() if key[1] in sides}
 
 
-def _lagrange_1d(order, t):
-    """Values of the k+1 uniform-node 1-D Lagrange basis at t."""
-    nodes = np.arange(order + 1) / order
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = np.ones((t.size, order + 1))
-    for m in range(order + 1):
-        for n in range(order + 1):
-            if n != m:
-                vals[:, m] *= (t - nodes[n]) / (nodes[m] - nodes[n])
-    return vals
-
-
 def _blend_boundary_elements(mesh: ParametricMesh, displacement, problem):
     """Carry the boundary correction into boundary-adjacent elements.
 
@@ -312,8 +300,10 @@ def _blend_boundary_elements(mesh: ParametricMesh, displacement, problem):
         along = (lattice_points(k) - edge_ref_points(local_edge, 0.0)) @ direction
         t = np.clip(along / (direction @ direction), 0.0, 1.0)
         conn = mesh.elements[ids]
-        edge_disp = displacement[conn[:, edge_node_ids(k, local_edge)]]
-        blend = _lagrange_1d(k, t) @ edge_disp * ((1.0 - d) ** 2)[:, None]
+        edge_nodes = edge_node_ids(k, local_edge)
+        # The element basis restricted to an edge is the 1-D Lagrange basis there.
+        along_edge = reference_element(k).eval(edge_ref_points(local_edge, t))[:, edge_nodes]
+        blend = along_edge @ displacement[conn[:, edge_nodes]] * ((1.0 - d) ** 2)[:, None]
         off_edge = (0.0 < d) & (d < 1.0)
         claims.append(conn[:, off_edge].ravel())
         targets.append((mesh.nodes[conn[:, off_edge]] + blend[:, off_edge]).reshape(-1, 3))

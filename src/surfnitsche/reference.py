@@ -148,9 +148,7 @@ def edge_ref_points(local_edge: int, t) -> np.ndarray:
 
 def edge_ref_direction(local_edge: int) -> np.ndarray:
     """Constant reference tangent of an edge (not normalized)."""
-    a = REF_CORNERS[EDGE_CORNERS[local_edge][0]]
-    b = REF_CORNERS[EDGE_CORNERS[local_edge][1]]
-    return b - a
+    return edge_ref_points(local_edge, 1.0) - edge_ref_points(local_edge, 0.0)
 
 
 def edge_opposite_corner(local_edge: int) -> int:

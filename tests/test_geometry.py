@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfnitsche import geometry as geo
-from surfnitsche.errors import DegenerateInputError
+from surfnitsche.errors import DegenerateInputError, InvalidArgumentError
 
 from conftest import (
     boundary_curve_tangent,
@@ -179,6 +180,22 @@ class TestBoundary:
         with pytest.raises(ValueError):
             geo.BoundarySpec(amplitude=0.3, offset=0.1)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"waves_lower": 1.5}, {"waves_upper": np.inf}, {"amplitude": np.inf}, {"offset": np.nan}],
+    )
+    def test_invalid_spec_rejected_before_gap_check(self, fields):
+        # A fractional wave count makes phi jump at theta = 0, where the
+        # periodic mesh closes.  Warnings are errors: the gap check would
+        # warn on a non-finite amplitude, so it must not be reached.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError):
+                geo.BoundarySpec(**fields)
+
+    def test_whole_float_wave_count_accepted(self):
+        assert geo.BoundarySpec(waves_lower=2.0).waves_lower == 2.0
+
     def test_projection_identity_on_curve(self, torus_problem):
         rng = np.random.default_rng(5)
         theta = rng.uniform(0.0, TWO_PI, 40)
@@ -313,6 +330,37 @@ class TestManufacturedSolution:
             torus_problem.dirichlet_at(pts),
             geo.exact_solution(theta, lower_phi),
             atol=1e-12,
+        )
+
+
+class TestPointData:
+    """solution_at, load_at and friends read the angles of the point itself."""
+
+    DATA = ["solution_at", "solution_gradient_at", "load_at", "dirichlet_at"]
+
+    @pytest.mark.parametrize("method", DATA)
+    @pytest.mark.parametrize(
+        "point", [[0.0, 0.0, 0.3], [1.0, 0.0, 0.0]], ids=["axis", "center-circle"]
+    )
+    def test_degenerate(self, torus_problem, method, point):
+        with pytest.raises(DegenerateInputError):
+            getattr(torus_problem, method)(np.array([[1.2, 0.1, 0.05], point]))
+
+    def test_matches_projected_form(self, torus_problem):
+        # p keeps the angles, so projecting first moves the data only by
+        # rounding: by about 1e-14 of the largest value (|u| <= 1, |f| <= 200).
+        torus = torus_problem.torus
+        pts = random_tube_points(np.random.default_rng(17), torus, 2000)
+        angles = geo.toroidal_angles(geo.closest_point(pts, torus), torus)
+        np.testing.assert_allclose(
+            torus_problem.solution_at(pts), geo.exact_solution(*angles), rtol=0.0, atol=1e-13
+        )
+        projected_load = geo.load(*angles, torus)
+        np.testing.assert_allclose(
+            torus_problem.load_at(pts),
+            projected_load,
+            rtol=0.0,
+            atol=1e-13 * np.abs(projected_load).max(),
         )
 
 

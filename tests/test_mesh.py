@@ -15,11 +15,15 @@ from surfnitsche.mesh import (
     ParametricMesh,
     _blend_boundary_elements,
     _grid_shape,
-    _lagrange_1d,
     build_mesh,
     geometric_report,
 )
-from surfnitsche.reference import edge_node_ids, lattice_multi_indices
+from surfnitsche.reference import (
+    edge_node_ids,
+    edge_ref_points,
+    lattice_multi_indices,
+    reference_element,
+)
 
 from conftest import boundary_specs, observed_orders
 
@@ -68,9 +72,10 @@ def loop_blend(mesh, displacement, problem):
         for element in ids:
             d = distance[local_edge] / k
             t = np.clip(projection[local_edge], 0.0, 1.0)
-            edge_nodes = mesh.elements[element][edge_node_ids(k, local_edge)]
-            edge_disp = displacement[edge_nodes]
-            blend = _lagrange_1d(k, t) @ edge_disp * ((1.0 - d) ** 2)[:, None]
+            edge_ids = edge_node_ids(k, local_edge)
+            along_edge = reference_element(k).eval(edge_ref_points(local_edge, t))[:, edge_ids]
+            edge_disp = displacement[mesh.elements[element][edge_ids]]
+            blend = along_edge @ edge_disp * ((1.0 - d) ** 2)[:, None]
             for local, node in enumerate(mesh.elements[element]):
                 if 0.0 < d[local] < 1.0:
                     repeats += int(node) in moved

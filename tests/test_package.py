@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import surfnitsche
+from surfnitsche.geometry import project_to_boundary_curve
 
 
 def test_exports_resolve_without_duplicates():
@@ -19,7 +20,12 @@ BAD_INPUT = {
         _small_mesh(), np.zeros(3), surfnitsche.TorusProblem()
     ),
     "torus-radii": lambda tmp_path: surfnitsche.TorusParams(1.0, 2.0),
+    "torus-radius-infinite": lambda tmp_path: surfnitsche.TorusParams(major_radius=np.inf),
     "boundary-amplitude": lambda tmp_path: surfnitsche.BoundarySpec(amplitude=5.0),
+    "boundary-fractional-waves": lambda tmp_path: surfnitsche.BoundarySpec(waves_lower=1.5),
+    "boundary-projection-non-finite": lambda tmp_path: project_to_boundary_curve(
+        [[np.nan, 0.0, 0.0]], "lower", surfnitsche.BoundarySpec(), surfnitsche.TorusParams()
+    ),
     "boundary-side": lambda tmp_path: surfnitsche.boundary_phi(
         "left", 0.0, surfnitsche.BoundarySpec()
     ),
