@@ -21,7 +21,7 @@ import numpy as np
 
 from .assembly import _solve_at_penalty, assemble
 from .errors import InvalidArgumentError
-from .mesh import ParametricMesh, build_mesh, edge_batches, element_batches
+from .mesh import ParametricMesh, _integer, build_mesh, edge_batches, element_batches
 from .reference import edge_rule, reference_element, triangle_rule
 
 
@@ -59,6 +59,8 @@ def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (mesh.num_nodes,):
         raise InvalidArgumentError("coefficient vector does not match mesh nodes")
+    if not np.all(np.isfinite(coefficients)):
+        raise InvalidArgumentError("coefficient vector has non-finite entries")
     degree = 2 * mesh.order + 4
     ref = reference_element(mesh.order)
     rule = triangle_rule(degree)
@@ -124,6 +126,8 @@ def convergence_study(
     node_placement: str = "chart",
 ) -> list[ConvergenceRecord]:
     """Solve on a sequence of meshes n_div = base * 2^level and record errors."""
+    levels = _integer("levels", levels)
+    base_divisions = _integer("base_divisions", base_divisions)
     if levels < 3:
         raise InvalidArgumentError(f"a study needs at least three levels, got {levels}")
     records: list[ConvergenceRecord] = []

@@ -169,11 +169,15 @@ def _penalized(parts: _Parts, beta: float, h: float):
 def assemble(mesh: ParametricMesh, beta: float, problem) -> SparseSystem:
     """Assemble the Nitsche system with penalty weight beta / h.
 
-    beta must be finite, positive and small enough that the system does
-    not overflow; otherwise InvalidPenaltyError names it.
+    beta must be a finite positive number, small enough that the system
+    does not overflow; otherwise InvalidPenaltyError names it.
     """
-    if not (np.isfinite(beta) and beta > 0.0):
-        raise InvalidPenaltyError(f"penalty must be finite and positive, got beta={beta}")
+    try:
+        valid = bool(np.isfinite(beta) and beta > 0.0)
+    except TypeError:  # not a number, such as the string "1e4"
+        valid = False
+    if not valid:
+        raise InvalidPenaltyError(f"penalty must be a finite positive number, got beta={beta!r}")
     matrix, rhs = _penalized(_assemble_parts(mesh, problem), beta, mesh.h)
     return SparseSystem(matrix=matrix, rhs=rhs)
 

@@ -3,20 +3,22 @@
 The parameter square (t, s) in [0,1]^2 is covered by a structured grid of
 n_t x n_s cells, each split into two triangles along the (t, s)-diagonal;
 n_s is scaled by the physical aspect of the chart so cells stay roughly
-isotropic.  Vertices always come from the chart, so they sit on the exact
-surface, and the s = 0 / s = 1 rows sit on the exact boundary curves.
+isotropic.  ``_layout`` alone numbers the nodes and splits the cells.  The
+chart places every node once; the element corners keep those places, so
+they sit on the exact surface, the s = 0 / s = 1 rows on the exact
+boundary curves, and h is the longest straight edge between them.
 
-Curved-element Lagrange nodes are seeded either on the chart lattice
-(default; every node row follows the boundary waves) or by linear
-interpolation over the flat facets.  Chart nodes already sit on the
-surface and the boundary curves, so they are used as they are.  Facet
-nodes go through the classical curved-mesh correction passes: snap all
-nodes to the surface with the closest-point map, move boundary-chain
-nodes onto the boundary curves, blend the boundary correction into the
-interiors of boundary-adjacent elements with a quadratic falloff, and
-re-snap the blended nodes.  That pipeline remains valid only while the
-cells resolve the boundary waves (the blend softens but cannot remove
-the shear of an under-resolved corrected edge).
+Curved-element Lagrange nodes are either the chart nodes (default; every
+node row follows the boundary waves) or interpolated linearly between
+the corners of their element with weights (k - i - j, i, j) / k.  Chart
+nodes already sit on the surface and the boundary curves, so they are
+used as they are.  Facet nodes go through the classical curved-mesh
+correction passes: snap all nodes to the surface with the closest-point
+map, move boundary-chain nodes onto the boundary curves, blend the
+boundary correction into the interiors of boundary-adjacent elements
+with a quadratic falloff, and re-snap the blended nodes.  That pipeline
+remains valid only while the cells resolve the boundary waves (the blend
+softens but cannot remove the shear of an under-resolved corrected edge).
 
 Every quadrature over the mesh goes through one walker, used by assembly,
 error measurement, the geometric report and the fold check:
@@ -34,6 +36,7 @@ edges from their positions alone.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +82,7 @@ class ParametricMesh:
     the elements whose local edge lies on that boundary side, in element
     order; the groups run lower, upper, left, right over the sides the
     problem has.  ``boundary_nodes`` derives each side's node ids from
-    them.  ``h`` is the longest straight edge of the vertex triangulation.
+    them.  ``h`` is the longest straight edge between element corners.
 
     ``_element_side`` is set by :func:`build_mesh` only: the element-side
     fields of the geometric report, with the problem and the node and
@@ -126,21 +129,20 @@ class GeometricReport:
     min_scaled_jacobian: float
 
 
+def _integer(name, value, error=InvalidArgumentError):
+    """value as an int if operator.index accepts it (Python and NumPy
+    integers); otherwise ``error`` naming the argument and its value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def _grid_shape(n_div: int, problem) -> tuple[int, int]:
-    n_t = n_div
-    n_s = n_div * int(np.ceil(problem.chart_aspect - 1e-9))
-    return n_t, n_s
-
-
-def _triangle_weights(a, b, lower):
-    """Barycentric weights of lattice fractions (a, b) in the cell triangles.
-
-    The lower triangle has corners (0,0), (1,0), (1,1) of the cell, the
-    upper one (0,0), (1,1), (0,1); on the shared diagonal both agree.
-    """
-    w_lower = np.stack([1.0 - a, a - b, b], axis=-1)
-    w_upper = np.stack([1.0 - b, a, b - a], axis=-1)
-    return np.where(lower[..., None], w_lower, w_upper)
+    aspect = problem.chart_aspect
+    if not np.isfinite(aspect):
+        raise InvalidArgumentError(f"chart aspect must be finite, got {aspect}")
+    return n_div, n_div * int(np.ceil(aspect - 1e-9))
 
 
 def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -> ParametricMesh:
@@ -153,9 +155,9 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
       of nodes follows the boundary waves and lies on the surface, with
       the boundary rows on the boundary curves; no correction pass runs.
       Valid at every resolution.
-    - ``"facet-linear"``: nodes are interpolated linearly over each facet
-      of the vertex triangulation, snapped to the surface, and corrected
-      at the boundary with the quadratic interior blend.  On coarse meshes
+    - ``"facet-linear"``: nodes are interpolated linearly between the
+      chart-placed corners of their element, snapped to the surface, and
+      corrected at the boundary with the quadratic interior blend.  On coarse meshes
       whose cells under-resolve the boundary waves the corrected elements
       can fold, which build_mesh reports as :class:`MeshInvalidError`.
 
@@ -170,38 +172,24 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     problem.  The returned mesh's ``nodes``, ``elements`` and boundary-edge
     id arrays are read-only, so those values cannot go stale.
     """
+    n_div = _integer("n_div", n_div)
+    k = _integer("order", order, UnsupportedDegreeError)
     if n_div < 2:
         raise InvalidArgumentError(f"n_div must be >= 2, got {n_div}")
-    if not 1 <= order <= 3:
-        raise UnsupportedDegreeError(f"order must be 1..3, got {order}")
+    if not 1 <= k <= 3:
+        raise UnsupportedDegreeError(f"order must be 1..3, got {k}")
     if node_placement not in ("chart", "facet-linear"):
         raise InvalidArgumentError(f"unknown node placement {node_placement!r}")
-    k = order
     n_t, n_s = _grid_shape(n_div, problem)
-    periodic = problem.periodic
-    cols = k * n_t if periodic else k * n_t + 1
-    rows = k * n_s + 1
-
-    # Vertex grid through the chart; column n_t duplicates column 0 values
-    # for interpolation only (periodic meshes never index it as a node).
-    tv = np.arange(n_t + 1) / n_t
-    sv = np.arange(n_s + 1) / n_s
-    vertex = problem.chart(tv[:, None], sv[None, :])
-
-    elements, boundary_edges = _connectivity(n_t, n_s, k, rows, cols, periodic, problem)
-    ti, si = np.meshgrid(np.arange(cols), np.arange(rows), indexing="ij")
-    ti, si = ti.ravel(), si.ravel()
+    t, s, elements, boundary_edges = _layout(n_t, n_s, k, problem.periodic, problem.boundary_sides)
+    nodes = problem.chart(t, s)
+    corners = nodes[elements[:, list(reference_element(k).corner_ids)]]
+    h = float(_norm3(corners - np.roll(corners, 1, axis=1)).max())
     try:
-        if node_placement == "chart":
-            nodes = problem.chart(ti / (k * n_t), si / (k * n_s))
-        else:
-            nodes = _facet_linear_nodes(vertex, ti, si, k, problem)
+        if node_placement == "facet-linear":
+            nodes = problem.closest_point(_facet_linear_nodes(nodes, elements, k))
         mesh = ParametricMesh(
-            order=k,
-            nodes=nodes,
-            elements=elements,
-            boundary_edges=boundary_edges,
-            h=_vertex_mesh_size(vertex),
+            order=k, nodes=nodes, elements=elements, boundary_edges=boundary_edges, h=h
         )
         if node_placement == "facet-linear":
             _correct_boundary(mesh, problem)
@@ -224,17 +212,23 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     return mesh
 
 
-def _facet_linear_nodes(vertex, ti, si, k, problem):
-    """Lattice nodes (ti, si) interpolated over the vertex facets, snapped to the surface."""
-    n_t, n_s = vertex.shape[0] - 1, vertex.shape[1] - 1
-    ci = np.minimum(ti // k, n_t - 1)
-    cj = np.minimum(si // k, n_s - 1)
-    li, lj = ti - k * ci, si - k * cj
-    weights = _triangle_weights(li / k, lj / k, lj <= li)
-    corners_lower = np.stack([vertex[ci, cj], vertex[ci + 1, cj], vertex[ci + 1, cj + 1]], axis=1)
-    corners_upper = np.stack([vertex[ci, cj], vertex[ci + 1, cj + 1], vertex[ci, cj + 1]], axis=1)
-    corners = np.where((lj <= li)[:, None, None], corners_lower, corners_upper)
-    return problem.closest_point(np.einsum("nv,nvd->nd", weights, corners))
+def _barycentric_lattice(k):
+    """Integer barycentric coordinates (k - i - j, i, j) of the reference lattice nodes."""
+    i, j = lattice_multi_indices(k).T
+    return np.column_stack([k - i - j, i, j])
+
+
+def _facet_linear_nodes(chart_nodes, elements, k):
+    """Nodes interpolated linearly between their element's corners, unsnapped.
+
+    A node two elements share lies on their common edge, where both sum the
+    same two products in either order, so the scatter may keep either.
+    """
+    weights = _barycentric_lattice(k) / k
+    corners = chart_nodes[elements[:, list(reference_element(k).corner_ids)]]
+    nodes = np.empty_like(chart_nodes)
+    nodes[elements] = sum(weights[:, c, None] * corners[:, None, c] for c in range(3))
+    return nodes
 
 
 def _correct_boundary(mesh: ParametricMesh, problem):
@@ -249,7 +243,19 @@ def _correct_boundary(mesh: ParametricMesh, problem):
         _blend_boundary_elements(mesh, displacement, problem)
 
 
-def _connectivity(n_t, n_s, k, rows, cols, periodic, problem):
+def _layout(n_t, n_s, k, periodic, sides):
+    """Node lattice parameters (t, s), element node ids and boundary-edge groups.
+
+    The only code that knows the numbering, node ti * rows + si at
+    (ti / (k n_t), si / (k n_s)), and the split of each cell into a lower
+    triangle (cell corners (0,0), (1,0), (1,1)) and an upper one (0,0),
+    (1,1), (0,1).  Periodic grids wrap column k n_t onto column 0.
+    """
+    cols = k * n_t if periodic else k * n_t + 1
+    rows = k * n_s + 1
+    t = np.repeat(np.arange(cols) / (k * n_t), rows)
+    s = np.tile(np.arange(rows) / (k * n_s), cols)
+
     multi = lattice_multi_indices(k)
     i_ref, j_ref = multi[:, 0], multi[:, 1]
     # lattice offsets of the reference nodes inside the parent cell
@@ -274,8 +280,7 @@ def _connectivity(n_t, n_s, k, rows, cols, periodic, problem):
     if not periodic:
         groups[(2, "left")] = 2 * cj + 1
         groups[(1, "right")] = 2 * ((n_t - 1) * n_s + cj)
-    sides = problem.boundary_sides
-    return elements, {key: ids for key, ids in groups.items() if key[1] in sides}
+    return t, s, elements, {key: ids for key, ids in groups.items() if key[1] in sides}
 
 
 def _blend_boundary_elements(mesh: ParametricMesh, displacement, problem):
@@ -289,10 +294,9 @@ def _blend_boundary_elements(mesh: ParametricMesh, displacement, problem):
     displacement vanishes.
     """
     k = mesh.order
-    multi = lattice_multi_indices(k)
     # Barycentric coordinates on the integer lattice, so that nodes on an
     # edge get exactly d = 0 (1 - 1/3 - 2/3 rounds to 1.1e-16).
-    barycentric = np.column_stack([k - multi[:, 0] - multi[:, 1], multi[:, 0], multi[:, 1]])
+    barycentric = _barycentric_lattice(k)
     claims, targets = [], []
     for (local_edge, _), ids in mesh.boundary_edges.items():
         d = barycentric[:, edge_opposite_corner(local_edge)] / k
@@ -313,13 +317,6 @@ def _blend_boundary_elements(mesh: ParametricMesh, displacement, problem):
     nodes = mesh.nodes.copy()
     nodes[node_ids] = problem.closest_point(np.concatenate(targets)[::-1][last])
     mesh.nodes = nodes
-
-
-def _vertex_mesh_size(vertex):
-    horiz = np.linalg.norm(vertex[1:] - vertex[:-1], axis=-1)
-    vert = np.linalg.norm(vertex[:, 1:] - vertex[:, :-1], axis=-1)
-    diag = np.linalg.norm(vertex[1:, 1:] - vertex[:-1, :-1], axis=-1)
-    return float(max(horiz.max(), vert.max(), diag.max()))
 
 
 def element_batches(mesh: ParametricMesh, problem, rule):

@@ -8,7 +8,7 @@ from surfnitsche.analysis import (
     records_table,
     records_to_csv,
 )
-from surfnitsche.errors import InvalidPenaltyError
+from surfnitsche.errors import InvalidArgumentError, InvalidPenaltyError
 from surfnitsche.fem import frames
 from surfnitsche.mesh import build_mesh
 from surfnitsche.reference import triangle_rule
@@ -82,6 +82,15 @@ class TestErrorMeasures:
         with pytest.raises(ValueError):
             error_measures(mesh, np.zeros(3), torus_problem)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, torus_problem, bad):
+        mesh = build_mesh(4, 1, torus_problem)
+        coefficients = np.zeros(mesh.num_nodes)
+        coefficients[3] = bad
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            error_measures(mesh, coefficients, torus_problem)
+
 
 @pytest.fixture(scope="module")
 def small_study(torus_problem):
@@ -117,6 +126,22 @@ class TestConvergenceStudy:
     def test_validates_levels(self, torus_problem):
         with pytest.raises(ValueError):
             convergence_study(1, 2, 1e4, torus_problem)
+
+    @pytest.mark.parametrize(
+        "levels, base_divisions, message",
+        [
+            (3.5, 8, "levels must be an integer, got 3.5"),
+            (3, 2.5, "base_divisions must be an integer, got 2.5"),
+            ("3", 8, "levels must be an integer, got '3'"),
+        ],
+    )
+    def test_non_integer_sizes_named(self, torus_problem, levels, base_divisions, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            convergence_study(1, levels, 1e4, torus_problem, base_divisions=base_divisions)
+
+    def test_numpy_integer_sizes_accepted(self, torus_problem, small_study):
+        study = convergence_study(1, np.int64(3), 1e4, torus_problem, base_divisions=np.int32(8))
+        assert study == small_study
 
     def test_sub_threshold_beta_names_itself(self, torus_problem):
         with pytest.raises(InvalidPenaltyError, match=r"beta=0\.5 is below .* negative eigenvalues"):

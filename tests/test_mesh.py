@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,11 +10,12 @@ from surfnitsche import fem
 from surfnitsche import geometry as geo
 from surfnitsche import mesh as mesh_module
 from surfnitsche.assembly import assemble
-from surfnitsche.errors import MeshInvalidError
+from surfnitsche.errors import InvalidArgumentError, MeshInvalidError, UnsupportedDegreeError
 from surfnitsche.fem import frames
 from surfnitsche.mesh import (
     ParametricMesh,
     _blend_boundary_elements,
+    _facet_linear_nodes,
     _grid_shape,
     build_mesh,
     geometric_report,
@@ -369,3 +371,134 @@ class TestBuildReportMemo:
         for ids in mesh.boundary_edges.values():
             with pytest.raises(ValueError):
                 ids[0] = 0
+
+
+def vertex_grid(n_div, problem):
+    """Chart values on the (n_t + 1) x (n_s + 1) vertex grid; on periodic
+    bands column n_t repeats column 0 at t = 1."""
+    n_t, n_s = _grid_shape(n_div, problem)
+    return problem.chart((np.arange(n_t + 1) / n_t)[:, None], (np.arange(n_s + 1) / n_s)[None, :])
+
+
+def vertex_grid_h(n_div, problem):
+    """Longest horizontal, vertical or diagonal edge of the vertex grid."""
+    vertex = vertex_grid(n_div, problem)
+    horiz = np.linalg.norm(vertex[1:] - vertex[:-1], axis=-1)
+    vert = np.linalg.norm(vertex[:, 1:] - vertex[:, :-1], axis=-1)
+    diag = np.linalg.norm(vertex[1:, 1:] - vertex[:-1, :-1], axis=-1)
+    return float(max(horiz.max(), vert.max(), diag.max()))
+
+
+def vertex_grid_placement(n_div, k, problem):
+    """Snapped facet-linear nodes from each node's lattice fractions (a, b)
+    in its cell, weighted over the cell triangle's vertex-grid corners."""
+    vertex = vertex_grid(n_div, problem)
+    n_t, n_s = vertex.shape[0] - 1, vertex.shape[1] - 1
+    cols = k * n_t if problem.periodic else k * n_t + 1
+    rows = k * n_s + 1
+    ti, si = np.divmod(np.arange(cols * rows), rows)
+    ci, cj = np.minimum(ti // k, n_t - 1), np.minimum(si // k, n_s - 1)
+    li, lj = ti - k * ci, si - k * cj
+    a, b, lower = li / k, lj / k, lj <= li
+    weights = np.where(
+        lower[:, None],
+        np.stack([1.0 - a, a - b, b], axis=-1),
+        np.stack([1.0 - b, a, b - a], axis=-1),
+    )
+    corners = np.where(
+        lower[:, None, None],
+        np.stack([vertex[ci, cj], vertex[ci + 1, cj], vertex[ci + 1, cj + 1]], axis=1),
+        np.stack([vertex[ci, cj], vertex[ci + 1, cj + 1], vertex[ci, cj + 1]], axis=1),
+    )
+    return problem.closest_point(np.einsum("nv,nvd->nd", weights, corners))
+
+
+LAYOUT_PROBLEMS = {
+    "wavy": geo.TorusProblem(),
+    "simplified": geo.TorusProblem.simplified(),
+    "flat": geo.FlatSquareProblem(2),
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(LAYOUT_PROBLEMS))
+    def test_facet_linear_nodes_independent_of_element_order(self, name, order):
+        # every element holding a node places it bitwise alike, so the
+        # scatter's last write may come from any of them
+        chart = build_mesh(8, order, LAYOUT_PROBLEMS[name])
+        expected = _facet_linear_nodes(chart.nodes, chart.elements, order).tobytes()
+        rng = np.random.default_rng(order)
+        orders = [chart.elements[::-1]]
+        orders += [chart.elements[rng.permutation(chart.num_elements)] for _ in range(3)]
+        for elements in orders:
+            assert _facet_linear_nodes(chart.nodes, elements, order).tobytes() == expected
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(LAYOUT_PROBLEMS))
+    def test_facet_linear_corners_keep_chart_values(self, name, order):
+        chart = build_mesh(8, order, LAYOUT_PROBLEMS[name])
+        placed = _facet_linear_nodes(chart.nodes, chart.elements, order)
+        corners = np.unique(chart.elements[:, list(reference_element(order).corner_ids)])
+        assert placed[corners].tobytes() == chart.nodes[corners].tobytes()
+
+    @pytest.mark.parametrize("n_div", [4, 16, 64])
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("name", list(LAYOUT_PROBLEMS))
+    def test_facet_linear_placement_matches_vertex_grid(self, name, order, n_div):
+        # 6.7e-16 at most measured; the nodes of the seam column read chart
+        # values at t = 0 where the vertex grid reads them at t = 1
+        problem = LAYOUT_PROBLEMS[name]
+        chart = build_mesh(n_div, order, problem)
+        placed = problem.closest_point(_facet_linear_nodes(chart.nodes, chart.elements, order))
+        expected = vertex_grid_placement(n_div, order, problem)
+        np.testing.assert_allclose(placed, expected, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("placement", ["chart", "facet-linear"])
+    @pytest.mark.parametrize("n_div", [8, 16, 32, 64])
+    def test_h_is_vertex_grid_h_on_wavy_band(self, torus_problem, n_div, placement):
+        mesh = build_mesh(n_div, 1, torus_problem, placement)
+        assert mesh.h == vertex_grid_h(n_div, torus_problem)
+
+    # The seam edges differ in the last bits: mesh corners on the seam are
+    # chart values at t = 0, the vertex grid's column n_t reads t = 1.
+    @pytest.mark.parametrize(
+        "name, n_div",
+        [("wavy", 4), ("simplified", 4), ("simplified", 8), ("simplified", 16),
+         ("simplified", 32), ("flat", 8)],
+    )
+    def test_h_near_vertex_grid_h(self, name, n_div):
+        problem = LAYOUT_PROBLEMS[name]
+        for order in (1, 3):
+            h = build_mesh(n_div, order, problem).h
+            assert h == pytest.approx(vertex_grid_h(n_div, problem), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "n_div, order, error, message",
+        [
+            (8.5, 1, InvalidArgumentError, "n_div must be an integer, got 8.5"),
+            (8.0, 1, InvalidArgumentError, "n_div must be an integer, got 8.0"),
+            (float("nan"), 1, InvalidArgumentError, "n_div must be an integer, got nan"),
+            ("8", 1, InvalidArgumentError, "n_div must be an integer, got '8'"),
+            (4, 2.5, UnsupportedDegreeError, "order must be an integer, got 2.5"),
+        ],
+    )
+    def test_non_integer_sizes_named(self, torus_problem, n_div, order, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build_mesh(n_div, order, torus_problem)
+
+    def test_numpy_integer_sizes_accepted(self, torus_problem):
+        mesh = build_mesh(np.int64(4), np.int32(2), torus_problem)
+        expected = build_mesh(4, 2, torus_problem)
+        assert type(mesh.order) is int and mesh.order == 2
+        assert np.array_equal(mesh.nodes, expected.nodes) and mesh.h == expected.h
+
+    def test_infinite_chart_aspect_rejected(self):
+        problem = geo.TorusProblem(geo.TorusParams(1e200, 0.4))
+        with pytest.raises(InvalidArgumentError, match="chart aspect must be finite, got inf"):
+            build_mesh(4, 1, problem)
+
+    def test_large_finite_chart_aspect_allowed(self):
+        # no size cap: a long, thin band gets a long grid
+        n_t, n_s = _grid_shape(4, geo.TorusProblem(geo.TorusParams(100.0, 0.4)))
+        assert n_t == 4 and n_s > 10_000

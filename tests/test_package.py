@@ -32,6 +32,34 @@ BAD_INPUT = {
     "vtk-point-data": lambda tmp_path: surfnitsche.write_vtk(
         tmp_path / "out.vtk", _small_mesh(), {"u": np.zeros(3)}
     ),
+    "mesh-fractional-n-div": lambda tmp_path: surfnitsche.build_mesh(
+        8.5, 1, surfnitsche.TorusProblem()
+    ),
+    "mesh-float-n-div": lambda tmp_path: surfnitsche.build_mesh(8.0, 1, surfnitsche.TorusProblem()),
+    "mesh-nan-n-div": lambda tmp_path: surfnitsche.build_mesh(
+        float("nan"), 1, surfnitsche.TorusProblem()
+    ),
+    "mesh-fractional-order": lambda tmp_path: surfnitsche.build_mesh(
+        4, 2.5, surfnitsche.TorusProblem()
+    ),
+    "mesh-infinite-chart-aspect": lambda tmp_path: surfnitsche.build_mesh(
+        4, 1, surfnitsche.TorusProblem(surfnitsche.TorusParams(1e200, 0.4))
+    ),
+    "study-fractional-levels": lambda tmp_path: surfnitsche.convergence_study(
+        1, 3.5, 1e4, surfnitsche.TorusProblem()
+    ),
+    "study-fractional-base-divisions": lambda tmp_path: surfnitsche.convergence_study(
+        1, 3, 1e4, surfnitsche.TorusProblem(), base_divisions=2.5
+    ),
+    "error-measures-nan": lambda tmp_path: surfnitsche.error_measures(
+        _small_mesh(), np.full(_small_mesh().num_nodes, np.nan), surfnitsche.TorusProblem()
+    ),
+    "error-measures-inf": lambda tmp_path: surfnitsche.error_measures(
+        _small_mesh(), np.full(_small_mesh().num_nodes, np.inf), surfnitsche.TorusProblem()
+    ),
+    "assemble-string-beta": lambda tmp_path: surfnitsche.assemble(
+        _small_mesh(), "1e4", surfnitsche.TorusProblem()
+    ),
 }
 
 
