@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _solve_at_penalty, assemble
+from .assembly import _boundary_data, _solve_at_penalty, assemble
 from .errors import InvalidArgumentError
 from .mesh import ParametricMesh, _integer, build_mesh, edge_batches, element_batches
-from .reference import edge_rule, reference_element, triangle_rule
+from .reference import edge_rule, triangle_rule
 
 
 @dataclass(frozen=True)
@@ -62,59 +62,44 @@ def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures
     if not np.all(np.isfinite(coefficients)):
         raise InvalidArgumentError("coefficient vector has non-finite entries")
     degree = 2 * mesh.order + 4
-    ref = reference_element(mesh.order)
-    rule = triangle_rule(degree)
-    values, grads = ref.tabulate(rule.points)
 
-    l2_sq = 0.0
-    grad_sq = 0.0
-    for ids, bundle, scale in element_batches(mesh, problem, rule):
-        coeff = coefficients[mesh.elements[ids]]
-        u_h = coeff @ values.T
-        grad_u_h = bundle.lift(_reference_gradient(coeff, grads))
-        u_exact = problem.solution_at(bundle.position)
-        grad_exact = bundle.project_tangent(problem.solution_gradient_at(bundle.position))
-        diff = u_exact - u_h
+    l2_sq = grad_sq = 0.0
+    for ids, bundle, scale in element_batches(mesh, problem, triangle_rule(degree)):
+        _, diff, grad_diff = _fields(bundle, coefficients[mesh.elements[ids]], problem)
         l2_sq += float(np.sum(scale * diff**2))
-        grad_sq += float(np.sum(scale * np.sum((grad_exact - grad_u_h) ** 2, axis=-1)))
+        grad_sq += float(np.sum(scale * np.sum(grad_diff**2, axis=-1)))
 
-    flux_sq = 0.0
-    jump_sq = 0.0
-    mismatch_sq = 0.0
+    flux_sq = jump_sq = mismatch_sq = 0.0
     for side, ids, edge, scale in edge_batches(mesh, problem, edge_rule(degree)):
-        coeff = coefficients[mesh.elements[ids]]
-        u_h = coeff @ edge.values.T
-        grad_u_h = edge.frame.lift(_reference_gradient(coeff, edge.grads))
-        u_exact = problem.solution_at(edge.frame.position)
-        grad_exact = edge.frame.project_tangent(problem.solution_gradient_at(edge.frame.position))
-        flux_diff = np.sum(edge.conormal * (grad_exact - grad_u_h), axis=-1)
-        jump_diff = u_exact - u_h
+        u_h, diff, grad_diff = _fields(edge, coefficients[mesh.elements[ids]], problem)
+        flux_diff = np.sum(edge.conormal * grad_diff, axis=-1)
         flux_sq += float(np.sum(scale * flux_diff**2))
-        jump_sq += float(np.sum(scale * jump_diff**2))
-        qpts = edge.frame.position.reshape(-1, 3)
-        g_vals = problem.dirichlet_at(problem.project_to_boundary(qpts, side))
-        g_diff = u_h - g_vals.reshape(u_h.shape)
-        mismatch_sq += float(np.sum(scale * g_diff**2))
+        jump_sq += float(np.sum(scale * diff**2))
+        mismatch_sq += float(np.sum(scale * (u_h - _boundary_data(problem, side, edge)) ** 2))
 
     h = mesh.h
-    grad_part = grad_sq
     flux_part = h * flux_sq
     jump_part = jump_sq / h
     return ErrorMeasures(
         l2_error=float(np.sqrt(l2_sq)),
-        energy_error=float(np.sqrt(grad_part + flux_part + jump_part)),
-        grad_part=grad_part,
+        energy_error=float(np.sqrt(grad_sq + flux_part + jump_part)),
+        grad_part=grad_sq,
         flux_part=flux_part,
         jump_part=jump_part,
         boundary_mismatch=mismatch_sq / h,
     )
 
 
-def _reference_gradient(coeff, grads):
-    """Reference gradients (e,q,2) of the fields with coefficients coeff (e,n)."""
-    num_points, num_local, _ = grads.shape
-    table = grads.transpose(1, 0, 2).reshape(num_local, 2 * num_points)
-    return (coeff @ table).reshape(len(coeff), num_points, 2)
+def _fields(bundle, coeff, problem):
+    """u_h, u(p(x)) - u_h and the tangential grad u(p(x)) - grad u_h on a
+    batch of either kind; ``coeff`` (e,n) holds its elements' coefficients."""
+    num_points, num_local, _ = bundle.grads.shape
+    table = bundle.grads.transpose(1, 0, 2).reshape(num_local, 2 * num_points)
+    u_h = coeff @ bundle.values.T
+    grad_u_h = bundle.lift((coeff @ table).reshape(len(coeff), num_points, 2))
+    diff = problem.solution_at(bundle.position) - u_h
+    grad_exact = bundle.project_tangent(problem.solution_gradient_at(bundle.position))
+    return u_h, diff, grad_exact - grad_u_h
 
 
 def convergence_study(
@@ -130,6 +115,8 @@ def convergence_study(
     base_divisions = _integer("base_divisions", base_divisions)
     if levels < 3:
         raise InvalidArgumentError(f"a study needs at least three levels, got {levels}")
+    if base_divisions < 2:
+        raise InvalidArgumentError(f"base_divisions must be >= 2, got {base_divisions}")
     records: list[ConvergenceRecord] = []
     previous = None
     for level in range(levels):

@@ -85,11 +85,8 @@ def _symmetric(local):
 
 def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
     degree = assembly_degree(mesh.order)
-    ref = reference_element(mesh.order)
     rule = triangle_rule(degree)
-    values, grads = ref.tabulate(rule.points)
-    num_local = values.shape[1]
-    stiffness_table = _stiffness_table(grads)
+    stiffness_table = _stiffness_table(reference_element(mesh.order).grad(rule.points))
 
     n = mesh.num_nodes
     rows, cols, vals = [], [], []
@@ -105,14 +102,14 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
         rows.append(np.repeat(conn, conn.shape[1], axis=1).ravel())
         cols.append(np.tile(conn, (1, conn.shape[1])).ravel())
         local = metric_weights.reshape(len(ids), -1) @ stiffness_table
-        local = local.reshape(len(ids), num_local, num_local)
+        local = local.reshape(len(ids), conn.shape[1], conn.shape[1])
         vals.append(_symmetric(local).ravel())
         f_vals = problem.load_at(bundle.position)
-        np.add.at(rhs_core, conn.ravel(), ((scale * f_vals) @ values).ravel())
+        np.add.at(rhs_core, conn.ravel(), ((scale * f_vals) @ bundle.values).ravel())
 
     pen_rows, pen_cols, pen_vals = [], [], []
     for side, ids, edge, scale in edge_batches(mesh, problem, edge_rule(degree)):
-        covector = edge.frame.reference_components(edge.conormal)
+        covector = edge.reference_components(edge.conormal)
         flux = (edge.grads @ covector[..., None])[..., 0]
         conn = mesh.elements[ids]
         r = np.repeat(conn, conn.shape[1], axis=1).ravel()
@@ -128,9 +125,7 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
         pen_cols.append(c)
         pen_vals.append(_symmetric(pen).ravel())
 
-        qpts = edge.frame.position.reshape(-1, 3)
-        g_vals = problem.dirichlet_at(problem.project_to_boundary(qpts, side))
-        weighted_g = scale * g_vals.reshape(scale.shape)
+        weighted_g = scale * _boundary_data(problem, side, edge)
         np.add.at(rhs_core, conn.ravel(), -(weighted_g[:, None, :] @ flux).ravel())
         np.add.at(rhs_penalty, conn.ravel(), (weighted_g @ edge.values).ravel())
 
@@ -150,6 +145,12 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
     )
 
 
+def _boundary_data(problem, side, edge):
+    """g(q(x)) (e,q) at the points x of an edge batch on one boundary side."""
+    g_vals = problem.dirichlet_at(problem.project_to_boundary(edge.position.reshape(-1, 3), side))
+    return g_vals.reshape(edge.position.shape[:-1])
+
+
 def _penalized(parts: _Parts, beta: float, h: float):
     """A = core + beta/h * penalty and b = rhs_core + beta/h * rhs_penalty.
 
@@ -166,18 +167,23 @@ def _penalized(parts: _Parts, beta: float, h: float):
     return matrix, rhs
 
 
-def assemble(mesh: ParametricMesh, beta: float, problem) -> SparseSystem:
-    """Assemble the Nitsche system with penalty weight beta / h.
-
-    beta must be a finite positive number, small enough that the system
-    does not overflow; otherwise InvalidPenaltyError names it.
-    """
+def _check_penalty(beta):
+    """InvalidPenaltyError unless beta is a finite positive number."""
     try:
         valid = bool(np.isfinite(beta) and beta > 0.0)
     except TypeError:  # not a number, such as the string "1e4"
         valid = False
     if not valid:
         raise InvalidPenaltyError(f"penalty must be a finite positive number, got beta={beta!r}")
+
+
+def assemble(mesh: ParametricMesh, beta: float, problem) -> SparseSystem:
+    """Assemble the Nitsche system with penalty weight beta / h.
+
+    beta must be a finite positive number, small enough that the system
+    does not overflow; otherwise InvalidPenaltyError names it.
+    """
+    _check_penalty(beta)
     matrix, rhs = _penalized(_assemble_parts(mesh, problem), beta, mesh.h)
     return SparseSystem(matrix=matrix, rhs=rhs)
 
@@ -207,13 +213,15 @@ def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem):
     factorizations for n points.  Flags of the points it did not factorize
     follow from upward closedness.  The table lists every input beta once,
     in input order, and records where the threshold sits without
-    asserting it.  A beta that assemble would reject raises
-    InvalidPenaltyError; overflow grows with beta, so checking the largest
-    first catches it anywhere in the grid.
+    asserting it.  Every grid entry goes through assemble's beta check,
+    and an overflowing beta raises InvalidPenaltyError too: overflow grows
+    with beta, so checking the largest first catches it anywhere in the grid.
     """
+    if np.ndim(beta_grid) != 1 or len(beta_grid) == 0:
+        raise InvalidPenaltyError(f"beta grid must be a nonempty sequence, got {beta_grid!r}")
+    for beta in beta_grid:
+        _check_penalty(beta)
     betas = np.asarray(beta_grid, dtype=float)
-    if betas.size == 0 or not np.all(np.isfinite(betas) & (betas > 0.0)):
-        raise InvalidPenaltyError(f"beta grid must be nonempty, finite and positive, got {betas}")
     parts = _assemble_parts(mesh, problem)
     order = np.argsort(betas, kind="stable")
 

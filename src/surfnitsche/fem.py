@@ -6,6 +6,10 @@ G = J^T J, the area factor sqrt(det G), the unit normal (oriented to agree
 with the exact surface normal at the closest point), tangential gradients
 J G^{-1} grad_ref, and on boundary edges the exterior unit conormal.
 
+Every quadrature batch is a ``FrameBundle``, which carries the basis
+tables at its points; a boundary-edge batch is an ``EdgeBundle``, the
+same frames at one local edge's points plus the edge geometry.
+
 Batched frames are built with matrix products: positions are
 values @ coords and J^T is one product of the stacked reference gradients
 (2q, n) with each element's (n, 3) coordinates; the 2x2 metric and its
@@ -36,7 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class FrameBundle:
     """Vectorized frames for a batch of elements at shared reference points.
 
-    Arrays are indexed (element, quad point, ...):
+    ``values`` (q,n) and ``grads`` (q,n,2) tabulate the basis at the
+    points.  Arrays are indexed (element, quad point, ...):
     position (e,q,3), jacobian (e,q,3,2), metric/inv_metric (e,q,2,2),
     area_factor (e,q), normal (e,q,3).  ``exact_normal`` (e,q,3) is the
     exact surface normal at the closest point of each position, which
@@ -47,10 +52,13 @@ class FrameBundle:
     report and the boundary-edge geometry never read it.
     """
 
-    def __init__(self, coords, values, grads, normal_at_closest):
-        num_points, num_nodes = values.shape
-        self.position = values @ coords
-        stacked = grads.transpose(0, 2, 1).reshape(2 * num_points, num_nodes)
+    def __init__(self, mesh: "ParametricMesh", problem, element_ids, ref_points):
+        pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
+        self.values, self.grads = reference_element(mesh.order).tabulate(pts)
+        coords = mesh.nodes[mesh.elements[np.asarray(element_ids, dtype=int)]]
+        num_points, num_nodes = self.values.shape
+        self.position = self.values @ coords
+        stacked = self.grads.transpose(0, 2, 1).reshape(2 * num_points, num_nodes)
         jac_t = (stacked @ coords).reshape(len(coords), num_points, 2, 3)
         self._jacobian_t = jac_t
         self.jacobian = jac_t.swapaxes(-1, -2)
@@ -68,7 +76,7 @@ class FrameBundle:
         raw = _cross3(jac_t[..., 0, :], jac_t[..., 1, :])
         raw_norm = _norm3(raw)
         unit = raw / raw_norm[..., None]
-        self.exact_normal = normal_at_closest(self.position)
+        self.exact_normal = problem.normal_at_closest(self.position)
         orient = _dot3(unit, self.exact_normal)
         if np.any(orient == 0.0):
             raise DegenerateElementError("element normal perpendicular to the surface")
@@ -154,39 +162,29 @@ def _norm3(a):
 
 def frames(mesh: "ParametricMesh", problem, element_ids, ref_points) -> FrameBundle:
     """FrameBundle for the listed elements at shared reference points."""
-    ref = reference_element(mesh.order)
-    pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
-    values, grads = ref.tabulate(pts)
-    coords = mesh.nodes[mesh.elements[np.asarray(element_ids, dtype=int)]]
-    return FrameBundle(coords, values, grads, problem.normal_at_closest)
+    return FrameBundle(mesh, problem, element_ids, ref_points)
 
 
-class EdgeBundle:
-    """Vectorized boundary-edge geometry at shared edge parameters.
+class EdgeBundle(FrameBundle):
+    """Element frames at the points of one local edge, with its edge geometry.
 
-    Extends the element frames restricted to one local edge with the edge
-    tangent, the arc-length factor of the edge parameterization, and the
-    exterior unit conormal (tangent to the element, normal to the edge,
-    pointing away from the opposite corner).
+    The frames, basis tables and positions are those of
+    ``frames(mesh, problem, element_ids, edge_ref_points(local_edge, t))``;
+    the edge adds its unit tangent, the arc-length factor |x'(t)| of the
+    edge parameterization, and the exterior unit conormal (tangent to the
+    element, normal to the edge, pointing away from the opposite corner).
     """
 
     def __init__(self, mesh: "ParametricMesh", problem, element_ids, local_edge, t_points):
-        ref = reference_element(mesh.order)
-        t = np.asarray(t_points, dtype=float)
-        ref_pts = edge_ref_points(local_edge, t)
-        self.values, self.grads = ref.tabulate(ref_pts)
-        coords = mesh.nodes[mesh.elements[np.asarray(element_ids, dtype=int)]]
-        self.frame = FrameBundle(coords, self.values, self.grads, problem.normal_at_closest)
-        tangent = self.frame.jacobian @ edge_ref_direction(local_edge)
+        super().__init__(mesh, problem, element_ids, edge_ref_points(local_edge, t_points))
+        tangent = self.jacobian @ edge_ref_direction(local_edge)
         self.line_factor = _norm3(tangent)
         if np.any(self.line_factor <= 0.0):
             raise DegenerateElementError("degenerate boundary edge")
-        unit_tangent = tangent / self.line_factor[..., None]
-        conormal = _cross3(unit_tangent, self.frame.normal)
+        self.tangent = tangent / self.line_factor[..., None]
+        conormal = _cross3(self.tangent, self.normal)
         conormal /= _norm3(conormal)[..., None]
-        opposite = coords[:, ref.corner_ids[edge_opposite_corner(local_edge)], :]
-        inward = opposite[:, None, :] - self.frame.position
-        flip = _dot3(conormal, inward) > 0.0
+        corner = reference_element(mesh.order).corner_ids[edge_opposite_corner(local_edge)]
+        opposite = mesh.nodes[mesh.elements[np.asarray(element_ids, dtype=int), corner]]
+        flip = _dot3(conormal, opposite[:, None, :] - self.position) > 0.0
         self.conormal = np.where(flip[..., None], -conormal, conormal)
-        self.tangent = unit_tangent
-

@@ -20,19 +20,19 @@ with a quadratic falloff, and re-snap the blended nodes.  That pipeline
 remains valid only while the cells resolve the boundary waves (the blend
 softens but cannot remove the shear of an under-resolved corrected edge).
 
-Every quadrature over the mesh goes through one walker, used by assembly,
-error measurement, the geometric report and the fold check:
-``element_batches`` yields frames in batches of at most ``BATCH_POINTS``
-quadrature points with the weights w_q sqrt(det G), ``edge_batches`` one
-EdgeBundle per (local edge, side) group of ``ParametricMesh.boundary_edges``
-with the weights w_q |x'(t)|.  Bounding a batch by points rather than by
-elements keeps its (e, q, ...) work arrays the same size at every order
-and rule, small enough to be reused from batch to batch.  The geometric
-report and the fold check share one element pass: ``build_mesh`` walks
-the elements once, raises on folds and keeps the element side of the
-report on the mesh, so ``geometric_report`` of a built mesh against its
-build problem frames no element again, and it measures the boundary
-edges from their positions alone.
+Assembly and error measurement integrate through one walker whose every
+batch is a ``fem.FrameBundle`` with its basis tables: ``element_batches``
+yields frames in batches of at most ``BATCH_POINTS`` quadrature points
+with the weights w_q sqrt(det G), ``edge_batches`` one EdgeBundle (frames
+at one local edge's points) per (local edge, side) group of
+``ParametricMesh.boundary_edges`` with the weights w_q |x'(t)|.  Bounding
+a batch by points rather than by elements keeps its (e, q, ...) work
+arrays the same size at every order and rule, small enough to be reused
+from batch to batch.  The fold check and the report's element side are
+one element walk: ``build_mesh`` raises on folds and keeps that side on
+the mesh, so ``geometric_report`` of a built mesh against its build
+problem frames no element again; it interpolates the boundary-edge points
+from the element nodes and builds no edge frame.
 """
 from __future__ import annotations
 
@@ -138,11 +138,16 @@ def _integer(name, value, error=InvalidArgumentError):
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
-def _grid_shape(n_div: int, problem) -> tuple[int, int]:
+def _grid_shape(n_div: int, order: int, problem) -> tuple[int, int]:
+    """Cells (n_t, n_s) of the order-k grid; InvalidArgumentError names a
+    chart aspect that is infinite or too large for the node ids to index."""
     aspect = problem.chart_aspect
     if not np.isfinite(aspect):
         raise InvalidArgumentError(f"chart aspect must be finite, got {aspect}")
-    return n_div, n_div * int(np.ceil(aspect - 1e-9))
+    n_s = n_div * int(np.ceil(aspect - 1e-9))
+    if (order * n_div + 1) * (order * n_s + 1) > np.iinfo(np.intp).max:
+        raise InvalidArgumentError(f"chart aspect {aspect:g} gives more nodes than ids can index")
+    return n_div, n_s
 
 
 def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -> ParametricMesh:
@@ -180,7 +185,7 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
         raise UnsupportedDegreeError(f"order must be 1..3, got {k}")
     if node_placement not in ("chart", "facet-linear"):
         raise InvalidArgumentError(f"unknown node placement {node_placement!r}")
-    n_t, n_s = _grid_shape(n_div, problem)
+    n_t, n_s = _grid_shape(n_div, k, problem)
     t, s, elements, boundary_edges = _layout(n_t, n_s, k, problem.periodic, problem.boundary_sides)
     nodes = problem.chart(t, s)
     corners = nodes[elements[:, list(reference_element(k).corner_ids)]]

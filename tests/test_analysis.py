@@ -132,6 +132,8 @@ class TestConvergenceStudy:
         [
             (3.5, 8, "levels must be an integer, got 3.5"),
             (3, 2.5, "base_divisions must be an integer, got 2.5"),
+            (3, 1, "base_divisions must be >= 2, got 1"),
+            (3, 0, "base_divisions must be >= 2, got 0"),
             ("3", 8, "levels must be an integer, got '3'"),
         ],
     )

@@ -172,6 +172,12 @@ class TestBetaProbe:
             min_stable_beta_probe(mesh, [], torus_problem)
         with pytest.raises(InvalidPenaltyError):
             min_stable_beta_probe(mesh, [-1.0, 1.0], torus_problem)
+        for grid in (1e4, [[1e4, 10.0]]):
+            with pytest.raises(InvalidPenaltyError, match="nonempty sequence"):
+                min_stable_beta_probe(mesh, grid, torus_problem)
+        # the same rule as assemble: strings are not numbers
+        with pytest.raises(InvalidPenaltyError, match="got beta='1e4'"):
+            min_stable_beta_probe(mesh, ["1e4", "5"], torus_problem)
 
     # The unsorted grid lists 1e2 twice, and its threshold falls at a
     # different grid point for each k.

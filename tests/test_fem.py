@@ -3,9 +3,9 @@ import pytest
 
 from surfnitsche import geometry as geo
 from surfnitsche.errors import DegenerateElementError
-from surfnitsche.fem import EdgeBundle, _cross3, _norm3, frames
+from surfnitsche.fem import EdgeBundle, FrameBundle, _cross3, _norm3, frames
 from surfnitsche.mesh import ParametricMesh, build_mesh, edge_batches
-from surfnitsche.reference import edge_rule, lattice_points, reference_element
+from surfnitsche.reference import edge_ref_points, edge_rule, lattice_points, reference_element
 
 from conftest import observed_orders
 
@@ -109,11 +109,25 @@ class TestTangentGradient:
         np.testing.assert_allclose(dots / scale, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_edge_batch_is_element_frame(torus_problem, order):
+    """An edge batch is the element frame at the edge's reference points,
+    bit for bit, with the edge geometry added."""
+    mesh = build_mesh(8, order, torus_problem)
+    t = edge_rule(2 * order + 2).points
+    for (local_edge, _), ids in mesh.boundary_edges.items():
+        edge = EdgeBundle(mesh, torus_problem, ids, local_edge, t)
+        frame = frames(mesh, torus_problem, ids, edge_ref_points(local_edge, t))
+        assert isinstance(edge, FrameBundle)
+        for name in ("position", "jacobian", "normal", "area_factor", "values", "grads"):
+            np.testing.assert_array_equal(getattr(edge, name), getattr(frame, name), err_msg=name)
+
+
 class TestBoundaryConormal:
     def test_flat_hypotenuse(self, flat_problem):
         mesh = flat_mesh_from_triangle([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         edge = EdgeBundle(mesh, flat_problem, [0], 1, [0.5])
-        position, conormal = edge.frame.position[0, 0], edge.conormal[0, 0]
+        position, conormal = edge.position[0, 0], edge.conormal[0, 0]
         line_factor = edge.line_factor[0, 0]
         np.testing.assert_allclose(position, [0.5, 0.5, 0.0], atol=1e-14)
         s = 1.0 / np.sqrt(2.0)
@@ -126,7 +140,7 @@ class TestBoundaryConormal:
         rule = edge_rule(6)
         for _, _, bundle, _ in edge_batches(mesh, torus_problem, rule):
             np.testing.assert_allclose(
-                np.sum(bundle.conormal * bundle.frame.normal, axis=-1), 0.0, atol=1e-12
+                np.sum(bundle.conormal * bundle.normal, axis=-1), 0.0, atol=1e-12
             )
             np.testing.assert_allclose(
                 np.sum(bundle.conormal * bundle.tangent, axis=-1), 0.0, atol=1e-12
@@ -159,7 +173,7 @@ class TestBoundaryConormal:
             mesh = build_mesh(n_div, order, simple_problem)
             worst = 0.0
             for side, _, bundle, _ in edge_batches(mesh, simple_problem, rule):
-                pts = bundle.frame.position.reshape(-1, 3)
+                pts = bundle.position.reshape(-1, 3)
                 dev = np.linalg.norm(
                     exact_conormal(pts, side) - bundle.conormal.reshape(-1, 3), axis=-1
                 )

@@ -53,7 +53,7 @@ def boundary_data(problem, edge, side):
     by 1e-9 relative.  The oracle therefore projects the library's points;
     test_frames_match_einsum checks those points against einsum.
     """
-    points = edge.frame.position.reshape(-1, 3)
+    points = edge.position.reshape(-1, 3)
     return problem.dirichlet_at(problem.project_to_boundary(points, side))
 
 

@@ -108,7 +108,7 @@ def test_blend_matches_node_loop(problem, order):
 def test_connectivity_matches_cell_loop(problem, order):
     n_div = 5
     mesh = build_mesh(n_div, order, problem)
-    n_t, n_s = _grid_shape(n_div, problem)
+    n_t, n_s = _grid_shape(n_div, order, problem)
     rows = order * n_s + 1
     cols = order * n_t if problem.periodic else order * n_t + 1
     expected = loop_connectivity(n_t, n_s, order, rows, cols, problem.periodic)
@@ -376,7 +376,7 @@ class TestBuildReportMemo:
 def vertex_grid(n_div, problem):
     """Chart values on the (n_t + 1) x (n_s + 1) vertex grid; on periodic
     bands column n_t repeats column 0 at t = 1."""
-    n_t, n_s = _grid_shape(n_div, problem)
+    n_t, n_s = _grid_shape(n_div, 1, problem)
     return problem.chart((np.arange(n_t + 1) / n_t)[:, None], (np.arange(n_s + 1) / n_s)[None, :])
 
 
@@ -498,7 +498,14 @@ class TestLayout:
         with pytest.raises(InvalidArgumentError, match="chart aspect must be finite, got inf"):
             build_mesh(4, 1, problem)
 
+    @pytest.mark.parametrize("major_radius", [1e12, 1e100])
+    def test_unindexable_chart_aspect_rejected(self, major_radius):
+        problem = geo.TorusProblem(geo.TorusParams(major_radius, 0.4))
+        message = "chart aspect .* gives more nodes than ids can index"
+        with pytest.raises(InvalidArgumentError, match=message):
+            build_mesh(4, 1, problem)
+
     def test_large_finite_chart_aspect_allowed(self):
         # no size cap: a long, thin band gets a long grid
-        n_t, n_s = _grid_shape(4, geo.TorusProblem(geo.TorusParams(100.0, 0.4)))
+        n_t, n_s = _grid_shape(4, 3, geo.TorusProblem(geo.TorusParams(100.0, 0.4)))
         assert n_t == 4 and n_s > 10_000

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,21 @@ BAD_INPUT = {
     "assemble-string-beta": lambda tmp_path: surfnitsche.assemble(
         _small_mesh(), "1e4", surfnitsche.TorusProblem()
     ),
+    "mesh-unindexable-chart-aspect": lambda tmp_path: surfnitsche.build_mesh(
+        4, 1, surfnitsche.TorusProblem(surfnitsche.TorusParams(1e12, 0.4))
+    ),
+    "mesh-unindexable-chart-aspect-1e100": lambda tmp_path: surfnitsche.build_mesh(
+        4, 1, surfnitsche.TorusProblem(surfnitsche.TorusParams(1e100, 0.4))
+    ),
+    "probe-string-betas": lambda tmp_path: surfnitsche.min_stable_beta_probe(
+        _small_mesh(), ["1e4", "5"], surfnitsche.TorusProblem()
+    ),
+    "study-base-divisions-1": lambda tmp_path: surfnitsche.convergence_study(
+        1, 3, 1e4, surfnitsche.TorusProblem(), base_divisions=1
+    ),
+    "study-base-divisions-0": lambda tmp_path: surfnitsche.convergence_study(
+        1, 3, 1e4, surfnitsche.TorusProblem(), base_divisions=0
+    ),
 }
 
 
@@ -67,3 +84,16 @@ BAD_INPUT = {
 def test_bad_input_raises_library_error(case, tmp_path):
     with pytest.raises(surfnitsche.SurfNitscheError):
         BAD_INPUT[case](tmp_path)
+
+
+def test_source_lines_fit_100_characters():
+    """The source line count is tracked as a simplicity measure; this keeps
+    it from falling because statements were packed onto fewer lines."""
+    package = Path(surfnitsche.__file__).parent
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []

@@ -117,7 +117,7 @@ def all_at_once_report(mesh, problem):
     max_edge_dist = 0.0
     for (local_edge, side), element_ids in mesh.boundary_edges.items():
         edge = EdgeBundle(mesh, problem, element_ids, local_edge, erule.points)
-        pts = edge.frame.position.reshape(-1, 3)
+        pts = edge.position.reshape(-1, 3)
         proj = problem.project_to_boundary(pts, side)
         max_edge_dist = max(max_edge_dist, float(np.linalg.norm(pts - proj, axis=-1).max()))
 
