@@ -24,6 +24,14 @@ is the covector G^{-1} J^T nu (shape (e,q,2)) dotted with the reference
 gradients, and the mass-type and load terms are products of weighted
 values with the basis table.  Element and edge terms are integrated over
 the batches of the mesh module's quadrature walker.
+
+Each element batch writes its stiffness matrices into one preallocated
+block of element matrices (elements, n, n), and each boundary-edge group
+subtracts its consistency matrices from its elements' rows of that block
+in place.  The penalty matrices of the boundary elements form a second,
+small block.  Each block becomes a matrix by one COO to CSR conversion
+over int32 node ids, the index type scipy stores, so no triplet list is
+joined and no index array is copied.
 """
 from __future__ import annotations
 
@@ -76,9 +84,12 @@ def _symmetric(local):
     """(L + L^T) / 2 of element matrices (e, n, n).
 
     A matrix product need not sum L_ij and L_ji in the same order.  Averaging
-    keeps every element matrix exactly symmetric, so the assembled matrix
-    is symmetric up to the order in which the sparse conversion sums
-    duplicate entries; the MatrixMarket export keeps only one triangle.
+    keeps every stiffness matrix exactly symmetric, and the consistency
+    matrix C + C^T subtracted from it is exactly symmetric too, so each
+    element matrix, stiffness minus consistency, is exactly symmetric.  The
+    assembled matrix is then symmetric up to the order in which the sparse
+    conversion sums duplicate entries; the MatrixMarket export keeps only
+    one triangle.
     """
     return 0.5 * (local + local.transpose(0, 2, 1))
 
@@ -89,7 +100,10 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
     stiffness_table = _stiffness_table(reference_element(mesh.order).grad(rule.points))
 
     n = mesh.num_nodes
-    rows, cols, vals = [], [], []
+    # int32 ids are what scipy stores; int64 ids would be copied down
+    conn = mesh.elements.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    m = conn.shape[1]
+    local = np.empty((len(conn), m, m))
     rhs_core = np.zeros(n)
     rhs_penalty = np.zeros(n)
 
@@ -98,48 +112,34 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
         metric_weights = scale[..., None] * np.stack(
             [inv[..., 0, 0], inv[..., 1, 1], inv[..., 0, 1]], axis=-1
         )
-        conn = mesh.elements[ids]
-        rows.append(np.repeat(conn, conn.shape[1], axis=1).ravel())
-        cols.append(np.tile(conn, (1, conn.shape[1])).ravel())
-        local = metric_weights.reshape(len(ids), -1) @ stiffness_table
-        local = local.reshape(len(ids), conn.shape[1], conn.shape[1])
-        vals.append(_symmetric(local).ravel())
+        block = metric_weights.reshape(len(ids), -1) @ stiffness_table
+        local[ids] = _symmetric(block.reshape(len(ids), m, m))
         f_vals = problem.load_at(bundle.position)
-        np.add.at(rhs_core, conn.ravel(), ((scale * f_vals) @ bundle.values).ravel())
+        np.add.at(rhs_core, conn[ids].ravel(), ((scale * f_vals) @ bundle.values).ravel())
 
-    pen_rows, pen_cols, pen_vals = [], [], []
+    # the penalty lives on the boundary elements only: their own element block
+    pen_ids, pen_local = [np.empty(0, dtype=int)], [np.empty((0, m, m))]
     for side, ids, edge, scale in edge_batches(mesh, problem, edge_rule(degree)):
         covector = edge.reference_components(edge.conormal)
         flux = (edge.grads @ covector[..., None])[..., 0]
-        conn = mesh.elements[ids]
-        r = np.repeat(conn, conn.shape[1], axis=1).ravel()
-        c = np.tile(conn, (1, conn.shape[1])).ravel()
-
         consistency = (scale[..., None] * flux).transpose(0, 2, 1) @ edge.values
-        rows.append(r)
-        cols.append(c)
-        vals.append(-(consistency + consistency.transpose(0, 2, 1)).ravel())
-
-        pen = (edge.values.T * scale[:, None, :]) @ edge.values
-        pen_rows.append(r)
-        pen_cols.append(c)
-        pen_vals.append(_symmetric(pen).ravel())
+        # ids are unique within a group, so no consistency block is lost
+        local[ids] -= consistency + consistency.transpose(0, 2, 1)
+        pen_ids.append(ids)
+        pen_local.append(_symmetric((edge.values.T * scale[:, None, :]) @ edge.values))
 
         weighted_g = scale * _boundary_data(problem, side, edge)
-        np.add.at(rhs_core, conn.ravel(), -(weighted_g[:, None, :] @ flux).ravel())
-        np.add.at(rhs_penalty, conn.ravel(), (weighted_g @ edge.values).ravel())
+        np.add.at(rhs_core, conn[ids].ravel(), -(weighted_g[:, None, :] @ flux).ravel())
+        np.add.at(rhs_penalty, conn[ids].ravel(), (weighted_g @ edge.values).ravel())
 
-    def build(rr, cc, vv):
-        if not rr:
-            return sp.csr_matrix((n, n))
-        mat = sp.coo_matrix(
-            (np.concatenate(vv), (np.concatenate(rr), np.concatenate(cc))), shape=(n, n)
-        )
-        return mat.tocsr()
+    def build(elements, blocks):
+        rows = np.repeat(elements, m, axis=1).ravel()
+        cols = np.tile(elements, (1, m)).ravel()
+        return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
     return _Parts(
-        core=build(rows, cols, vals),
-        penalty=build(pen_rows, pen_cols, pen_vals),
+        core=build(conn, local),
+        penalty=build(conn[np.concatenate(pen_ids)], np.concatenate(pen_local)),
         rhs_core=rhs_core,
         rhs_penalty=rhs_penalty,
     )
@@ -159,7 +159,7 @@ def _penalized(parts: _Parts, beta: float, h: float):
     """
     weight = beta / h
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = (parts.core + weight * parts.penalty).tocsr()
+        matrix = parts.core + weight * parts.penalty
         rhs = parts.rhs_core + weight * parts.rhs_penalty
         overflow = not (np.all(np.isfinite(matrix.data)) and np.isfinite(rhs @ rhs))
     if overflow:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfnitsche import geometry as geo
-from surfnitsche.assembly import assemble, min_stable_beta_probe
+from surfnitsche.assembly import _assemble_parts, assemble, min_stable_beta_probe
 from surfnitsche.errors import InvalidPenaltyError, MeshInvalidError, NotPositiveDefiniteError
 from surfnitsche.mesh import build_mesh
 from surfnitsche.solve import is_positive_definite, solve_linear, solve_spd
@@ -92,6 +93,52 @@ class TestSystemStructure:
         mesh = build_mesh(4, 2, problem)
         with pytest.raises(InvalidPenaltyError, match="beta"):
             assemble(mesh, 1e308, problem)
+
+
+def pair_pattern(conn, n):
+    """CSR indptr and indices of every (conn_i, conn_j) pair of the given elements."""
+    keys = np.unique(conn[:, :, None].astype(np.int64) * n + conn[:, None, :])
+    counts = np.bincount(keys // n, minlength=n)
+    return np.concatenate([[0], np.cumsum(counts)]), keys % n
+
+
+class TestElementBlockAssembly:
+    """The system is built from one block of element matrices per matrix."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "problem",
+        [geo.TorusProblem(), geo.TorusProblem.simplified(), geo.FlatSquareProblem(2)],
+        ids=["wavy", "simplified", "flat"],
+    )
+    def test_patterns_and_unique_edge_ids(self, problem, order):
+        mesh = build_mesh(4, order, problem)
+        # each group's consistency blocks are subtracted from the element
+        # block by fancy indexing, which keeps one update per repeated id
+        for ids in mesh.boundary_edges.values():
+            assert len(np.unique(ids)) == len(ids)
+        parts = _assemble_parts(mesh, problem)
+        boundary = np.concatenate(list(mesh.boundary_edges.values()))
+        for matrix, conn in (
+            (parts.core, mesh.elements),
+            (parts.penalty, mesh.elements[boundary]),
+        ):
+            indptr, indices = pair_pattern(conn, mesh.num_nodes)
+            assert np.array_equal(matrix.indptr, indptr)
+            assert np.array_equal(matrix.indices, indices)
+
+    def test_memory_bounded(self, torus_problem):
+        # about 15.4 MiB: the element block and one int32 COO to CSR conversion
+        mesh = build_mesh(32, 3, torus_problem)
+        tracemalloc.start()
+        try:
+            parts = _assemble_parts(mesh, torus_problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
+        assert parts.core.indices.dtype == np.int32
+        assert parts.penalty.indices.dtype == np.int32
 
 
 class TestNitscheConsistency:
