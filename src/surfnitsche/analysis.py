@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import _boundary_data, _solve_at_penalty, assemble
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, float_array
 from .mesh import ParametricMesh, _integer, build_mesh, edge_batches, element_batches
 from .reference import edge_rule, triangle_rule
 
@@ -56,9 +56,7 @@ class ConvergenceRecord:
 
 def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures:
     """Measure u(p(x)) - u_h in the L2 and energy norms."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != (mesh.num_nodes,):
-        raise InvalidArgumentError("coefficient vector does not match mesh nodes")
+    coefficients = float_array("coefficient vector", coefficients, (mesh.num_nodes,))
     if not np.all(np.isfinite(coefficients)):
         raise InvalidArgumentError("coefficient vector has non-finite entries")
     degree = 2 * mesh.order + 4

@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the array check that raises one."""
+import numpy as np
 
 
 class SurfNitscheError(Exception):
@@ -43,3 +44,14 @@ class NotPositiveDefiniteError(SolverError):
 
 class MaxIterationsExceededError(SolverError):
     """Iteration cap reached before the requested tolerance was met."""
+
+
+def float_array(name, values, shape):
+    """values as a float array of ``shape``; otherwise InvalidArgumentError naming them."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must be numeric") from None
+    if array.shape != shape:
+        raise InvalidArgumentError(f"{name} has shape {array.shape}, expected {shape}")
+    return array

@@ -3,7 +3,7 @@
 VTK layout (legacy ASCII, one file per call), written exactly as:
 
     # vtk DataFile Version 3.0
-    <title>
+    surfnitsche mesh
     ASCII
     DATASET UNSTRUCTURED_GRID
     POINTS <n_nodes> double
@@ -21,15 +21,17 @@ Cell connectivity follows the VTK Lagrange-triangle ordering: corner
 nodes, then the interior nodes of edges 0-1, 1-2, 2-0 in edge direction,
 then interior lattice nodes (one for cubic triangles).
 
-MatrixMarket files use the coordinate format with symmetric storage
-(lower triangle) for matrices and the array format for vectors.
+MatrixMarket files come from ``scipy.io.mmwrite`` (imported on first
+use): coordinate format with symmetric storage (lower triangle) for
+matrices, array format for vectors, a ``%`` comment line after the
+header, and values as shortest round-trip floats.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, float_array
 from .mesh import ParametricMesh
 from .reference import edge_node_ids, reference_element
 
@@ -45,14 +47,14 @@ def vtk_node_order(order: int) -> np.ndarray:
     return np.concatenate([boundary, interior])
 
 
-def write_vtk(path, mesh: ParametricMesh, point_data: dict | None = None, title="surfnitsche mesh"):
+def write_vtk(path, mesh: ParametricMesh, point_data: dict | None = None):
     """Write the mesh (and optional nodal scalar fields) as legacy ASCII VTK."""
     perm = vtk_node_order(mesh.order)
     cells = mesh.elements[:, perm]
     n_local = cells.shape[1]
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "surfnitsche mesh",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.num_nodes} double",
@@ -65,9 +67,7 @@ def write_vtk(path, mesh: ParametricMesh, point_data: dict | None = None, title=
     if point_data:
         lines.append(f"POINT_DATA {mesh.num_nodes}")
         for name, values in point_data.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != (mesh.num_nodes,):
-                raise InvalidArgumentError(f"point data {name!r} does not match node count")
+            values = float_array(f"point data {name!r}", values, (mesh.num_nodes,))
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
             lines += [f"{v:.17g}" for v in values]
@@ -76,23 +76,20 @@ def write_vtk(path, mesh: ParametricMesh, point_data: dict | None = None, title=
 
 
 def write_matrix_market(path, matrix):
-    """Write a symmetric sparse matrix in MatrixMarket coordinate format."""
-    matrix = sp.coo_matrix(matrix)
-    mask = matrix.row >= matrix.col
-    rows, cols, vals = matrix.row[mask], matrix.col[mask], matrix.data[mask]
-    order = np.lexsort((rows, cols))
-    with open(path, "w") as handle:
-        handle.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        handle.write(f"{matrix.shape[0]} {matrix.shape[1]} {mask.sum()}\n")
-        for i in order:
-            handle.write(f"{rows[i] + 1} {cols[i] + 1} {vals[i]:.17g}\n")
+    """Write a square sparse matrix's lower triangle in MatrixMarket coordinate format."""
+    import scipy.io
+
+    matrix = sp.coo_matrix(matrix, dtype=float)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise InvalidArgumentError(f"matrix must be square, got shape {matrix.shape}")
+    with open(path, "wb") as handle:
+        scipy.io.mmwrite(handle, matrix, symmetry="symmetric")
 
 
 def write_vector_market(path, vector):
     """Write a dense vector in MatrixMarket array format."""
-    vector = np.asarray(vector, dtype=float)
-    with open(path, "w") as handle:
-        handle.write("%%MatrixMarket matrix array real general\n")
-        handle.write(f"{vector.shape[0]} 1\n")
-        for v in vector:
-            handle.write(f"{v:.17g}\n")
+    import scipy.io
+
+    vector = float_array("vector", vector, (np.size(vector),))
+    with open(path, "wb") as handle:
+        scipy.io.mmwrite(handle, vector[:, None])

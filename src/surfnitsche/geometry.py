@@ -28,9 +28,12 @@ solution / gradient / load / Dirichlet data.
 """
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval2d
 
 from .errors import (
     DegenerateInputError,
@@ -59,10 +62,11 @@ class TorusParams:
     minor_radius: float = 0.4
 
     def __post_init__(self):
-        if not 0.0 < self.minor_radius < self.major_radius < np.inf:
+        real = all(isinstance(r, numbers.Real) for r in (self.minor_radius, self.major_radius))
+        if not (real and 0.0 < self.minor_radius < self.major_radius < np.inf):
             raise InvalidArgumentError(
                 "torus radii must satisfy 0 < minor_radius < major_radius < inf, "
-                f"got minor={self.minor_radius}, major={self.major_radius}"
+                f"got minor={self.minor_radius!r}, major={self.major_radius!r}"
             )
 
 
@@ -82,11 +86,13 @@ class BoundarySpec:
     offset: float = 0.6 * TWO_PI
 
     def __post_init__(self):
+        for name in ("amplitude", "offset", "waves_lower", "waves_upper"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+                raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
         for waves in (self.waves_lower, self.waves_upper):
             if not float(waves).is_integer():
                 raise InvalidArgumentError(f"wave counts must be whole numbers, got {waves}")
-        if not np.isfinite([self.amplitude, self.offset]).all():
-            raise InvalidArgumentError("boundary amplitude and offset must be finite")
         theta = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
         gap = boundary_phi("upper", theta, self) - boundary_phi("lower", theta, self)
         if not np.all(gap > 0.0):
@@ -352,7 +358,6 @@ class TorusProblem:
     are pure and vectorized over a leading batch of points.
     """
 
-    name = "torus"
     periodic = True
     boundary_sides = ("lower", "upper")
 
@@ -443,45 +448,36 @@ class TorusProblem:
         """Closest-point extension of the load, f(p(x)): f at the angles of x."""
         return load(*toroidal_angles(points, self.torus), self.torus)
 
-    def dirichlet_at(self, points):
-        """Dirichlet data at points assumed to lie on the boundary curves."""
-        return self.solution_at(points)
+    # Dirichlet data at points assumed to lie on the boundary curves.
+    dirichlet_at = solution_at
 
 
-# Fixed polynomial solutions of total degree 1..3 for the flat patch test.
+# Fixed polynomial solutions of total degree 1..3 for the flat patch test,
+# as coefficient arrays c[a, b] of x^a y^b.
 _FLAT_SOLUTIONS = {
-    1: {(1, 0): 1.0, (0, 1): 2.0, (0, 0): -0.5},
-    2: {(2, 0): 1.0, (1, 1): 3.0, (0, 2): -2.0, (1, 0): 1.0, (0, 1): 2.0},
-    3: {
-        (3, 0): 1.0,
-        (2, 1): -2.0,
-        (1, 2): 1.0,
-        (0, 3): 1.0,
-        (2, 0): -1.0,
-        (1, 1): 2.0,
-        (1, 0): 1.0,
-        (0, 1): -1.0,
-    },
+    1: [[-0.5, 2.0], [1.0, 0.0]],
+    2: [[0.0, 2.0, -2.0], [1.0, 3.0, 0.0], [1.0, 0.0, 0.0]],
+    3: [[0.0, -1.0, 0.0, 1.0], [1.0, 2.0, 1.0, 0.0], [-1.0, -2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
 }
 
-_SQUARE_CORNERS = np.array(
-    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
-)
+# Side name -> (axis held fixed, its value) on the unit square.
+_SQUARE_SIDES = {"lower": (1, 0.0), "right": (0, 1.0), "upper": (1, 1.0), "left": (0, 0.0)}
 
 
-def _poly_eval(coeffs, x, y):
-    total = np.zeros(np.broadcast(x, y).shape)
-    for (a, b), c in coeffs.items():
-        total = total + c * x**a * y**b
-    return total
-
-
-def _poly_dx(coeffs):
-    return {(a - 1, b): a * c for (a, b), c in coeffs.items() if a > 0}
-
-
-def _poly_dy(coeffs):
-    return {(a, b - 1): b * c for (a, b), c in coeffs.items() if b > 0}
+def _coefficient_array(coefficients):
+    """c[a, b] from {(a, b): c_ab}, exponents non-negative integers and values finite."""
+    try:
+        values = np.array(list(coefficients.values()), dtype=float)
+        exponents = np.array([[operator.index(e) for e in key] for key in coefficients], int)
+        exponents = exponents.reshape(len(values), 2)
+        valid = np.all(np.isfinite(values)) and np.all(exponents >= 0)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise InvalidArgumentError(f"invalid flat solution coefficients {coefficients!r}")
+    array = np.zeros(exponents.max(axis=0, initial=0) + 1)
+    array[tuple(exponents.T)] = values
+    return array
 
 
 class FlatSquareProblem:
@@ -490,33 +486,28 @@ class FlatSquareProblem:
     The full surface pipeline runs with zero geometric error, which makes
     this the patch-test configuration: with elements of order >= the
     polynomial degree the discrete solution must reproduce the polynomial
-    to solver accuracy.
+    to solver accuracy.  The solution is the array ``coefficients[a, b]``
+    of x^a y^b; each boundary side is one clamp onto its line.
     """
 
-    name = "flat-square"
     periodic = False
-    boundary_sides = ("lower", "right", "upper", "left")
+    boundary_sides = tuple(_SQUARE_SIDES)
 
     def __init__(self, degree: int = 1, coefficients: dict | None = None):
         if coefficients is None:
             if degree not in _FLAT_SOLUTIONS:
                 raise UnsupportedDegreeError(f"no built-in flat solution of degree {degree}")
-            coefficients = _FLAT_SOLUTIONS[degree]
-        self.degree = degree
-        self.coefficients = dict(coefficients)
-        self._dx = _poly_dx(self.coefficients)
-        self._dy = _poly_dy(self.coefficients)
-        self._lap = {}
-        for (a, b), c in list(_poly_dx(self._dx).items()) + list(_poly_dy(self._dy).items()):
-            self._lap[(a, b)] = self._lap.get((a, b), 0.0) + c
+            self.coefficients = np.array(_FLAT_SOLUTIONS[degree])
+        else:
+            self.coefficients = _coefficient_array(coefficients)
+        self._dx = polyder(self.coefficients, axis=0)
+        self._dy = polyder(self.coefficients, axis=1)
+        self._laplacian_terms = (polyder(self._dx, axis=0), polyder(self._dy, axis=1))
 
     chart_aspect = 1.0
 
     def chart(self, t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        t, s = np.broadcast_arrays(t, s)
-        return np.stack([t, s, np.zeros_like(t)], axis=-1)
+        return np.stack(np.broadcast_arrays(t, s, 0.0), axis=-1)
 
     def closest_point(self, points):
         pts = np.array(points, dtype=float)
@@ -527,55 +518,33 @@ class FlatSquareProblem:
         return np.asarray(points, dtype=float)[..., 2]
 
     def normal_at_closest(self, points):
-        pts = np.asarray(points, dtype=float)
-        normal = np.zeros_like(pts)
-        normal[..., 2] = 1.0
-        return normal
-
-    def project_to_boundary(self, points, side):
-        """Nearest point of the square's perimeter (side tag not needed)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        best = None
-        best_d2 = None
-        for i in range(4):
-            a = _SQUARE_CORNERS[i]
-            b = _SQUARE_CORNERS[(i + 1) % 4]
-            ab = b - a
-            t = np.clip((pts - a) @ ab / (ab @ ab), 0.0, 1.0)
-            cand = a + t[:, None] * ab
-            d2 = np.sum((pts - cand) ** 2, axis=-1)
-            if best is None:
-                best, best_d2 = cand, d2
-            else:
-                closer = d2 < best_d2
-                best = np.where(closer[:, None], cand, best)
-                best_d2 = np.where(closer, d2, best_d2)
-        return best.reshape(np.shape(points))
+        return np.broadcast_to([0.0, 0.0, 1.0], np.shape(points)).copy()
 
     def correct_to_boundary(self, points, side):
         """Clamp points onto one side line of the square."""
-        pts = self.closest_point(points)
-        fixed = {"lower": (1, 0.0), "upper": (1, 1.0), "left": (0, 0.0), "right": (0, 1.0)}
-        axis, value = fixed[side]
+        if side not in _SQUARE_SIDES:
+            raise InvalidArgumentError(f"unknown boundary side {side!r}")
+        axis, value = _SQUARE_SIDES[side]
+        pts = np.clip(self.closest_point(points), 0.0, 1.0)
         pts[..., axis] = value
-        pts[..., 1 - axis] = np.clip(pts[..., 1 - axis], 0.0, 1.0)
         return pts
+
+    project_to_boundary = correct_to_boundary
 
     def solution_at(self, points):
         pts = np.asarray(points, dtype=float)
-        return _poly_eval(self.coefficients, pts[..., 0], pts[..., 1])
+        return polyval2d(pts[..., 0], pts[..., 1], self.coefficients)
 
     def solution_gradient_at(self, points):
         pts = np.asarray(points, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
         return np.stack(
-            [_poly_eval(self._dx, x, y), _poly_eval(self._dy, x, y), np.zeros_like(x)],
+            [polyval2d(x, y, self._dx), polyval2d(x, y, self._dy), np.zeros_like(x)],
             axis=-1,
         )
 
     def load_at(self, points):
         pts = np.asarray(points, dtype=float)
-        return -_poly_eval(self._lap, pts[..., 0], pts[..., 1])
+        return -sum(polyval2d(pts[..., 0], pts[..., 1], c) for c in self._laplacian_terms)
 
-    def dirichlet_at(self, points):
-        return self.solution_at(points)
+    dirichlet_at = solution_at

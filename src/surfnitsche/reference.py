@@ -75,11 +75,8 @@ class ReferenceElement:
         pts = np.atleast_2d(points)
         xi, eta = pts[:, 0], pts[:, 1]
         a, b = self._exponents[:, 0], self._exponents[:, 1]
-        with np.errstate(invalid="ignore"):
-            dxi = np.where(a > 0, a * xi[:, None] ** np.maximum(a - 1, 0), 0.0)
-            deta = np.where(b > 0, b * eta[:, None] ** np.maximum(b - 1, 0), 0.0)
-        dxi = dxi * eta[:, None] ** b[None, :]
-        deta = xi[:, None] ** a[None, :] * deta
+        dxi = a * xi[:, None] ** np.maximum(a - 1, 0) * eta[:, None] ** b
+        deta = xi[:, None] ** a * (b * eta[:, None] ** np.maximum(b - 1, 0))
         return dxi, deta
 
     def eval(self, points) -> np.ndarray:

@@ -87,3 +87,35 @@ class TestMatrixMarket:
         write_matrix_market(path, matrix)
         back = scipy.io.mmread(path).tocsr()
         assert np.abs(back - matrix).max() == 0.0
+
+    def test_path_without_suffix_kept(self, tmp_path):
+        """The exact path is written: no ``.mtx`` is appended."""
+        path = tmp_path / "system"
+        write_matrix_market(path, sp.identity(3, format="csr"))
+        write_vector_market(tmp_path / "rhs", np.ones(3))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rhs", "system"]
+        assert np.array_equal(scipy.io.mmread(path).toarray(), np.eye(3))
+
+    def test_integer_input_written_as_real(self, tmp_path):
+        matrix = sp.csr_matrix(np.array([[2, -1], [-1, 2]], dtype=np.int64))
+        write_matrix_market(tmp_path / "int.mtx", matrix)
+        write_vector_market(tmp_path / "int_rhs.mtx", np.array([3, -4]))
+        header = (tmp_path / "int.mtx").read_text().splitlines()[0]
+        assert header == "%%MatrixMarket matrix coordinate real symmetric"
+        vector_header = (tmp_path / "int_rhs.mtx").read_text().splitlines()[0]
+        assert vector_header == "%%MatrixMarket matrix array real general"
+        back = scipy.io.mmread(tmp_path / "int.mtx")
+        assert back.dtype == np.float64
+        assert np.array_equal(back.toarray(), matrix.toarray())
+        assert np.array_equal(scipy.io.mmread(tmp_path / "int_rhs.mtx").ravel(), [3.0, -4.0])
+
+    def test_lower_triangle_stored(self, tmp_path, torus_problem):
+        """Symmetric storage holds exactly the lower triangle, read back bitwise."""
+        system = assemble(build_mesh(4, 2, torus_problem), 1e4, torus_problem)
+        path = tmp_path / "matrix.mtx"
+        write_matrix_market(path, system.matrix)
+        rows, cols, _ = sp.find(system.matrix)
+        size = next(line for line in path.read_text().splitlines() if not line.startswith("%"))
+        assert size == f"{system.matrix.shape[0]} {system.matrix.shape[1]} {np.sum(rows >= cols)}"
+        back = scipy.io.mmread(path).tocsr()
+        assert (back != system.matrix).nnz == 0

@@ -417,17 +417,74 @@ class TestFlatSquare:
         np.testing.assert_allclose(problem.load_at(pts), -lap, atol=1e-5)
 
     def test_perimeter_projection(self):
+        """Each side is a clamp onto its own line: points off the square or
+        inside it keep the coordinate along the side, clipped to [0, 1]."""
         problem = geo.FlatSquareProblem(1)
-        pts = np.array([[0.5, -0.1, 0.02], [1.2, 0.5, 0.0], [0.5, 0.5, 0.0]])
-        projected = problem.project_to_boundary(pts, "lower")
-        np.testing.assert_allclose(projected[0], [0.5, 0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(projected[1], [1.0, 0.5, 0.0], atol=1e-15)
-        assert np.min(np.abs([projected[2][0], projected[2][1], 1 - projected[2][0], 1 - projected[2][1]])) < 1e-12
+        pts = np.array([[0.5, -0.1, 0.02], [1.2, 0.5, 0.0], [0.3, 0.6, -0.1], [-0.4, 1.7, 0.0]])
+        expected = {
+            "lower": [[0.5, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            "right": [[1.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.0, 0.6, 0.0], [1.0, 1.0, 0.0]],
+            "upper": [[0.5, 1.0, 0.0], [1.0, 1.0, 0.0], [0.3, 1.0, 0.0], [0.0, 1.0, 0.0]],
+            "left": [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.6, 0.0], [0.0, 1.0, 0.0]],
+        }
+        assert set(expected) == set(problem.boundary_sides)
+        for side, on_side in expected.items():
+            projected = problem.project_to_boundary(pts, side)
+            assert np.array_equal(projected, on_side)
+            assert np.array_equal(problem.correct_to_boundary(pts, side), projected)
+            assert np.array_equal(problem.project_to_boundary(pts[0], side), on_side[0])
 
     def test_boundary_points_fixed(self):
+        """Points on a side, corners included, map to themselves."""
         problem = geo.FlatSquareProblem(1)
-        pts = np.array([[0.25, 0.0, 0.0], [1.0, 0.75, 0.0]])
-        np.testing.assert_allclose(problem.project_to_boundary(pts, "lower"), pts, atol=1e-15)
+        t = np.array([0.0, 0.25, 0.5, 1.0])
+        zero, one = np.zeros_like(t), np.ones_like(t)
+        on_side = {
+            "lower": np.column_stack([t, zero, zero]),
+            "right": np.column_stack([one, t, zero]),
+            "upper": np.column_stack([t, one, zero]),
+            "left": np.column_stack([zero, t, zero]),
+        }
+        for side, pts in on_side.items():
+            assert np.array_equal(problem.project_to_boundary(pts, side), pts)
+            assert np.array_equal(problem.correct_to_boundary(pts, side), pts)
+
+    def test_unknown_side(self):
+        problem = geo.FlatSquareProblem(1)
+        for method in (problem.project_to_boundary, problem.correct_to_boundary):
+            with pytest.raises(InvalidArgumentError, match="bogus"):
+                method(np.zeros((1, 3)), "bogus")
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [1, 2, 3, {(0, 0): 0.25, (4, 0): -1.5, (0, 5): 2.0, (2, 3): 0.75, (1, 0): 3.0}],
+        ids=["degree-1", "degree-2", "degree-3", "custom"],
+    )
+    def test_matches_monomial_sums(self, coefficients):
+        """Solution, gradient and load against sums over the monomials c x^a y^b."""
+        if isinstance(coefficients, int):
+            problem = geo.FlatSquareProblem(coefficients)
+            coefficients = dict(np.ndenumerate(np.array(geo._FLAT_SOLUTIONS[coefficients])))
+        else:
+            problem = geo.FlatSquareProblem(coefficients=coefficients)
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(-0.5, 1.5, (200, 2)), rng.uniform(-0.1, 0.1, 200)])
+        x, y = pts[:, 0], pts[:, 1]
+        u = ux = uy = lap = 0.0
+        for (a, b), c in coefficients.items():
+            u = u + c * x**a * y**b
+            if a >= 1:
+                ux = ux + a * c * x ** (a - 1) * y**b
+            if b >= 1:
+                uy = uy + b * c * x**a * y ** (b - 1)
+            if a >= 2:
+                lap = lap + a * (a - 1) * c * x ** (a - 2) * y**b
+            if b >= 2:
+                lap = lap + b * (b - 1) * c * x**a * y ** (b - 2)
+        gradient = np.column_stack(np.broadcast_arrays(ux, uy, 0.0 * x))
+        np.testing.assert_allclose(problem.solution_at(pts), u, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(problem.solution_gradient_at(pts), gradient, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(problem.load_at(pts), -lap + 0.0 * x, rtol=0.0, atol=1e-13)
 
     def test_unknown_degree(self):
         with pytest.raises(ValueError):

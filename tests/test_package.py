@@ -1,3 +1,7 @@
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +81,39 @@ BAD_INPUT = {
     "study-base-divisions-0": lambda tmp_path: surfnitsche.convergence_study(
         1, 3, 1e4, surfnitsche.TorusProblem(), base_divisions=0
     ),
+    "flat-side": lambda tmp_path: surfnitsche.FlatSquareProblem(1).correct_to_boundary(
+        np.zeros((1, 3)), "bogus"
+    ),
+    "flat-projection-side": lambda tmp_path: surfnitsche.FlatSquareProblem(1).project_to_boundary(
+        np.zeros((1, 3)), "bogus"
+    ),
+    "flat-fractional-exponent": lambda tmp_path: surfnitsche.FlatSquareProblem(
+        coefficients={(0.5, 0): 1.0}
+    ),
+    "flat-negative-exponent": lambda tmp_path: surfnitsche.FlatSquareProblem(
+        coefficients={(-1, 0): 1.0}
+    ),
+    "flat-nan-coefficient": lambda tmp_path: surfnitsche.FlatSquareProblem(
+        coefficients={(1, 0): np.nan}
+    ),
+    "flat-string-coefficient": lambda tmp_path: surfnitsche.FlatSquareProblem(
+        coefficients={(1, 0): "x"}
+    ),
+    "torus-string-radius": lambda tmp_path: surfnitsche.TorusParams("1", 0.4),
+    "boundary-string-amplitude": lambda tmp_path: surfnitsche.BoundarySpec(amplitude="x"),
+    "boundary-string-waves": lambda tmp_path: surfnitsche.BoundarySpec(waves_lower="4"),
+    "vtk-non-numeric-point-data": lambda tmp_path: surfnitsche.write_vtk(
+        tmp_path / "out.vtk", _small_mesh(), {"u": ["a"] * _small_mesh().num_nodes}
+    ),
+    "error-measures-non-numeric": lambda tmp_path: surfnitsche.error_measures(
+        _small_mesh(), ["a"] * _small_mesh().num_nodes, surfnitsche.TorusProblem()
+    ),
+    "matrix-market-vector": lambda tmp_path: surfnitsche.write_matrix_market(
+        tmp_path / "out.mtx", np.ones(3)
+    ),
+    "vector-market-matrix": lambda tmp_path: surfnitsche.write_vector_market(
+        tmp_path / "out.mtx", np.ones((3, 2))
+    ),
 }
 
 
@@ -84,6 +121,44 @@ BAD_INPUT = {
 def test_bad_input_raises_library_error(case, tmp_path):
     with pytest.raises(surfnitsche.SurfNitscheError):
         BAD_INPUT[case](tmp_path)
+
+
+# The part of the message that names the offending argument or value.
+NAMED_IN_MESSAGE = {
+    "flat-side": "'bogus'",
+    "flat-projection-side": "'bogus'",
+    "flat-fractional-exponent": "(0.5, 0)",
+    "flat-negative-exponent": "(-1, 0)",
+    "flat-nan-coefficient": "nan",
+    "flat-string-coefficient": "'x'",
+    "torus-string-radius": "major='1'",
+    "boundary-string-amplitude": "amplitude",
+    "boundary-string-waves": "waves_lower",
+    "vtk-non-numeric-point-data": "point data 'u'",
+    "error-measures-non-numeric": "coefficient vector",
+    "matrix-market-vector": "matrix",
+    "vector-market-matrix": "vector",
+}
+
+
+@pytest.mark.parametrize("case", list(NAMED_IN_MESSAGE))
+def test_bad_input_names_argument(case, tmp_path):
+    with pytest.raises(surfnitsche.InvalidArgumentError, match=re.escape(NAMED_IN_MESSAGE[case])):
+        BAD_INPUT[case](tmp_path)
+
+
+def test_import_leaves_scipy_io_unloaded():
+    """The MatrixMarket writers import scipy.io when they run, not at import."""
+    code = "import sys, surfnitsche; print('scipy.io' in sys.modules)"
+    src = str(Path(surfnitsche.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_source_lines_fit_100_characters():
