@@ -16,6 +16,7 @@ stage runs.  Exit status is 0 iff every stage succeeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -26,7 +27,7 @@ from .assembly import _solve_at_penalty, assemble
 from .errors import InvalidArgumentError, SurfNitscheError
 from .export import write_matrix_market, write_vector_market, write_vtk
 from .geometry import FlatSquareProblem, TorusProblem
-from .mesh import build_mesh, geometric_report
+from .mesh import NODE_PLACEMENTS, build_mesh, geometric_report
 
 
 # The problem each --problem name builds for element order k.
@@ -40,12 +41,7 @@ PROBLEMS = {
 def _add_common(parser):
     parser.add_argument("--problem", choices=list(PROBLEMS), default="torus")
     parser.add_argument("--k", type=int, default=1, help="element order, 1..3")
-    parser.add_argument(
-        "--node-placement",
-        choices=["chart", "facet-linear"],
-        default="chart",
-        dest="node_placement",
-    )
+    parser.add_argument("--node-placement", choices=NODE_PLACEMENTS, default="chart")
 
 
 def build_parser():
@@ -56,22 +52,23 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one discrete problem")
+    p_solve.set_defaults(run=cmd_solve)
     _add_common(p_solve)
-    p_solve.add_argument("--n-div", type=int, default=8, dest="n_div")
+    p_solve.add_argument("--n-div", type=int, default=8)
     p_solve.add_argument("--vtk", help="write solution and pointwise error as VTK")
-    p_solve.add_argument(
-        "--matrix-out", dest="matrix_out", help="path prefix for MatrixMarket export"
-    )
+    p_solve.add_argument("--matrix-out", help="path prefix for MatrixMarket export")
 
     p_conv = sub.add_parser("convergence", help="run a refinement study")
+    p_conv.set_defaults(run=cmd_convergence)
     _add_common(p_conv)
     p_conv.add_argument("--levels", type=int, default=4)
-    p_conv.add_argument("--base-divisions", type=int, default=8, dest="base_divisions")
+    p_conv.add_argument("--base-divisions", type=int, default=8)
     p_conv.add_argument("--csv", help="write the study as CSV")
 
     p_mesh = sub.add_parser("mesh-report", help="geometric approximation report")
+    p_mesh.set_defaults(run=cmd_mesh_report)
     _add_common(p_mesh)
-    p_mesh.add_argument("--n-div", type=int, default=8, dest="n_div")
+    p_mesh.add_argument("--n-div", type=int, default=8)
     p_mesh.add_argument("--out", help="also write the report to a file")
 
     for solving in (p_solve, p_conv):
@@ -103,9 +100,10 @@ def cmd_solve(args) -> int:
         )
         print(f"wrote {args.vtk}")
     if args.matrix_out:
-        write_matrix_market(args.matrix_out + "_matrix.mtx", system.matrix)
-        write_vector_market(args.matrix_out + "_rhs.mtx", system.rhs)
-        print(f"wrote {args.matrix_out}_matrix.mtx, {args.matrix_out}_rhs.mtx")
+        matrix_path, rhs_path = _matrix_paths(args.matrix_out)
+        write_matrix_market(matrix_path, system.matrix)
+        write_vector_market(rhs_path, system.rhs)
+        print(f"wrote {matrix_path}, {rhs_path}")
     return 0
 
 
@@ -137,12 +135,8 @@ def cmd_mesh_report(args) -> int:
         f"h = {mesh.h:.12e}",
         f"dof = {mesh.num_nodes}",
         f"elements = {mesh.num_elements}",
-        f"max_rho = {report.max_rho:.12e}",
-        f"max_normal_dev = {report.max_normal_dev:.12e}",
-        f"max_boundary_dist = {report.max_boundary_dist:.12e}",
-        f"max_boundary_node_dist = {report.max_boundary_node_dist:.12e}",
-        f"min_scaled_jacobian = {report.min_scaled_jacobian:.12e}",
     ]
+    lines += [f"{name} = {value:.12e}" for name, value in dataclasses.asdict(report).items()]
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
@@ -151,13 +145,18 @@ def cmd_mesh_report(args) -> int:
     return 0
 
 
+def _matrix_paths(prefix):
+    """The matrix and rhs files that --matrix-out PREFIX writes."""
+    return prefix + "_matrix.mtx", prefix + "_rhs.mtx"
+
+
 def _check_output_paths(args):
     """Raise InvalidArgumentError for an output file that cannot be written."""
     for dest in ("vtk", "matrix_out", "csv", "out"):
         value = getattr(args, dest, None)
         if not value:
             continue
-        paths = [value + "_matrix.mtx", value + "_rhs.mtx"] if dest == "matrix_out" else [value]
+        paths = _matrix_paths(value) if dest == "matrix_out" else [value]
         for path in paths:
             directory = os.path.dirname(path) or "."
             if not os.path.isdir(directory):
@@ -171,18 +170,11 @@ def _check_output_paths(args):
             raise InvalidArgumentError(f"cannot write --{dest.replace('_', '-')} {path}: {reason}")
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "convergence": cmd_convergence,
-    "mesh-report": cmd_mesh_report,
-}
-
-
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_output_paths(args)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SurfNitscheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ VTK layout (legacy ASCII, one file per call), written exactly as:
     CELL_TYPES <n_cells>
     69                               (Lagrange triangle, all orders)
     POINT_DATA <n_nodes>             (only when data fields are given)
-    SCALARS <name> double 1
+    SCALARS <name> double 1          (<name> one token: VTK splits at whitespace)
     LOOKUP_TABLE default
     <value>                          (one node per line, %.17g)
 
@@ -67,6 +67,8 @@ def write_vtk(path, mesh: ParametricMesh, point_data: dict | None = None):
     if point_data:
         lines.append(f"POINT_DATA {mesh.num_nodes}")
         for name, values in point_data.items():
+            if not (isinstance(name, str) and name.split() == [name]):
+                raise InvalidArgumentError(f"point data name {name!r} is not one word")
             values = float_array(f"point data {name!r}", values, (mesh.num_nodes,))
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")

@@ -49,11 +49,6 @@ TWO_PI = 2.0 * np.pi
 _DEGENERATE_EPS = 1e-12
 
 
-def normalize_angle(angle):
-    """Reduce an angle into [0, 2*pi)."""
-    return np.mod(angle, TWO_PI)
-
-
 @dataclass(frozen=True)
 class TorusParams:
     """Radii of the torus of revolution; requires 0 < minor < major < inf."""
@@ -76,8 +71,9 @@ class BoundarySpec:
 
     ``waves_lower``/``waves_upper`` are the whole wave counts of the two
     curves, so that they close up where the periodic mesh does; zero waves
-    give constant-phi circles.  The band must be nonempty:
-    phi_lower(theta) < phi_upper(theta) for every theta.
+    give constant-phi circles.  The band must be nonempty and must not
+    overlap itself: 0 < phi_upper(theta) - phi_lower(theta) < 2 pi for
+    every theta.  The default band spans 0.6 of a turn at every radius.
     """
 
     amplitude: float = 0.2
@@ -97,6 +93,8 @@ class BoundarySpec:
         gap = boundary_phi("upper", theta, self) - boundary_phi("lower", theta, self)
         if not np.all(gap > 0.0):
             raise InvalidArgumentError("boundary curves cross; the band is empty somewhere")
+        if not np.all(gap < TWO_PI):
+            raise InvalidArgumentError(f"offset={self.offset!r} makes the band overlap itself")
 
 
 def torus_embed(theta, phi, torus: TorusParams):
@@ -120,7 +118,7 @@ def toroidal_angles(points, torus: TorusParams):
     surface point have the same angles.
     """
     x, y, z, _, zeta, _ = _tube_coordinates(points, torus)
-    return normalize_angle(np.arctan2(z, zeta)), normalize_angle(np.arctan2(y, x))
+    return np.mod(np.arctan2(z, zeta), TWO_PI), np.mod(np.arctan2(y, x), TWO_PI)
 
 
 def signed_distance(points, torus: TorusParams):
@@ -178,14 +176,19 @@ def surface_normal(theta, phi):
     return np.stack([ct * np.cos(phi), ct * np.sin(phi), np.sin(theta)], axis=-1)
 
 
+def _side_curve(side, boundary: BoundarySpec):
+    """(waves, offset) of one boundary curve phi = A cos(W theta) + offset."""
+    if side == "lower":
+        return boundary.waves_lower, 0.0
+    if side == "upper":
+        return boundary.waves_upper, boundary.offset
+    raise InvalidArgumentError(f"unknown boundary side {side!r}")
+
+
 def boundary_phi(side, theta, boundary: BoundarySpec):
     """Evaluate the phi level of one boundary curve at angle theta."""
-    theta = np.asarray(theta, dtype=float)
-    if side == "lower":
-        return boundary.amplitude * np.cos(boundary.waves_lower * theta)
-    if side == "upper":
-        return boundary.amplitude * np.cos(boundary.waves_upper * theta) + boundary.offset
-    raise InvalidArgumentError(f"unknown boundary side {side!r}")
+    waves, offset = _side_curve(side, boundary)
+    return boundary.amplitude * np.cos(waves * np.asarray(theta, dtype=float)) + offset
 
 
 def boundary_curve_point(side, theta, boundary: BoundarySpec, torus: TorusParams):
@@ -200,7 +203,7 @@ def _distance_slope_and_curvature(
 
     ``cylindrical`` holds (rho, alpha, z) of the points x.  Components are
     taken in the orthonormal frame (e_r, e_phi, e_z) at the curve's
-    azimuth phi = A cos(W theta) (+ offset), where with w = R + r cos(theta)
+    azimuth phi = A cos(W theta) + offset, where with w = R + r cos(theta)
 
         c - x = (w - rho cos(phi - alpha), rho sin(phi - alpha), r sin(theta) - z)
         c'    = (-r sin(theta), phi' w, r cos(theta))
@@ -210,11 +213,11 @@ def _distance_slope_and_curvature(
     Returns ((c - x) . c', c' . c' + (c - x) . c'').
     """
     rho, alpha, height = cylindrical
-    waves = boundary.waves_lower if side == "lower" else boundary.waves_upper
+    waves, offset = _side_curve(side, boundary)
     amp = boundary.amplitude
     r = torus.minor_radius
     cw = np.cos(waves * theta)
-    phi = amp * cw + (boundary.offset if side == "upper" else 0.0)
+    phi = amp * cw + offset
     dphi = -amp * waves * np.sin(waves * theta)
     ddphi = -amp * waves**2 * cw
     r_st, r_ct = r * np.sin(theta), r * np.cos(theta)
@@ -267,7 +270,7 @@ def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: Torus
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise ProjectionError("non-finite point passed to boundary projection")
-    waves = boundary.waves_lower if side == "lower" else boundary.waves_upper
+    waves, _ = _side_curve(side, boundary)
     n_samples = 64 * max(1, abs(int(waves)))
     theta_samples = np.arange(n_samples) * (TWO_PI / n_samples)
     curve = boundary_curve_point(side, theta_samples, boundary, torus)
@@ -307,12 +310,18 @@ def exact_solution(theta, phi):
     return np.cos(3.0 * phi + 5.0 * theta) * np.sin(2.0 * theta)
 
 
+def _solution_factors(theta, phi):
+    """(c, s, s2, c2): cos, sin of 3 phi + 5 theta and sin, cos of 2 theta, the
+    factors of the derivatives (exact_solution computes only its two)."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    wave = 3.0 * phi + 5.0 * theta
+    return np.cos(wave), np.sin(wave), np.sin(2.0 * theta), np.cos(2.0 * theta)
+
+
 def _solution_partials(theta, phi):
     """First partials (u_theta, u_phi) of the manufactured solution."""
-    c = np.cos(3.0 * phi + 5.0 * theta)
-    s = np.sin(3.0 * phi + 5.0 * theta)
-    s2 = np.sin(2.0 * theta)
-    c2 = np.cos(2.0 * theta)
+    c, s, s2, c2 = _solution_factors(theta, phi)
     return -5.0 * s * s2 + 2.0 * c * c2, -3.0 * s * s2
 
 
@@ -336,12 +345,7 @@ def exact_surface_gradient(theta, phi, torus: TorusParams):
 
 def load(theta, phi, torus: TorusParams):
     """Load f = -lap u, the intrinsic Laplacian of the manufactured solution negated."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    c = np.cos(3.0 * phi + 5.0 * theta)
-    s = np.sin(3.0 * phi + 5.0 * theta)
-    s2 = np.sin(2.0 * theta)
-    c2 = np.cos(2.0 * theta)
+    c, s, s2, c2 = _solution_factors(theta, phi)
     u_t = -5.0 * s * s2 + 2.0 * c * c2
     u_tt = -29.0 * c * s2 - 20.0 * s * c2
     u_pp = -9.0 * c * s2
@@ -362,19 +366,17 @@ class TorusProblem:
     boundary_sides = ("lower", "upper")
 
     def __init__(self, torus: TorusParams | None = None, boundary: BoundarySpec | None = None):
-        self.torus = torus if torus is not None else TorusParams()
-        if boundary is None:
-            boundary = BoundarySpec(offset=0.6 * TWO_PI * self.torus.major_radius)
-        self.boundary = boundary
+        self.torus = TorusParams() if torus is None else torus
+        self.boundary = BoundarySpec() if boundary is None else boundary
+        if not isinstance(self.torus, TorusParams):
+            raise InvalidArgumentError(f"torus must be a TorusParams, got {torus!r}")
+        if not isinstance(self.boundary, BoundarySpec):
+            raise InvalidArgumentError(f"boundary must be a BoundarySpec, got {boundary!r}")
 
     @classmethod
     def simplified(cls, torus: TorusParams | None = None):
         """Variant with constant-phi boundary circles (zero boundary waves)."""
-        torus = torus if torus is not None else TorusParams()
-        boundary = BoundarySpec(
-            waves_lower=0, waves_upper=0, offset=0.6 * TWO_PI * torus.major_radius
-        )
-        return cls(torus, boundary)
+        return cls(torus, BoundarySpec(waves_lower=0, waves_upper=0))
 
     @property
     def chart_aspect(self):

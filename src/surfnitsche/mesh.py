@@ -49,6 +49,7 @@ from .errors import (
 )
 from .fem import EdgeBundle, _norm3, frames
 from .reference import (
+    barycentric_lattice,
     edge_node_ids,
     edge_opposite_corner,
     edge_ref_direction,
@@ -64,6 +65,9 @@ from .reference import (
 # work array.  Batches of 4,096 elements made those arrays 2.4-3.4 MiB at
 # k = 3, large enough to be faulted in again by every batch.
 BATCH_POINTS = 16384
+
+# The node placements build_mesh accepts; the CLI offers the same choices.
+NODE_PLACEMENTS = ("chart", "facet-linear")
 
 
 def assembly_degree(order: int) -> int:
@@ -183,7 +187,7 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
         raise InvalidArgumentError(f"n_div must be >= 2, got {n_div}")
     if not 1 <= k <= 3:
         raise UnsupportedDegreeError(f"order must be 1..3, got {k}")
-    if node_placement not in ("chart", "facet-linear"):
+    if node_placement not in NODE_PLACEMENTS:
         raise InvalidArgumentError(f"unknown node placement {node_placement!r}")
     n_t, n_s = _grid_shape(n_div, k, problem)
     t, s, elements, boundary_edges = _layout(n_t, n_s, k, problem.periodic, problem.boundary_sides)
@@ -217,19 +221,13 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     return mesh
 
 
-def _barycentric_lattice(k):
-    """Integer barycentric coordinates (k - i - j, i, j) of the reference lattice nodes."""
-    i, j = lattice_multi_indices(k).T
-    return np.column_stack([k - i - j, i, j])
-
-
 def _facet_linear_nodes(chart_nodes, elements, k):
     """Nodes interpolated linearly between their element's corners, unsnapped.
 
     A node two elements share lies on their common edge, where both sum the
     same two products in either order, so the scatter may keep either.
     """
-    weights = _barycentric_lattice(k) / k
+    weights = barycentric_lattice(k) / k
     corners = chart_nodes[elements[:, list(reference_element(k).corner_ids)]]
     nodes = np.empty_like(chart_nodes)
     nodes[elements] = sum(weights[:, c, None] * corners[:, None, c] for c in range(3))
@@ -301,7 +299,7 @@ def _blend_boundary_elements(mesh: ParametricMesh, displacement, problem):
     k = mesh.order
     # Barycentric coordinates on the integer lattice, so that nodes on an
     # edge get exactly d = 0 (1 - 1/3 - 2/3 rounds to 1.1e-16).
-    barycentric = _barycentric_lattice(k)
+    barycentric = barycentric_lattice(k)
     claims, targets = [], []
     for (local_edge, _), ids in mesh.boundary_edges.items():
         d = barycentric[:, edge_opposite_corner(local_edge)] / k

@@ -39,6 +39,13 @@ def lattice_points(order: int) -> np.ndarray:
     return lattice_multi_indices(order) / order
 
 
+def barycentric_lattice(order: int) -> np.ndarray:
+    """Integer barycentric coordinates (k - i - j, i, j) of the lattice nodes,
+    one column per reference corner."""
+    i, j = lattice_multi_indices(order).T
+    return np.column_stack([order - i - j, i, j])
+
+
 class ReferenceElement:
     """Nodal Lagrange basis of total order k on the uniform triangle lattice.
 
@@ -154,14 +161,9 @@ def edge_opposite_corner(local_edge: int) -> int:
 
 
 def edge_node_ids(order: int, local_edge: int) -> np.ndarray:
-    """Lattice indices of the k+1 nodes along an edge, ordered with t."""
-    multi = lattice_multi_indices(order)
-    lookup = {(i, j): m for m, (i, j) in enumerate(multi)}
-    k = order
-    if local_edge == 0:
-        path = [(m, 0) for m in range(k + 1)]
-    elif local_edge == 1:
-        path = [(k - m, m) for m in range(k + 1)]
-    else:
-        path = [(0, k - m) for m in range(k + 1)]
-    return np.array([lookup[ij] for ij in path], dtype=int)
+    """Lattice indices of the k+1 nodes along an edge, ordered with t: the nodes
+    whose two edge-corner coordinates sum to k, by the end corner's coordinate."""
+    barycentric = barycentric_lattice(order)
+    start, end = EDGE_CORNERS[local_edge]
+    on_edge = np.flatnonzero(barycentric[:, start] + barycentric[:, end] == order)
+    return on_edge[np.argsort(barycentric[on_edge, end])]

@@ -84,6 +84,24 @@ class TestMeshReportCommand:
         assert float(values["min_scaled_jacobian"]) > 0.05
         assert out.read_text().startswith("n_div = 8")
 
+    def test_report_lines_in_order(self, capsys):
+        status = run(["mesh-report", "--problem", "flat-square", "--k", "1", "--n-div", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert status == 0
+        assert [line.partition(" = ")[0] for line in lines] == [
+            "n_div",
+            "k",
+            "h",
+            "dof",
+            "elements",
+            "max_rho",
+            "max_normal_dev",
+            "max_boundary_dist",
+            "max_boundary_node_dist",
+            "min_scaled_jacobian",
+        ]
+        assert all(" = " in line for line in lines)
+
 
 def test_environment_not_read(capsys, monkeypatch):
     monkeypatch.setenv("SURFNITSCHE_N_DIV", "6")

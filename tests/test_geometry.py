@@ -193,6 +193,17 @@ class TestBoundary:
             with pytest.raises(InvalidArgumentError):
                 geo.BoundarySpec(**fields)
 
+    def test_band_default_is_radius_independent(self):
+        # The default band spans 0.6 of a turn at every major radius.
+        params = geo.TorusParams(2.0, 0.4)
+        problem = geo.TorusProblem(params)
+        simplified = geo.TorusProblem.simplified(params)
+        assert problem.boundary == geo.BoundarySpec()
+        assert simplified.boundary.offset == geo.BoundarySpec().offset
+        assert (simplified.boundary.waves_lower, simplified.boundary.waves_upper) == (0, 0)
+        for band in (problem, simplified):
+            assert band.chart_aspect == pytest.approx(0.6 * 2.0 / 0.4, rel=1e-15)
+
     def test_whole_float_wave_count_accepted(self):
         assert geo.BoundarySpec(waves_lower=2.0).waves_lower == 2.0
 

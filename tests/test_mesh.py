@@ -494,11 +494,11 @@ class TestLayout:
         assert np.array_equal(mesh.nodes, expected.nodes) and mesh.h == expected.h
 
     def test_infinite_chart_aspect_rejected(self):
-        problem = geo.TorusProblem(geo.TorusParams(1e200, 0.4))
+        problem = geo.TorusProblem(geo.TorusParams(1e200, 1e-200))
         with pytest.raises(InvalidArgumentError, match="chart aspect must be finite, got inf"):
             build_mesh(4, 1, problem)
 
-    @pytest.mark.parametrize("major_radius", [1e12, 1e100])
+    @pytest.mark.parametrize("major_radius", [1e18, 1e100])
     def test_unindexable_chart_aspect_rejected(self, major_radius):
         problem = geo.TorusProblem(geo.TorusParams(major_radius, 0.4))
         message = "chart aspect .* gives more nodes than ids can index"
@@ -507,5 +507,5 @@ class TestLayout:
 
     def test_large_finite_chart_aspect_allowed(self):
         # no size cap: a long, thin band gets a long grid
-        n_t, n_s = _grid_shape(4, 3, geo.TorusProblem(geo.TorusParams(100.0, 0.4)))
-        assert n_t == 4 and n_s > 10_000
+        n_t, n_s = _grid_shape(4, 3, geo.TorusProblem(geo.TorusParams(1e4, 0.4)))
+        assert n_t == 4 and n_s == 60_000

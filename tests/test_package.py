@@ -49,7 +49,7 @@ BAD_INPUT = {
         4, 2.5, surfnitsche.TorusProblem()
     ),
     "mesh-infinite-chart-aspect": lambda tmp_path: surfnitsche.build_mesh(
-        4, 1, surfnitsche.TorusProblem(surfnitsche.TorusParams(1e200, 0.4))
+        4, 1, surfnitsche.TorusProblem(surfnitsche.TorusParams(1e200, 1e-200))
     ),
     "study-fractional-levels": lambda tmp_path: surfnitsche.convergence_study(
         1, 3.5, 1e4, surfnitsche.TorusProblem()
@@ -67,7 +67,7 @@ BAD_INPUT = {
         _small_mesh(), "1e4", surfnitsche.TorusProblem()
     ),
     "mesh-unindexable-chart-aspect": lambda tmp_path: surfnitsche.build_mesh(
-        4, 1, surfnitsche.TorusProblem(surfnitsche.TorusParams(1e12, 0.4))
+        4, 1, surfnitsche.TorusProblem(surfnitsche.TorusParams(1e18, 0.4))
     ),
     "mesh-unindexable-chart-aspect-1e100": lambda tmp_path: surfnitsche.build_mesh(
         4, 1, surfnitsche.TorusProblem(surfnitsche.TorusParams(1e100, 0.4))
@@ -114,6 +114,15 @@ BAD_INPUT = {
     "vector-market-matrix": lambda tmp_path: surfnitsche.write_vector_market(
         tmp_path / "out.mtx", np.ones((3, 2))
     ),
+    "boundary-full-turn": lambda tmp_path: surfnitsche.BoundarySpec(offset=7.0),
+    "torus-problem-torus": lambda tmp_path: surfnitsche.TorusProblem(torus=1.0),
+    "torus-problem-boundary": lambda tmp_path: surfnitsche.TorusProblem(boundary="x"),
+    "vtk-field-name-whitespace": lambda tmp_path: surfnitsche.write_vtk(
+        tmp_path / "out.vtk", _small_mesh(), {"my field": np.zeros(_small_mesh().num_nodes)}
+    ),
+    "vtk-field-name-empty": lambda tmp_path: surfnitsche.write_vtk(
+        tmp_path / "out.vtk", _small_mesh(), {"": np.zeros(_small_mesh().num_nodes)}
+    ),
 }
 
 
@@ -138,6 +147,11 @@ NAMED_IN_MESSAGE = {
     "error-measures-non-numeric": "coefficient vector",
     "matrix-market-vector": "matrix",
     "vector-market-matrix": "vector",
+    "boundary-full-turn": "offset=7.0",
+    "torus-problem-torus": "torus must be a TorusParams, got 1.0",
+    "torus-problem-boundary": "boundary must be a BoundarySpec, got 'x'",
+    "vtk-field-name-whitespace": "point data name",
+    "vtk-field-name-empty": "point data name",
 }
 
 
@@ -147,9 +161,8 @@ def test_bad_input_names_argument(case, tmp_path):
         BAD_INPUT[case](tmp_path)
 
 
-def test_import_leaves_scipy_io_unloaded():
-    """The MatrixMarket writers import scipy.io when they run, not at import."""
-    code = "import sys, surfnitsche; print('scipy.io' in sys.modules)"
+def _fresh_python(code):
+    """stdout of ``code`` run by a new interpreter that imports this package."""
     src = str(Path(surfnitsche.__file__).parent.parent)
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -158,7 +171,24 @@ def test_import_leaves_scipy_io_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout
+
+
+def test_import_leaves_scipy_io_unloaded():
+    """The MatrixMarket writers import scipy.io when they run, not at import."""
+    code = "import sys, surfnitsche; print('scipy.io' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_star_import_binds_exactly_all():
+    """``from surfnitsche import *`` binds the public names and no submodule."""
+    code = (
+        "import types; before = set(globals()); from surfnitsche import *; "
+        "new = set(globals()) - before - {'before'}; import surfnitsche; "
+        "print(new == set(surfnitsche.__all__), "
+        "any(isinstance(globals()[n], types.ModuleType) for n in new))"
+    )
+    assert _fresh_python(code).split() == ["True", "False"]
 
 
 def test_source_lines_fit_100_characters():

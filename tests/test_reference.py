@@ -80,6 +80,21 @@ def test_linear_basis_at_barycenter():
     np.testing.assert_allclose(grads, [[[-1, -1], [1, 0], [0, 1]]], atol=1e-15)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("local_edge", [0, 1, 2])
+def test_edge_node_ids_follow_lattice_paths(order, local_edge):
+    # (i, j) lattice offsets of each edge's nodes, written out in t order
+    k = order
+    paths = [
+        [(m, 0) for m in range(k + 1)],
+        [(k - m, m) for m in range(k + 1)],
+        [(0, k - m) for m in range(k + 1)],
+    ]
+    multi = [tuple(ij) for ij in ref.lattice_multi_indices(order)]
+    expected = [multi.index(ij) for ij in paths[local_edge]]
+    assert ref.edge_node_ids(order, local_edge).tolist() == expected
+
+
 def test_edge_paths():
     assert list(ref.edge_node_ids(2, 0)) == [0, 1, 2]
     assert list(ref.edge_node_ids(2, 1)) == [2, 4, 5]
