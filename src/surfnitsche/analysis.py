@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import _boundary_data, _solve_at_penalty, assemble
-from .errors import InvalidArgumentError, float_array
-from .mesh import ParametricMesh, _integer, build_mesh, edge_batches, element_batches
+from .errors import InvalidArgumentError, float_array, integer
+from .mesh import ParametricMesh, build_mesh, edge_batches, element_batches
 from .reference import edge_rule, triangle_rule
 
 
@@ -56,9 +56,7 @@ class ConvergenceRecord:
 
 def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures:
     """Measure u(p(x)) - u_h in the L2 and energy norms."""
-    coefficients = float_array("coefficient vector", coefficients, (mesh.num_nodes,))
-    if not np.all(np.isfinite(coefficients)):
-        raise InvalidArgumentError("coefficient vector has non-finite entries")
+    coefficients = float_array("coefficient vector", coefficients, (mesh.num_nodes,), finite=True)
     degree = 2 * mesh.order + 4
 
     l2_sq = grad_sq = 0.0
@@ -109,8 +107,8 @@ def convergence_study(
     node_placement: str = "chart",
 ) -> list[ConvergenceRecord]:
     """Solve on a sequence of meshes n_div = base * 2^level and record errors."""
-    levels = _integer("levels", levels)
-    base_divisions = _integer("base_divisions", base_divisions)
+    levels = integer("levels", levels)
+    base_divisions = integer("base_divisions", base_divisions)
     if levels < 3:
         raise InvalidArgumentError(f"a study needs at least three levels, got {levels}")
     if base_divisions < 2:

@@ -1,4 +1,6 @@
-"""Exception types shared across the library, and the array check that raises one."""
+"""Exception types shared across the library, and the argument checks that raise them."""
+import operator
+
 import numpy as np
 
 
@@ -46,12 +48,23 @@ class MaxIterationsExceededError(SolverError):
     """Iteration cap reached before the requested tolerance was met."""
 
 
-def float_array(name, values, shape):
-    """values as a float array of ``shape``; otherwise InvalidArgumentError naming them."""
+def integer(name, value, error=InvalidArgumentError):
+    """value as an int (Python and NumPy integers); otherwise ``error`` naming it and its value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def float_array(name, values, shape=None, finite=False):
+    """values as a float array of ``shape`` (any shape if None), with only
+    finite entries if ``finite``; otherwise InvalidArgumentError naming them."""
     try:
         array = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise InvalidArgumentError(f"{name} must be numeric") from None
-    if array.shape != shape:
+    if shape is not None and array.shape != shape:
         raise InvalidArgumentError(f"{name} has shape {array.shape}, expected {shape}")
+    if finite and not np.all(np.isfinite(array)):
+        raise InvalidArgumentError(f"{name} has non-finite entries")
     return array

@@ -48,6 +48,9 @@ TWO_PI = 2.0 * np.pi
 # center circle of the tube) are rejected rather than silently projected.
 _DEGENERATE_EPS = 1e-12
 
+# Most waves per boundary curve: 2**20 samples for the band check.
+_MAX_WAVES = 2**14
+
 
 @dataclass(frozen=True)
 class TorusParams:
@@ -73,7 +76,10 @@ class BoundarySpec:
     curves, so that they close up where the periodic mesh does; zero waves
     give constant-phi circles.  The band must be nonempty and must not
     overlap itself: 0 < phi_upper(theta) - phi_lower(theta) < 2 pi for
-    every theta.  The default band spans 0.6 of a turn at every radius.
+    every theta, checked at 64 angles per wave of the wavier curve (the
+    rate project_to_boundary_curve brackets with; at least 4,096 angles),
+    so each curve may have at most 16,384 waves.  The default band spans
+    0.6 of a turn at every radius.
     """
 
     amplitude: float = 0.2
@@ -86,10 +92,14 @@ class BoundarySpec:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and np.isfinite(value)):
                 raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
-        for waves in (self.waves_lower, self.waves_upper):
+        for name in ("waves_lower", "waves_upper"):
+            waves = getattr(self, name)
             if not float(waves).is_integer():
                 raise InvalidArgumentError(f"wave counts must be whole numbers, got {waves}")
-        theta = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+            if abs(waves) > _MAX_WAVES:
+                raise InvalidArgumentError(f"{name}={waves!r} exceeds {_MAX_WAVES} waves")
+        count = max(4096, 64 * int(max(abs(self.waves_lower), abs(self.waves_upper))))
+        theta = np.linspace(0.0, TWO_PI, count, endpoint=False)
         gap = boundary_phi("upper", theta, self) - boundary_phi("lower", theta, self)
         if not np.all(gap > 0.0):
             raise InvalidArgumentError("boundary curves cross; the band is empty somewhere")

@@ -36,7 +36,6 @@ from the element nodes and builds no edge frame.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +45,7 @@ from .errors import (
     InvalidArgumentError,
     MeshInvalidError,
     UnsupportedDegreeError,
+    integer,
 )
 from .fem import EdgeBundle, _norm3, frames
 from .reference import (
@@ -103,10 +103,7 @@ class ParametricMesh:
     @property
     def boundary_nodes(self) -> dict[str, np.ndarray]:
         """Sorted node ids on each boundary side, from the edge groups."""
-        return {
-            side: np.unique(self.elements[ids][:, edge_node_ids(self.order, local_edge)])
-            for (local_edge, side), ids in self.boundary_edges.items()
-        }
+        return _boundary_nodes(self.order, self.elements, self.boundary_edges)
 
     @property
     def num_nodes(self) -> int:
@@ -133,13 +130,11 @@ class GeometricReport:
     min_scaled_jacobian: float
 
 
-def _integer(name, value, error=InvalidArgumentError):
-    """value as an int if operator.index accepts it (Python and NumPy
-    integers); otherwise ``error`` naming the argument and its value."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+def _boundary_nodes(k, elements, boundary_edges):
+    return {
+        side: np.unique(elements[ids][:, edge_node_ids(k, local_edge)])
+        for (local_edge, side), ids in boundary_edges.items()
+    }
 
 
 def _grid_shape(n_div: int, order: int, problem) -> tuple[int, int]:
@@ -181,8 +176,8 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     problem.  The returned mesh's ``nodes``, ``elements`` and boundary-edge
     id arrays are read-only, so those values cannot go stale.
     """
-    n_div = _integer("n_div", n_div)
-    k = _integer("order", order, UnsupportedDegreeError)
+    n_div = integer("n_div", n_div)
+    k = integer("order", order, UnsupportedDegreeError)
     if n_div < 2:
         raise InvalidArgumentError(f"n_div must be >= 2, got {n_div}")
     if not 1 <= k <= 3:
@@ -197,11 +192,10 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     try:
         if node_placement == "facet-linear":
             nodes = problem.closest_point(_facet_linear_nodes(nodes, elements, k))
+            nodes = _correct_boundary(nodes, k, elements, boundary_edges, problem)
         mesh = ParametricMesh(
             order=k, nodes=nodes, elements=elements, boundary_edges=boundary_edges, h=h
         )
-        if node_placement == "facet-linear":
-            _correct_boundary(mesh, problem)
         bad, element_side = _element_pass(mesh, problem)
         if len(bad):
             raise MeshInvalidError(
@@ -234,16 +228,14 @@ def _facet_linear_nodes(chart_nodes, elements, k):
     return nodes
 
 
-def _correct_boundary(mesh: ParametricMesh, problem):
-    """Move boundary-chain nodes onto the boundary curves and, for k > 1,
-    blend the displacement each received into the boundary elements."""
-    displacement = np.zeros_like(mesh.nodes)
-    for side, ids in mesh.boundary_nodes.items():
-        corrected = problem.correct_to_boundary(mesh.nodes[ids], side)
-        displacement[ids] = corrected - mesh.nodes[ids]
-        mesh.nodes[ids] = corrected
-    if mesh.order > 1:
-        _blend_boundary_elements(mesh, displacement, problem)
+def _correct_boundary(nodes, k, elements, boundary_edges, problem):
+    """Move the boundary nodes in ``nodes`` onto the boundary curves and blend the moves inward."""
+    displacement = np.zeros_like(nodes)
+    for side, ids in _boundary_nodes(k, elements, boundary_edges).items():
+        corrected = problem.correct_to_boundary(nodes[ids], side)
+        displacement[ids] = corrected - nodes[ids]
+        nodes[ids] = corrected
+    return _blend_boundary_elements(nodes, displacement, k, elements, boundary_edges, problem)
 
 
 def _layout(n_t, n_s, k, periodic, sides):
@@ -286,40 +278,37 @@ def _layout(n_t, n_s, k, periodic, sides):
     return t, s, elements, {key: ids for key, ids in groups.items() if key[1] in sides}
 
 
-def _blend_boundary_elements(mesh: ParametricMesh, displacement, problem):
-    """Carry the boundary correction into boundary-adjacent elements.
+def _blend_boundary_elements(nodes, displacement, k, elements, boundary_edges, problem):
+    """Carry the boundary correction into boundary elements; updates and returns ``nodes``.
 
     Each off-edge node moves by (1 - d)^2 times the correction displacement
     interpolated at its orthogonal projection onto the boundary edge, where
     d is its barycentric distance from that edge; moved nodes are snapped
     back to the surface.  Nodes claimed by two boundary elements (flat
     corners) receive the last claim in group and element order; there the
-    displacement vanishes.
+    displacement vanishes.  At k = 1 every node is a corner, so none moves.
     """
-    k = mesh.order
     # Barycentric coordinates on the integer lattice, so that nodes on an
     # edge get exactly d = 0 (1 - 1/3 - 2/3 rounds to 1.1e-16).
     barycentric = barycentric_lattice(k)
     claims, targets = [], []
-    for (local_edge, _), ids in mesh.boundary_edges.items():
+    for (local_edge, _), ids in boundary_edges.items():
         d = barycentric[:, edge_opposite_corner(local_edge)] / k
         direction = edge_ref_direction(local_edge)
         along = (lattice_points(k) - edge_ref_points(local_edge, 0.0)) @ direction
         t = np.clip(along / (direction @ direction), 0.0, 1.0)
-        conn = mesh.elements[ids]
+        conn = elements[ids]
         edge_nodes = edge_node_ids(k, local_edge)
         # The element basis restricted to an edge is the 1-D Lagrange basis there.
         along_edge = reference_element(k).eval(edge_ref_points(local_edge, t))[:, edge_nodes]
         blend = along_edge @ displacement[conn[:, edge_nodes]] * ((1.0 - d) ** 2)[:, None]
         off_edge = (0.0 < d) & (d < 1.0)
         claims.append(conn[:, off_edge].ravel())
-        targets.append((mesh.nodes[conn[:, off_edge]] + blend[:, off_edge]).reshape(-1, 3))
+        targets.append((nodes[conn[:, off_edge]] + blend[:, off_edge]).reshape(-1, 3))
     # Unique over the reversed claims keeps each node's last claim, in id order.
     node_ids, last = np.unique(np.concatenate(claims)[::-1], return_index=True)
-    # A new array: the nodes of a built mesh are read-only.
-    nodes = mesh.nodes.copy()
     nodes[node_ids] = problem.closest_point(np.concatenate(targets)[::-1][last])
-    mesh.nodes = nodes
+    return nodes
 
 
 def element_batches(mesh: ParametricMesh, problem, rule):

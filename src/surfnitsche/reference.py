@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import UnsupportedDegreeError
+from .errors import UnsupportedDegreeError, integer
 
 MAX_QUADRATURE_DEGREE = 20
 
@@ -54,6 +54,7 @@ class ReferenceElement:
     """
 
     def __init__(self, order: int):
+        order = integer("element order", order, UnsupportedDegreeError)
         if not 1 <= order <= 3:
             raise UnsupportedDegreeError(f"element order must be 1..3, got {order}")
         self.order = order
@@ -117,6 +118,7 @@ class QuadratureRule:
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:
     """Rule for the reference triangle, exact for total degree <= degree."""
+    degree = integer("triangle rule degree", degree, UnsupportedDegreeError)
     if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
         raise UnsupportedDegreeError(f"triangle rule degree must be 0..20, got {degree}")
     n = max(1, (degree + 2) // 2)
@@ -135,6 +137,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
 @lru_cache(maxsize=None)
 def edge_rule(degree: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1], exact for degree <= degree."""
+    degree = integer("edge rule degree", degree, UnsupportedDegreeError)
     if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
         raise UnsupportedDegreeError(f"edge rule degree must be 0..20, got {degree}")
     n = max(1, (degree + 2) // 2)

@@ -52,7 +52,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidArgumentError, MaxIterationsExceededError, NotPositiveDefiniteError
+from .errors import (
+    InvalidArgumentError,
+    MaxIterationsExceededError,
+    NotPositiveDefiniteError,
+    float_array,
+)
 
 REL_TOL = 1e-12
 DIRECT_DIM_LIMIT = 2000
@@ -87,16 +92,9 @@ def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
     an rhs whose norm overflows raises InvalidArgumentError; a final
     residual above REL_TOL raises MaxIterationsExceededError.
     """
-    matrix = sp.csr_matrix(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = float_array("rhs", rhs, finite=True)
+    matrix = _checked_matrix(matrix, sp.csr_matrix, rhs.shape)
     dim = matrix.shape[0]
-    if matrix.shape != (dim, dim) or rhs.shape != (dim,):
-        raise InvalidArgumentError(
-            f"matrix of shape {matrix.shape} and rhs of shape {rhs.shape} "
-            "do not form a square system"
-        )
-    _require_finite(matrix.data, "matrix")
-    _require_finite(rhs, "rhs")
     with np.errstate(over="ignore"):
         if not np.isfinite(_dot(rhs, rhs)):
             raise InvalidArgumentError("rhs norm overflows")
@@ -118,9 +116,23 @@ def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
     return SolveReport(solution=x, iterations=iters, relative_residual=residual, method=tag)
 
 
-def _require_finite(values, name):
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError(f"{name} has non-finite entries")
+def _checked_matrix(matrix, layout, rhs_shape=None):
+    """matrix as a float sp.csr_matrix or sp.csc_matrix (``layout``); InvalidArgumentError
+    unless it is numeric, square, finite and as long as an rhs of ``rhs_shape``."""
+    try:
+        matrix = layout(matrix, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("matrix must be a numeric 2-D array or sparse matrix") from None
+    dim = matrix.shape[0]
+    if matrix.shape != (dim, dim) or rhs_shape not in (None, (dim,)):
+        raise InvalidArgumentError(
+            f"matrix of shape {matrix.shape} is not square"
+            if rhs_shape is None
+            else f"matrix of shape {matrix.shape} and rhs of shape {rhs_shape} "
+            "do not form a square system"
+        )
+    float_array("matrix", matrix.data, finite=True)
+    return matrix
 
 
 def _dot(a, b):
@@ -146,10 +158,9 @@ def _factorize_spd(matrix):
     SuperLU had to pivot off the diagonal (a zero diagonal pivot, which a
     positive definite matrix never produces), or when a pivot of U is not
     positive; the message then counts the negative eigenvalues.  A
-    non-finite entry raises InvalidArgumentError.
+    matrix that is not numeric, square and finite raises InvalidArgumentError.
     """
-    matrix = sp.csc_matrix(matrix, dtype=float)
-    _require_finite(matrix.data, "matrix")
+    matrix = _checked_matrix(matrix, sp.csc_matrix)
     try:
         factor = spla.splu(
             matrix,

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -206,6 +207,19 @@ class TestBoundary:
 
     def test_whole_float_wave_count_accepted(self):
         assert geo.BoundarySpec(waves_lower=2.0).waves_lower == 2.0
+
+    @pytest.mark.parametrize("waves", [-(2**14) - 1, 1e300])
+    def test_unsampleable_wave_count_rejected(self, waves):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"waves_upper={waves!r}")):
+            geo.BoundarySpec(waves_upper=waves)
+
+    def test_most_waves_accepted(self):
+        assert geo.BoundarySpec(waves_lower=2**14, waves_upper=-(2**14)).waves_lower == 2**14
+
+    @pytest.mark.parametrize("factor", [0.95, 1.05])
+    def test_benchmark_amplitudes_construct(self, factor):
+        # The benchmark's seeds scale the default amplitude by up to 5 %.
+        assert geo.BoundarySpec(amplitude=0.2 * factor).amplitude == 0.2 * factor
 
     def test_projection_identity_on_curve(self, torus_problem):
         rng = np.random.default_rng(5)

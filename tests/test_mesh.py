@@ -97,7 +97,9 @@ def test_blend_matches_node_loop(problem, order):
     expected, repeats = loop_blend(mesh, displacement, problem)
     # the flat square's corner cells claim diagonal nodes from two edges
     assert (repeats > 0) == (not problem.periodic)
-    _blend_boundary_elements(mesh, displacement, problem)
+    mesh.nodes = _blend_boundary_elements(
+        mesh.nodes.copy(), displacement, order, mesh.elements, mesh.boundary_edges, problem
+    )
     assert np.array_equal(mesh.nodes, expected)
 
 

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import surfnitsche
 from surfnitsche.geometry import project_to_boundary_curve
+from surfnitsche.solve import is_positive_definite
 
 
 def test_exports_resolve_without_duplicates():
@@ -123,6 +125,21 @@ BAD_INPUT = {
     "vtk-field-name-empty": lambda tmp_path: surfnitsche.write_vtk(
         tmp_path / "out.vtk", _small_mesh(), {"": np.zeros(_small_mesh().num_nodes)}
     ),
+    "triangle-rule-fractional-degree": lambda tmp_path: surfnitsche.triangle_rule(2.5),
+    "triangle-rule-string-degree": lambda tmp_path: surfnitsche.triangle_rule("a"),
+    "edge-rule-none-degree": lambda tmp_path: surfnitsche.edge_rule(None),
+    "reference-element-float-order": lambda tmp_path: surfnitsche.ReferenceElement(2.0),
+    "reference-element-string-order": lambda tmp_path: surfnitsche.ReferenceElement("2"),
+    "solve-string-matrix": lambda tmp_path: surfnitsche.solve_linear("x", [1.0]),
+    "solve-string-rhs": lambda tmp_path: surfnitsche.solve_linear(sp.eye(2), "ab"),
+    "solve-3d-matrix": lambda tmp_path: surfnitsche.solve_linear(np.ones((2, 2, 2)), np.ones(2)),
+    "probe-non-square-matrix": lambda tmp_path: is_positive_definite(np.ones((2, 3))),
+    # At 4,096 fixed angles every sample of 4,096 waves sees cos = 1 and a gap of
+    # 5.9; 64 samples per wave find the gap of 6.9 > 2 pi between them.
+    "boundary-overlap-between-fixed-angles": lambda tmp_path: surfnitsche.BoundarySpec(
+        amplitude=0.5, waves_lower=4096, waves_upper=0, offset=5.9
+    ),
+    "boundary-too-many-waves": lambda tmp_path: surfnitsche.BoundarySpec(waves_lower=10**12),
 }
 
 
@@ -152,12 +169,36 @@ NAMED_IN_MESSAGE = {
     "torus-problem-boundary": "boundary must be a BoundarySpec, got 'x'",
     "vtk-field-name-whitespace": "point data name",
     "vtk-field-name-empty": "point data name",
+    "solve-string-matrix": "matrix",
+    "solve-string-rhs": "rhs",
+    "solve-3d-matrix": "matrix",
+    "probe-non-square-matrix": "matrix of shape (2, 3)",
+    "boundary-overlap-between-fixed-angles": "offset=5.9",
+    "boundary-too-many-waves": "waves_lower=1000000000000",
 }
 
 
 @pytest.mark.parametrize("case", list(NAMED_IN_MESSAGE))
 def test_bad_input_names_argument(case, tmp_path):
     with pytest.raises(surfnitsche.InvalidArgumentError, match=re.escape(NAMED_IN_MESSAGE[case])):
+        BAD_INPUT[case](tmp_path)
+
+
+# Degree and order arguments raise UnsupportedDegreeError instead.
+DEGREE_NAMED_IN_MESSAGE = {
+    "triangle-rule-fractional-degree": "triangle rule degree must be an integer, got 2.5",
+    "triangle-rule-string-degree": "triangle rule degree must be an integer, got 'a'",
+    "edge-rule-none-degree": "edge rule degree must be an integer, got None",
+    "reference-element-float-order": "element order must be an integer, got 2.0",
+    "reference-element-string-order": "element order must be an integer, got '2'",
+}
+
+
+@pytest.mark.parametrize("case", list(DEGREE_NAMED_IN_MESSAGE))
+def test_bad_degree_names_argument(case, tmp_path):
+    with pytest.raises(
+        surfnitsche.UnsupportedDegreeError, match=re.escape(DEGREE_NAMED_IN_MESSAGE[case])
+    ):
         BAD_INPUT[case](tmp_path)
 
 
