@@ -25,13 +25,16 @@ gradients, and the mass-type and load terms are products of weighted
 values with the basis table.  Element and edge terms are integrated over
 the batches of the mesh module's quadrature walker.
 
-Each element batch writes its stiffness matrices into one preallocated
-block of element matrices (elements, n, n), and each boundary-edge group
-subtracts its consistency matrices from its elements' rows of that block
-in place.  The penalty matrices of the boundary elements form a second,
-small block.  Each block becomes a matrix by one COO to CSR conversion
-over int32 node ids, the index type scipy stores, so no triplet list is
-joined and no index array is copied.
+Element rows go straight into unsummed CSR storage: a stable argsort of
+the connectivity orders the (element, local row) pairs by global row and
+gives each pair a slot, whose columns are the element's int32 node ids.
+Each element batch writes its stiffness rows at their slots, each
+boundary-edge group subtracts its consistency matrices there in place,
+and sum_duplicates sorts and sums each row, bitwise as a COO to CSR
+conversion of the element blocks would.  Only the connectivity is
+sorted; no (element, i, j) entry is keyed to a slot of a summed pattern.
+The penalty matrices of the boundary elements are stored the same way,
+and A(beta) adds them on the core's pattern (see _penalized).
 """
 from __future__ import annotations
 
@@ -67,6 +70,8 @@ class _Parts:
     penalty: sp.csr_matrix
     rhs_core: np.ndarray
     rhs_penalty: np.ndarray
+    # position in core.data of each entry of penalty.data
+    penalty_slots: np.ndarray
 
 
 def _stiffness_table(grads):
@@ -94,6 +99,28 @@ def _symmetric(local):
     return 0.5 * (local + local.transpose(0, 2, 1))
 
 
+def _row_order(conn):
+    """The (element, local row) pairs by global row, each row's pairs in element order."""
+    return np.argsort(conn.ravel(), kind="stable")
+
+
+def _summed_csr(rows, conn, order, n):
+    """CSR matrix of element rows (pairs, m) stored in ``order``, duplicates summed.
+
+    ``order`` is _row_order(conn), and slot s holds the row of element
+    e = order[s] // m over the columns conn[e], so the unsummed storage is
+    already CSR.  Each row's entries sit in (element, local row, local
+    column) order, the order a COO to CSR conversion of the element blocks
+    keeps, and sum_duplicates sorts and sums them as that conversion does:
+    the result is bitwise equal to it.
+    """
+    m = conn.shape[1]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(conn.ravel(), minlength=n) * m)])
+    matrix = sp.csr_matrix((rows.ravel(), conn[order // m].ravel(), indptr), shape=(n, n))
+    matrix.sum_duplicates()
+    return matrix
+
+
 def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
     degree = assembly_degree(mesh.order)
     rule = triangle_rule(degree)
@@ -103,7 +130,12 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
     # int32 ids are what scipy stores; int64 ids would be copied down
     conn = mesh.elements.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
     m = conn.shape[1]
-    local = np.empty((len(conn), m, m))
+    # each (element, local row) pair's slot in the order by global row
+    order = _row_order(conn)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    slot = slot.reshape(conn.shape)
+    rows = np.empty((conn.size, m))
     rhs_core = np.zeros(n)
     rhs_penalty = np.zeros(n)
 
@@ -113,18 +145,18 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
             [inv[..., 0, 0], inv[..., 1, 1], inv[..., 0, 1]], axis=-1
         )
         block = metric_weights.reshape(len(ids), -1) @ stiffness_table
-        local[ids] = _symmetric(block.reshape(len(ids), m, m))
+        rows[slot[ids]] = _symmetric(block.reshape(len(ids), m, m))
         f_vals = problem.load_at(bundle.position)
         np.add.at(rhs_core, conn[ids].ravel(), ((scale * f_vals) @ bundle.values).ravel())
 
-    # the penalty lives on the boundary elements only: their own element block
+    # the penalty lives on the boundary elements only: their own element rows
     pen_ids, pen_local = [np.empty(0, dtype=int)], [np.empty((0, m, m))]
     for side, ids, edge, scale in edge_batches(mesh, problem, edge_rule(degree)):
         covector = edge.reference_components(edge.conormal)
         flux = (edge.grads @ covector[..., None])[..., 0]
         consistency = (scale[..., None] * flux).transpose(0, 2, 1) @ edge.values
         # ids are unique within a group, so no consistency block is lost
-        local[ids] -= consistency + consistency.transpose(0, 2, 1)
+        rows[slot[ids]] -= consistency + consistency.transpose(0, 2, 1)
         pen_ids.append(ids)
         pen_local.append(_symmetric((edge.values.T * scale[:, None, :]) @ edge.values))
 
@@ -132,17 +164,39 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
         np.add.at(rhs_core, conn[ids].ravel(), -(weighted_g[:, None, :] @ flux).ravel())
         np.add.at(rhs_penalty, conn[ids].ravel(), (weighted_g @ edge.values).ravel())
 
-    def build(elements, blocks):
-        rows = np.repeat(elements, m, axis=1).ravel()
-        cols = np.tile(elements, (1, m)).ravel()
-        return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
+    core = _summed_csr(rows, conn, order, n)
+    pen_conn = conn[np.concatenate(pen_ids)]
+    pen_order = _row_order(pen_conn)
+    pen_rows = np.concatenate(pen_local).reshape(-1, m)[pen_order]
+    penalty = _summed_csr(pen_rows, pen_conn, pen_order, n)
     return _Parts(
-        core=build(conn, local),
-        penalty=build(conn[np.concatenate(pen_ids)], np.concatenate(pen_local)),
+        core=core,
+        penalty=penalty,
         rhs_core=rhs_core,
         rhs_penalty=rhs_penalty,
+        penalty_slots=_slots_in(core, penalty),
     )
+
+
+def _slots_in(core, penalty):
+    """Position in core.data of every entry of penalty, whose pattern lies in core's.
+
+    Both matrices are canonical, so on the rows the penalty touches the
+    keys row * n + column of the core's entries increase, and a binary
+    search finds each penalty entry among them; the other rows' entries
+    are never gathered.
+    """
+    n = core.shape[1]
+    counts = np.diff(penalty.indptr)
+    touched = np.flatnonzero(counts)
+    starts, core_counts = core.indptr[touched], np.diff(core.indptr)[touched]
+    # positions of the touched rows' core entries, row after row
+    positions = np.repeat(starts - np.cumsum(core_counts) + core_counts, core_counts)
+    positions += np.arange(positions.size)
+    local_row = np.arange(touched.size, dtype=np.int64)
+    core_keys = np.repeat(local_row, core_counts) * n + core.indices[positions]
+    penalty_keys = np.repeat(local_row, counts[touched]) * n + penalty.indices
+    return positions[np.searchsorted(core_keys, penalty_keys)]
 
 
 def _boundary_data(problem, side, edge):
@@ -154,17 +208,30 @@ def _boundary_data(problem, side, edge):
 def _penalized(parts: _Parts, beta: float, h: float):
     """A = core + beta/h * penalty and b = rhs_core + beta/h * rhs_penalty.
 
+    A is stored on the core's pattern, whose index arrays it shares: a
+    copy of core.data with beta/h * penalty.data added at the penalty's
+    slots.  Entries that come out exactly zero are dropped, into new index
+    arrays, so A is bitwise scipy's ``core + beta/h * penalty``.
+
     Raises InvalidPenaltyError, without a floating-point warning, when
     beta is so large that an entry of A or the norm of b overflows.
     """
     weight = beta / h
+    core = parts.core
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = parts.core + weight * parts.penalty
+        data = core.data.copy()
+        data[parts.penalty_slots] += weight * parts.penalty.data
         rhs = parts.rhs_core + weight * parts.rhs_penalty
-        overflow = not (np.all(np.isfinite(matrix.data)) and np.isfinite(rhs @ rhs))
+        overflow = not (np.all(np.isfinite(data)) and np.isfinite(rhs @ rhs))
     if overflow:
         raise InvalidPenaltyError(f"penalty beta={float(beta)} is too large: the system overflows")
-    return matrix, rhs
+    indices, indptr = core.indices, core.indptr
+    kept = data != 0.0
+    if not kept.all():
+        # entries kept before each row start
+        indptr = np.concatenate([[0], np.cumsum(kept)]).astype(indptr.dtype)[indptr]
+        data, indices = data[kept], indices[kept]
+    return sp.csr_matrix((data, indices, indptr), shape=core.shape), rhs
 
 
 def _check_penalty(beta):

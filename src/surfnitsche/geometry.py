@@ -257,9 +257,11 @@ def _distance_slope_and_curvature(
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_STEPS = 16
 
-# Points per block of the coarse bracket, which bounds its (block,
-# samples, 3) temporary; the Newton steps run on all points at once.
-_BRACKET_CHUNK = 2048
+# Point-samples per block of the coarse bracket, which bounds its (points,
+# samples, 3) temporaries to about 3 MiB each; a block holds whole points
+# unless one point has more samples.  The Newton steps run on all points
+# at once.
+_BRACKET_CHUNK = 2**17
 
 
 def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: TorusParams):
@@ -285,13 +287,21 @@ def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: Torus
     theta_samples = np.arange(n_samples) * (TWO_PI / n_samples)
     curve = boundary_curve_point(side, theta_samples, boundary, torus)
 
-    best = np.empty(len(pts), dtype=int)
-    coarse_min = np.empty(len(pts))
-    for start in range(0, len(pts), _BRACKET_CHUNK):
-        block = slice(start, start + _BRACKET_CHUNK)
-        d2 = np.sum((pts[block, None, :] - curve[None, :, :]) ** 2, axis=-1)
-        best[block] = np.argmin(d2, axis=1)
-        coarse_min[block] = d2[np.arange(len(d2)), best[block]]
+    best = np.zeros(len(pts), dtype=int)
+    coarse_min = np.full(len(pts), np.inf)
+    points_per_block = max(1, _BRACKET_CHUNK // n_samples)
+    samples_per_block = min(n_samples, _BRACKET_CHUNK)
+    for start in range(0, len(pts), points_per_block):
+        block = slice(start, start + points_per_block)
+        for first in range(0, n_samples, samples_per_block):
+            samples = curve[None, first : first + samples_per_block, :]
+            d2 = np.sum((pts[block, None, :] - samples) ** 2, axis=-1)
+            nearest = np.argmin(d2, axis=1)
+            value = d2[np.arange(len(d2)), nearest]
+            # strictly closer only: a tie keeps the earlier sample, as one argmin does
+            closer = value < coarse_min[block]
+            best[block] = np.where(closer, first + nearest, best[block])
+            coarse_min[block] = np.where(closer, value, coarse_min[block])
     step = TWO_PI / n_samples
     theta = theta_samples[best]
     lo, hi = theta - step, theta + step

@@ -270,12 +270,15 @@ class _RowBlock:
     """One contiguous row range of a PCG iteration, as views into the full vectors."""
 
     def __init__(self, matrix, lo, hi, x, r, z, p, inv_diag):
-        # A CSR row slice that shares data and column indices with the
-        # matrix, so every row keeps its entries and their order.
+        # A CSR row slice whose data and column indices are views of the
+        # matrix's, so every row keeps its entries and their order.  They
+        # are set after construction: the constructor copies a view shorter
+        # than half of its base.
         start, stop = matrix.indptr[lo], matrix.indptr[hi]
-        entries = (matrix.data[start:stop], matrix.indices[start:stop])
-        indptr = matrix.indptr[lo : hi + 1] - start
-        self.rows = sp.csr_matrix((*entries, indptr), shape=(hi - lo, matrix.shape[1]))
+        self.rows = sp.csr_matrix((hi - lo, matrix.shape[1]))
+        self.rows.data = matrix.data[start:stop]
+        self.rows.indices = matrix.indices[start:stop]
+        self.rows.indptr = matrix.indptr[lo : hi + 1] - start
         self.x, self.r, self.z, self.p = x[lo:hi], r[lo:hi], z[lo:hi], p[lo:hi]
         self.inv_diag = inv_diag[lo:hi]
         self.ap = None

@@ -6,6 +6,8 @@ the metric identity, and the nearest-point oracle solves the
 stationarity system of the squared distance with Newton iterations
 built only from the torus embedding and its derivatives.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -26,6 +28,17 @@ def torus_problem():
 @pytest.fixture(scope="session")
 def simple_problem():
     return geo.TorusProblem.simplified()
+
+
+def traced_peak(fn):
+    """(fn(), the peak in bytes that tracemalloc saw while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def fd_laplace_beltrami(theta, phi, torus, step=1e-4):

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfnitsche import geometry as geo
-from surfnitsche.assembly import _assemble_parts, assemble, min_stable_beta_probe
+from surfnitsche.assembly import (
+    _assemble_parts,
+    _penalized,
+    _row_order,
+    _summed_csr,
+    assemble,
+    min_stable_beta_probe,
+)
 from surfnitsche.errors import InvalidPenaltyError, MeshInvalidError, NotPositiveDefiniteError
 from surfnitsche.mesh import build_mesh
 from surfnitsche.solve import is_positive_definite, solve_linear, solve_spd
 
-from conftest import boundary_specs
+from conftest import boundary_specs, traced_peak
 
 
 class ConstantData:
@@ -103,7 +109,7 @@ def pair_pattern(conn, n):
 
 
 class TestElementBlockAssembly:
-    """The system is built from one block of element matrices per matrix."""
+    """Each matrix is built from element rows stored by global row."""
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -127,18 +133,95 @@ class TestElementBlockAssembly:
             assert np.array_equal(matrix.indptr, indptr)
             assert np.array_equal(matrix.indices, indices)
 
+    def test_rows_match_coo_conversion(self):
+        # random element blocks sum duplicates in a fixed order, so equal
+        # bits show that every row keeps the COO conversion's entry order
+        rng = np.random.default_rng(19)
+        n, m = 40, 6
+        conn = np.array([rng.choice(n, m, replace=False) for _ in range(300)], dtype=np.int32)
+        blocks = rng.normal(size=(len(conn), m, m))
+        rows = np.repeat(conn, m, axis=1).ravel()
+        cols = np.tile(conn, (1, m)).ravel()
+        expected = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        order = _row_order(conn)
+        matrix = _summed_csr(blocks.reshape(-1, m)[order], conn, order, n)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix, name), getattr(expected, name))
+
     def test_memory_bounded(self, torus_problem):
-        # about 15.4 MiB: the element block and one int32 COO to CSR conversion
+        # about 11.9 MiB, reached in the element loop (15.4 MiB with the
+        # element block and its COO to CSR conversion)
         mesh = build_mesh(32, 3, torus_problem)
-        tracemalloc.start()
-        try:
-            parts = _assemble_parts(mesh, torus_problem)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        parts, peak = traced_peak(lambda: _assemble_parts(mesh, torus_problem))
         assert peak <= 20 * 2**20
         assert parts.core.indices.dtype == np.int32
         assert parts.penalty.indices.dtype == np.int32
+
+    def test_assemble_memory_bounded(self, torus_problem):
+        # k = 3 at n_div 64, 73,920 dof: 2.1x; the element block and its
+        # COO to CSR conversion took 3.3x
+        mesh = build_mesh(64, 3, torus_problem)
+        system, peak = traced_peak(lambda: assemble(mesh, 1e4, torus_problem))
+        matrix = system.matrix
+        size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert peak <= 2.5 * (size + system.rhs.nbytes)
+
+
+def scipy_penalized(parts, beta, h):
+    """core + beta/h * penalty as scipy adds two CSR matrices, and the rhs."""
+    weight = beta / h
+    return parts.core + weight * parts.penalty, parts.rhs_core + weight * parts.rhs_penalty
+
+
+# the flat meshes' cores hold exact zeros (200 at k = 1), which A drops
+EQUALITY_CASES = [
+    *(pytest.param(geo.TorusProblem(), 8, k, id=f"wavy-k{k}") for k in (1, 2, 3)),
+    *(pytest.param(geo.FlatSquareProblem(k), 12, k, id=f"flat-k{k}") for k in (1, 2, 3)),
+]
+
+
+class TestPenaltyOnCorePattern:
+    """A(beta) is the core's data plus the penalty at its slots, bitwise scipy's sum."""
+
+    @pytest.mark.parametrize("beta", [1e4, 50.0, 3.0])
+    @pytest.mark.parametrize("problem,n_div,order", EQUALITY_CASES)
+    def test_assemble_matches_scipy_sum(self, problem, n_div, order, beta):
+        mesh = build_mesh(n_div, order, problem)
+        expected, rhs = scipy_penalized(_assemble_parts(mesh, problem), beta, mesh.h)
+        system = assemble(mesh, beta, problem)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(system.matrix, name), getattr(expected, name))
+        assert np.array_equal(system.rhs, rhs)
+
+    @pytest.mark.parametrize("problem,n_div,order", EQUALITY_CASES)
+    def test_probe_matches_scipy_sum(self, problem, n_div, order, monkeypatch):
+        mesh = build_mesh(n_div, order, problem)
+        grid = np.geomspace(1.0, 1e4, 17)
+        table = min_stable_beta_probe(mesh, grid, problem)
+        monkeypatch.setattr("surfnitsche.assembly._penalized", scipy_penalized)
+        assert min_stable_beta_probe(mesh, grid, problem) == table
+
+    def test_shares_the_core_pattern(self, torus_problem):
+        mesh = build_mesh(8, 2, torus_problem)
+        parts = _assemble_parts(mesh, torus_problem)
+        slots = parts.penalty_slots
+        assert np.array_equal(parts.core.indices[slots], parts.penalty.indices)
+        matrix, _ = _penalized(parts, 1e4, mesh.h)
+        assert np.shares_memory(matrix.indices, parts.core.indices)
+        assert np.shares_memory(matrix.indptr, parts.core.indptr)
+        assert not np.shares_memory(matrix.data, parts.core.data)
+
+    def test_zeros_dropped_without_touching_the_core(self):
+        problem = geo.FlatSquareProblem(1)
+        mesh = build_mesh(12, 1, problem)
+        parts = _assemble_parts(mesh, problem)
+        core = parts.core.copy()
+        assert np.count_nonzero(core.data == 0.0) == 200
+        matrix, _ = _penalized(parts, 1e4, mesh.h)
+        assert np.all(matrix.data != 0.0)
+        assert matrix.nnz < core.nnz
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(parts.core, name), getattr(core, name))
 
 
 class TestNitscheConsistency:

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +15,7 @@ from conftest import (
     fd_laplace_beltrami,
     newton_closest_point,
     random_tube_points,
+    traced_peak,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -280,19 +280,34 @@ class TestProjectionBracketBlocks:
         # Over all 50,000 points at once, the coarse bracket would hold a
         # (50,000, 256, 3) temporary, about 300 MB.
         _, near = points_near_curve(torus_problem, "lower", np.random.default_rng(15), 50_000, 0.05)
-        tracemalloc.start()
-        try:
-            torus_problem.project_to_boundary(near, "lower")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: torus_problem.project_to_boundary(near, "lower"))
         assert peak < 64 * 2**20
 
     def test_block_size_invariant(self, torus_problem, monkeypatch):
         _, near = points_near_curve(torus_problem, "upper", np.random.default_rng(16), 3000, 0.05)
         expected = torus_problem.project_to_boundary(near, "upper")
-        monkeypatch.setattr(geo, "_BRACKET_CHUNK", 7)
+        # blocks of 7 points of the upper curve's 3 x 64 samples
+        monkeypatch.setattr(geo, "_BRACKET_CHUNK", 7 * 3 * 64)
         assert np.array_equal(torus_problem.project_to_boundary(near, "upper"), expected)
+
+    def test_many_waves_memory_bounded(self, monkeypatch):
+        # 2,048 samples per point: one block of all points would hold two
+        # (2048, 2048, 3) temporaries, 96 MiB each
+        problem = geo.TorusProblem(boundary=geo.BoundarySpec(amplitude=0.1, waves_lower=32))
+        _, near = points_near_curve(problem, "lower", np.random.default_rng(17), 2048, 0.05)
+        projected, peak = traced_peak(lambda: problem.project_to_boundary(near, "lower"))
+        assert peak < 16 * 2**20
+        monkeypatch.setattr(geo, "_BRACKET_CHUNK", 2048 * 2048)
+        assert np.array_equal(projected, problem.project_to_boundary(near, "lower"))
+
+    def test_sample_blocks_invariant(self, monkeypatch):
+        # blocks of 100 samples split each point's 256 unevenly, and the
+        # closest sample is carried from block to block
+        problem = geo.TorusProblem(boundary=geo.BoundarySpec(amplitude=0.1, waves_lower=4))
+        _, near = points_near_curve(problem, "lower", np.random.default_rng(18), 500, 0.05)
+        expected = problem.project_to_boundary(near, "lower")
+        monkeypatch.setattr(geo, "_BRACKET_CHUNK", 100)
+        assert np.array_equal(problem.project_to_boundary(near, "lower"), expected)
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,6 +17,8 @@ from surfnitsche.errors import (
 from surfnitsche.mesh import build_mesh
 from surfnitsche.solve import is_positive_definite, solve_linear, solve_spd
 
+from conftest import traced_peak
+
 
 def random_spd(dim, seed):
     rng = np.random.default_rng(seed)
@@ -281,3 +283,33 @@ class TestRowSplit:
         assert threading.active_count() == before
         assert seen == [matrix.shape[0]] * 2
         assert_same_report(split, one_block)
+
+
+class TestRowBlocks:
+    def test_blocks_share_the_matrix(self, torus_k2_system, monkeypatch):
+        matrix, rhs = torus_k2_system.matrix, torus_k2_system.rhs
+        blocks = []
+
+        class RecordedBlock(solve._RowBlock):
+            def __init__(self, *args):
+                super().__init__(*args)
+                blocks.append(self)
+
+        monkeypatch.setattr(solve, "_RowBlock", RecordedBlock)
+        force_split(monkeypatch)
+        solve_linear(matrix, rhs, method="cg")
+        assert len(blocks) == 2
+        for block in blocks:
+            assert np.shares_memory(block.rows.data, matrix.data)
+            assert np.shares_memory(block.rows.indices, matrix.indices)
+
+    def test_blocks_copy_no_entries(self, torus_k2_system):
+        # scipy's constructor would copy each half of data and indices
+        matrix = torus_k2_system.matrix
+        dim = matrix.shape[0]
+        vectors = [np.zeros(dim) for _ in range(5)]
+        half = solve._pairwise_split(dim)
+        _, peak = traced_peak(
+            lambda: [solve._RowBlock(matrix, lo, hi, *vectors) for lo, hi in [(0, half), (half, dim)]]
+        )
+        assert peak <= matrix.indptr.nbytes + 2**16
