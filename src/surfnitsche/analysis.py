@@ -60,13 +60,13 @@ def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures
     degree = 2 * mesh.order + 4
 
     l2_sq = grad_sq = 0.0
-    for ids, bundle, scale in element_batches(mesh, problem, triangle_rule(degree)):
+    for ids, bundle, scale in element_batches(mesh, triangle_rule(degree)):
         _, diff, grad_diff = _fields(bundle, coefficients[mesh.elements[ids]], problem)
         l2_sq += float(np.sum(scale * diff**2))
         grad_sq += float(np.sum(scale * np.sum(grad_diff**2, axis=-1)))
 
     flux_sq = jump_sq = mismatch_sq = 0.0
-    for side, ids, edge, scale in edge_batches(mesh, problem, edge_rule(degree)):
+    for side, ids, edge, scale in edge_batches(mesh, edge_rule(degree)):
         u_h, diff, grad_diff = _fields(edge, coefficients[mesh.elements[ids]], problem)
         flux_diff = np.sum(edge.conormal * grad_diff, axis=-1)
         flux_sq += float(np.sum(scale * flux_diff**2))

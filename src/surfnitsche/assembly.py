@@ -139,7 +139,7 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
     rhs_core = np.zeros(n)
     rhs_penalty = np.zeros(n)
 
-    for ids, bundle, scale in element_batches(mesh, problem, rule):
+    for ids, bundle, scale in element_batches(mesh, rule):
         inv = bundle.inv_metric
         metric_weights = scale[..., None] * np.stack(
             [inv[..., 0, 0], inv[..., 1, 1], inv[..., 0, 1]], axis=-1
@@ -151,7 +151,7 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
 
     # the penalty lives on the boundary elements only: their own element rows
     pen_ids, pen_local = [np.empty(0, dtype=int)], [np.empty((0, m, m))]
-    for side, ids, edge, scale in edge_batches(mesh, problem, edge_rule(degree)):
+    for side, ids, edge, scale in edge_batches(mesh, edge_rule(degree)):
         covector = edge.reference_components(edge.conormal)
         flux = (edge.grads @ covector[..., None])[..., 0]
         consistency = (scale[..., None] * flux).transpose(0, 2, 1) @ edge.values
@@ -252,6 +252,9 @@ def assemble(mesh: ParametricMesh, beta: float, problem) -> SparseSystem:
     """
     _check_penalty(beta)
     matrix, rhs = _penalized(_assemble_parts(mesh, problem), beta, mesh.h)
+    # sum_duplicates leaves a view of the unsummed ids when few were duplicates; free them
+    if matrix.indices.base is not None and matrix.indices.base.size > matrix.indices.size:
+        matrix.indices = matrix.indices.copy()
     return SparseSystem(matrix=matrix, rhs=rhs)
 
 

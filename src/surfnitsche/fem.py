@@ -2,9 +2,9 @@
 
 Each element maps the reference triangle into 3-space through its order-k
 nodal coordinates.  The 3x2 Jacobian J yields the first fundamental form
-G = J^T J, the area factor sqrt(det G), the unit normal (oriented to agree
-with the exact surface normal at the closest point), tangential gradients
-J G^{-1} grad_ref, and on boundary edges the exterior unit conormal.
+G = J^T J, the area factor sqrt(det G), the unoriented unit normal, tangential
+gradients J G^{-1} grad_ref, and on boundary edges the exterior unit conormal;
+no exact-geometry query runs here.
 
 Every quadrature batch is a ``FrameBundle``, which carries the basis
 tables at its points; a boundary-edge batch is an ``EdgeBundle``, the
@@ -41,18 +41,14 @@ class FrameBundle:
     """Vectorized frames for a batch of elements at shared reference points.
 
     ``values`` (q,n) and ``grads`` (q,n,2) tabulate the basis at the
-    points.  Arrays are indexed (element, quad point, ...):
-    position (e,q,3), jacobian (e,q,3,2), metric/inv_metric (e,q,2,2),
-    area_factor (e,q), normal (e,q,3).  ``exact_normal`` (e,q,3) is the
-    exact surface normal at the closest point of each position, which
-    orients ``normal``; ``signed_area`` is the raw cross product projected
-    on it, so its sign exposes folds.
+    points.  Arrays are indexed (element, quad point, ...): position (e,q,3),
+    jacobian (e,q,3,2), metric/inv_metric (e,q,2,2) and area_factor (e,q).
     J^T is stored contiguously and ``jacobian`` is a transposed view of it.
     ``inv_metric`` is formed on first use: the fold check, the geometric
     report and the boundary-edge geometry never read it.
     """
 
-    def __init__(self, mesh: "ParametricMesh", problem, element_ids, ref_points):
+    def __init__(self, mesh: "ParametricMesh", element_ids, ref_points):
         pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
         self.values, self.grads = reference_element(mesh.order).tabulate(pts)
         coords = mesh.nodes[mesh.elements[np.asarray(element_ids, dtype=int)]]
@@ -73,15 +69,12 @@ class FrameBundle:
         self.metric = g
         self._det = det
         self.area_factor = np.sqrt(det)
-        raw = _cross3(jac_t[..., 0, :], jac_t[..., 1, :])
-        raw_norm = _norm3(raw)
-        unit = raw / raw_norm[..., None]
-        self.exact_normal = problem.normal_at_closest(self.position)
-        orient = _dot3(unit, self.exact_normal)
-        if np.any(orient == 0.0):
-            raise DegenerateElementError("element normal perpendicular to the surface")
-        self.normal = unit * np.sign(orient)[..., None]
-        self.signed_area = raw_norm * np.sign(orient)
+
+    def area_normal(self):
+        """|J_0 x J_1| (e,q) and the unoriented unit normal J_0 x J_1 / |J_0 x J_1| (e,q,3)."""
+        raw = _cross3(self._jacobian_t[..., 0, :], self._jacobian_t[..., 1, :])
+        length = _norm3(raw)
+        return length, raw / length[..., None]
 
     @cached_property
     def inv_metric(self):
@@ -161,28 +154,28 @@ def _norm3(a):
 
 
 def frames(mesh: "ParametricMesh", problem, element_ids, ref_points) -> FrameBundle:
-    """FrameBundle for the listed elements at shared reference points."""
-    return FrameBundle(mesh, problem, element_ids, ref_points)
+    """FrameBundle(mesh, element_ids, ref_points); ``problem`` is unused."""
+    return FrameBundle(mesh, element_ids, ref_points)
 
 
 class EdgeBundle(FrameBundle):
     """Element frames at the points of one local edge, with its edge geometry.
 
     The frames, basis tables and positions are those of
-    ``frames(mesh, problem, element_ids, edge_ref_points(local_edge, t))``;
+    ``FrameBundle(mesh, element_ids, edge_ref_points(local_edge, t))``;
     the edge adds its unit tangent, the arc-length factor |x'(t)| of the
     edge parameterization, and the exterior unit conormal (tangent to the
-    element, normal to the edge, pointing away from the opposite corner).
+    element, normal to the edge, and turned away from the opposite corner).
     """
 
-    def __init__(self, mesh: "ParametricMesh", problem, element_ids, local_edge, t_points):
-        super().__init__(mesh, problem, element_ids, edge_ref_points(local_edge, t_points))
+    def __init__(self, mesh: "ParametricMesh", element_ids, local_edge, t_points):
+        super().__init__(mesh, element_ids, edge_ref_points(local_edge, t_points))
         tangent = self.jacobian @ edge_ref_direction(local_edge)
         self.line_factor = _norm3(tangent)
         if np.any(self.line_factor <= 0.0):
             raise DegenerateElementError("degenerate boundary edge")
         self.tangent = tangent / self.line_factor[..., None]
-        conormal = _cross3(self.tangent, self.normal)
+        conormal = _cross3(self.tangent, self.area_normal()[1])
         conormal /= _norm3(conormal)[..., None]
         corner = reference_element(mesh.order).corner_ids[edge_opposite_corner(local_edge)]
         opposite = mesh.nodes[mesh.elements[np.asarray(element_ids, dtype=int), corner]]

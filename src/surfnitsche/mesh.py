@@ -28,11 +28,11 @@ at one local edge's points) per (local edge, side) group of
 ``ParametricMesh.boundary_edges`` with the weights w_q |x'(t)|.  Bounding
 a batch by points rather than by elements keeps its (e, q, ...) work
 arrays the same size at every order and rule, small enough to be reused
-from batch to batch.  The fold check and the report's element side are
-one element walk: ``build_mesh`` raises on folds and keeps that side on
-the mesh, so ``geometric_report`` of a built mesh against its build
-problem frames no element again; it interpolates the boundary-edge points
-from the element nodes and builds no edge frame.
+from batch to batch.  Frames know only the discrete surface; only the fold
+check, which is also the report's element side, orients them by the exact
+normal.  ``build_mesh`` keeps that side on the mesh, so a report against
+the build problem frames no element again, and neither the build nor the
+report frames a boundary edge: both interpolate its points from the nodes.
 """
 from __future__ import annotations
 
@@ -41,13 +41,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DegenerateElementError,
     DegenerateInputError,
     InvalidArgumentError,
     MeshInvalidError,
     UnsupportedDegreeError,
     integer,
 )
-from .fem import EdgeBundle, _norm3, frames
+from .fem import EdgeBundle, FrameBundle, _dot3, _norm3
 from .reference import (
     barycentric_lattice,
     edge_node_ids,
@@ -203,8 +204,8 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
             )
         # Boundary-edge quadrature points can reach the center circle where
         # no element quadrature point does; assembly would meet them there.
-        for _ in edge_batches(mesh, problem, edge_rule(assembly_degree(k))):
-            pass
+        for _, points in _edge_points(mesh):
+            problem.normal_at_closest(points)
     except DegenerateInputError as err:
         # Cells spanning half the tube put facet nodes or quadrature points
         # on the center circle, where the surface has no nearest point.
@@ -311,7 +312,7 @@ def _blend_boundary_elements(nodes, displacement, k, elements, boundary_edges, p
     return nodes
 
 
-def element_batches(mesh: ParametricMesh, problem, rule):
+def element_batches(mesh: ParametricMesh, rule):
     """Yield (element ids, frames, w_q sqrt(det G)) per batch of elements.
 
     Batches run over the elements in order.  They are the fewest that keep
@@ -323,39 +324,49 @@ def element_batches(mesh: ParametricMesh, problem, rule):
     per_batch = max(1, BATCH_POINTS // len(rule.weights))
     count = -(-mesh.num_elements // per_batch)
     for ids in np.array_split(np.arange(mesh.num_elements), count):
-        bundle = frames(mesh, problem, ids, rule.points)
+        bundle = FrameBundle(mesh, ids, rule.points)
         yield ids, bundle, rule.weights[None, :] * bundle.area_factor
 
 
-def edge_batches(mesh: ParametricMesh, problem, rule):
+def edge_batches(mesh: ParametricMesh, rule):
     """Yield (side, element ids, edge geometry, w_q |x'(t)|) per boundary group."""
     for (local_edge, side), ids in mesh.boundary_edges.items():
-        edge = EdgeBundle(mesh, problem, ids, local_edge, rule.points)
+        edge = EdgeBundle(mesh, ids, local_edge, rule.points)
         yield side, ids, edge, rule.weights[None, :] * edge.line_factor
 
 
-def _scaled_jacobians(signed_area):
-    """Per element of a batch: min over quad points of the signed area
-    density, normalized by the element's largest density; <= 0 flags a fold."""
-    orient = np.sign(np.sum(signed_area, axis=1))
-    signed = signed_area * orient[:, None]
-    return signed.min(axis=1) / np.abs(signed).max(axis=1)
+def _edge_points(mesh: ParametricMesh):
+    """Yield (side, points (m, 3)) per boundary group at the assembly edge rule, unframed."""
+    values_at = reference_element(mesh.order).eval
+    t_points = edge_rule(assembly_degree(mesh.order)).points
+    for (local_edge, side), ids in mesh.boundary_edges.items():
+        values = values_at(edge_ref_points(local_edge, t_points))
+        yield side, (values @ mesh.nodes[mesh.elements[ids]]).reshape(-1, 3)
 
 
 def _element_pass(mesh: ParametricMesh, problem):
     """Fold element ids and the element-side report fields, in one walk.
 
-    Folds are the elements whose scaled Jacobian is <= 0; the fields are
-    ``max_rho``, ``max_normal_dev`` and ``min_scaled_jacobian``.
+    Folds are the elements whose scaled Jacobian is <= 0: the least signed
+    area density |J_0 x J_1| (signed by the exact normal, then by the sum
+    over the element) over the largest.  The fields are ``max_rho``,
+    ``max_normal_dev`` and ``min_scaled_jacobian``.
     """
     max_rho = max_normal_dev = 0.0
     min_scaled_jacobian = np.inf
     folds = []
     rule = triangle_rule(assembly_degree(mesh.order))
-    for ids, bundle, _ in element_batches(mesh, problem, rule):
+    for ids, bundle, _ in element_batches(mesh, rule):
+        area, unit = bundle.area_normal()
+        exact_normal = problem.normal_at_closest(bundle.position)
+        orient = np.sign(_dot3(unit, exact_normal))
+        if np.any(orient == 0.0):
+            raise DegenerateElementError("element normal perpendicular to the surface")
         rho = problem.signed_distance(bundle.position)
-        normal_dev = _norm3(bundle.exact_normal - bundle.normal)
-        scaled = _scaled_jacobians(bundle.signed_area)
+        normal_dev = _norm3(exact_normal - unit * orient[..., None])
+        signed = area * orient
+        signed *= np.sign(np.sum(signed, axis=1))[:, None]
+        scaled = signed.min(axis=1) / np.abs(signed).max(axis=1)
         folds.append(ids[scaled <= 0.0])
         max_rho = max(max_rho, float(np.abs(rho).max()))
         max_normal_dev = max(max_normal_dev, float(normal_dev.max()))
@@ -376,31 +387,24 @@ def geometric_report(mesh: ParametricMesh, problem) -> GeometricReport:
     holds the arrays it was built with; any other mesh or problem gets the
     same element pass here.  The boundary edges and nodes are always
     measured here: their projections onto the boundary curves are Newton
-    solves whose failures are the report's, not the build's.  Edge points
-    are interpolated from the element nodes; no edge frame is built.
+    solves whose failures are the report's, not the build's.
     """
     built_for, nodes, elements, element_side = mesh._element_side or (None,) * 4
     if not (built_for is problem and nodes is mesh.nodes and elements is mesh.elements):
         _, element_side = _element_pass(mesh, problem)
 
-    ref = reference_element(mesh.order)
-    t_points = edge_rule(assembly_degree(mesh.order)).points
-    max_edge_dist = 0.0
-    for (local_edge, side), ids in mesh.boundary_edges.items():
-        values = ref.eval(edge_ref_points(local_edge, t_points))
-        pts = (values @ mesh.nodes[mesh.elements[ids]]).reshape(-1, 3)
-        proj = problem.project_to_boundary(pts, side)
-        max_edge_dist = max(max_edge_dist, float(np.linalg.norm(pts - proj, axis=-1).max()))
-
-    max_node_dist = 0.0
-    for side, ids in mesh.boundary_nodes.items():
-        proj = problem.project_to_boundary(mesh.nodes[ids], side)
-        max_node_dist = max(
-            max_node_dist, float(np.linalg.norm(mesh.nodes[ids] - proj, axis=-1).max())
-        )
-
+    node_points = ((side, mesh.nodes[ids]) for side, ids in mesh.boundary_nodes.items())
     return GeometricReport(
-        max_boundary_dist=max_edge_dist,
-        max_boundary_node_dist=max_node_dist,
+        max_boundary_dist=_boundary_distance(_edge_points(mesh), problem),
+        max_boundary_node_dist=_boundary_distance(node_points, problem),
         **element_side,
     )
+
+
+def _boundary_distance(groups, problem):
+    """Largest distance of the points of (side, points) groups from their boundary curves."""
+    distances = [0.0]
+    for side, pts in groups:
+        proj = problem.project_to_boundary(pts, side)
+        distances.append(float(np.linalg.norm(pts - proj, axis=-1).max()))
+    return max(distances)

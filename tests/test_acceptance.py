@@ -16,6 +16,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from surfnitsche import geometry as geo
+from surfnitsche import mesh as mesh_module
 from surfnitsche.analysis import convergence_study, error_measures
 from surfnitsche.assembly import assemble, min_stable_beta_probe
 from surfnitsche.mesh import build_mesh, geometric_report
@@ -93,6 +94,39 @@ def test_k1_rate_headroom(torus_problem):
         f"eoc_energy={finest.eoc_energy:.3f} in [0.75,1.4]"
     )
     report("k=1 rate headroom (five levels)", ok, detail)
+
+
+def test_l2_rate_tells_nitsche_from_penalty(torus_problem):
+    # Without its two consistency terms the method is a symmetric penalty
+    # method, which keeps every rate of criteria 1 and 2 at beta = 1e4.  At
+    # beta = 300, still above every measured stability threshold (<= 138 at
+    # k = 3), its k = 3 L2 rate on the 16 -> 32 pair drops to about 2.7,
+    # while Nitsche's method keeps h^4.
+    finest = convergence_study(3, 3, 300.0, torus_problem, base_divisions=8)[-1]
+    ok = 3.75 <= finest.eoc_l2 <= 4.4
+    detail = (
+        f"eoc_l2={finest.eoc_l2:.3f} in [3.75,4.4]"
+        f" (eoc_energy={finest.eoc_energy:.3f}, not asserted)"
+    )
+    report("Nitsche consistency (k=3 L2 rate at beta=300)", ok, detail)
+
+
+def test_l2_rate_sees_boundary_approximation(torus_problem, torus_studies, monkeypatch):
+    # Facet-linear nodes without the boundary correction leave the boundary
+    # nodes O(h^2) off the boundary curves, and the k = 3 L2 rate on the
+    # 16 -> 32 pair drops to about 2; the chart mesh, exact at its nodes,
+    # keeps h^4 on the same pair.
+    monkeypatch.setattr(mesh_module, "_correct_boundary", lambda nodes, *_: nodes)
+    errors = []
+    for n_div in (16, 32):
+        mesh = build_mesh(n_div, 3, torus_problem, node_placement="facet-linear")
+        solution = solve_spd(assemble(mesh, BETA, torus_problem)).solution
+        errors.append(error_measures(mesh, solution, torus_problem).l2_error)
+    uncorrected = float(np.log2(errors[0] / errors[1]))
+    exact = torus_studies[3][2].eoc_l2
+    ok = uncorrected <= 3.0 and exact >= 3.75
+    detail = f"eoc_l2 uncorrected={uncorrected:.3f} <= 3; exact geometry={exact:.3f} >= 3.75"
+    report("boundary approximation (k=3 L2 rate, boundary correction skipped)", ok, detail)
 
 
 def test_criterion_3_simplified_stability(simple_problem):
@@ -220,7 +254,7 @@ class TestCriterion7Oracles:
                f"max gap {gap:.2e}")
 
     def test_gradient_vs_reference_fd(self, torus_problem):
-        from surfnitsche.fem import frames
+        from surfnitsche.fem import FrameBundle
 
         mesh = build_mesh(4, 2, torus_problem)
         rng = np.random.default_rng(2)
@@ -228,17 +262,17 @@ class TestCriterion7Oracles:
         for _ in range(20):
             element = int(rng.integers(0, mesh.num_elements))
             point = rng.uniform(0.1, 0.4, 2)
-            bundle = frames(mesh, torus_problem, [element], [point])
+            bundle = FrameBundle(mesh, [element], [point])
             ref_grad = np.zeros(2)
             for axis in range(2):
                 plus, minus = point.copy(), point.copy()
                 plus[axis] += 1e-6
                 minus[axis] -= 1e-6
                 u_plus = torus_problem.solution_at(
-                    frames(mesh, torus_problem, [element], [plus]).position[0, 0]
+                    FrameBundle(mesh, [element], [plus]).position[0, 0]
                 )
                 u_minus = torus_problem.solution_at(
-                    frames(mesh, torus_problem, [element], [minus]).position[0, 0]
+                    FrameBundle(mesh, [element], [minus]).position[0, 0]
                 )
                 ref_grad[axis] = (u_plus - u_minus) / 2e-6
             fd = bundle.jacobian[0, 0] @ np.linalg.solve(bundle.metric[0, 0], ref_grad)

@@ -9,7 +9,7 @@ from surfnitsche.analysis import (
     records_to_csv,
 )
 from surfnitsche.errors import InvalidArgumentError, InvalidPenaltyError
-from surfnitsche.fem import frames
+from surfnitsche.fem import FrameBundle
 from surfnitsche.mesh import build_mesh
 from surfnitsche.reference import triangle_rule
 
@@ -33,7 +33,7 @@ class TestErrorMeasures:
         err = error_measures(mesh, np.zeros(mesh.num_nodes), torus_problem)
         # independent quadrature of u(p(x))^2 over the discrete surface
         rule = triangle_rule(8)
-        bundle = frames(mesh, torus_problem, np.arange(mesh.num_elements), rule.points)
+        bundle = FrameBundle(mesh, np.arange(mesh.num_elements), rule.points)
         u_sq = torus_problem.solution_at(bundle.position) ** 2
         direct = np.sqrt(np.sum(rule.weights[None, :] * bundle.area_factor * u_sq))
         assert err.l2_error == pytest.approx(direct, rel=1e-12)
@@ -57,17 +57,17 @@ class TestErrorMeasures:
         step = 1e-6
         worst = 0.0
         for element, point in zip(elements, points):
-            bundle = frames(mesh, torus_problem, [element], [point])
+            bundle = FrameBundle(mesh, [element], [point])
             ref_grad = np.zeros(2)
             for axis in range(2):
                 plus, minus = point.copy(), point.copy()
                 plus[axis] += step
                 minus[axis] -= step
                 u_plus = torus_problem.solution_at(
-                    frames(mesh, torus_problem, [element], [plus]).position[0, 0]
+                    FrameBundle(mesh, [element], [plus]).position[0, 0]
                 )
                 u_minus = torus_problem.solution_at(
-                    frames(mesh, torus_problem, [element], [minus]).position[0, 0]
+                    FrameBundle(mesh, [element], [minus]).position[0, 0]
                 )
                 ref_grad[axis] = (u_plus - u_minus) / (2 * step)
             fd = bundle.jacobian[0, 0] @ np.linalg.solve(bundle.metric[0, 0], ref_grad)

@@ -166,6 +166,14 @@ class TestElementBlockAssembly:
         size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
         assert peak <= 2.5 * (size + system.rhs.nbytes)
 
+    def test_assembled_indices_own_their_memory(self, torus_problem):
+        # at k = 3 fewer than half the unsummed column ids are duplicates, so
+        # sum_duplicates leaves the core's ids a view into the unsummed array
+        mesh = build_mesh(8, 3, torus_problem)
+        assert _assemble_parts(mesh, torus_problem).core.indices.base is not None
+        indices = assemble(mesh, 1e4, torus_problem).matrix.indices
+        assert indices.base is None and indices.flags.owndata
+
 
 def scipy_penalized(parts, beta, h):
     """core + beta/h * penalty as scipy adds two CSR matrices, and the rhs."""

@@ -13,7 +13,7 @@ import pytest
 from surfnitsche import geometry as geo
 from surfnitsche.analysis import error_measures
 from surfnitsche.assembly import _assemble_parts
-from surfnitsche.fem import EdgeBundle, frames
+from surfnitsche.fem import EdgeBundle, FrameBundle
 from surfnitsche.mesh import build_mesh
 from surfnitsche.reference import edge_rule, reference_element, triangle_rule
 
@@ -80,7 +80,7 @@ def einsum_parts(mesh, problem):
 
     erule = edge_rule(2 * k + 2)
     for (local_edge, side), ids in mesh.boundary_edges.items():
-        edge = EdgeBundle(mesh, problem, ids, local_edge, erule.points)
+        edge = EdgeBundle(mesh, ids, local_edge, erule.points)
         conn = mesh.elements[ids]
         position, jac, inv_metric, _ = einsum_frames(mesh.nodes[conn], edge.values, edge.grads)
         scale = erule.weights[None, :] * edge.line_factor
@@ -115,7 +115,7 @@ def einsum_error_measures(mesh, coefficients, problem):
     flux_sq = jump_sq = mismatch_sq = 0.0
     erule = edge_rule(2 * k + 4)
     for (local_edge, side), ids in mesh.boundary_edges.items():
-        edge = EdgeBundle(mesh, problem, ids, local_edge, erule.points)
+        edge = EdgeBundle(mesh, ids, local_edge, erule.points)
         conn = mesh.elements[ids]
         position, jac, inv_metric, _ = einsum_frames(mesh.nodes[conn], edge.values, edge.grads)
         scale = erule.weights[None, :] * edge.line_factor
@@ -161,7 +161,7 @@ def test_frames_match_einsum(case):
     problem, mesh = case
     rule = triangle_rule(2 * mesh.order + 2)
     values, grads = reference_element(mesh.order).tabulate(rule.points)
-    bundle = frames(mesh, problem, np.arange(mesh.num_elements), rule.points)
+    bundle = FrameBundle(mesh, np.arange(mesh.num_elements), rule.points)
     position, jac, inv_metric, area = einsum_frames(mesh.nodes[mesh.elements], values, grads)
     assert relative_gap(bundle.position, position) <= RTOL
     assert relative_gap(bundle.jacobian, jac) <= RTOL

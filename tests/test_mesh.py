@@ -11,7 +11,7 @@ from surfnitsche import geometry as geo
 from surfnitsche import mesh as mesh_module
 from surfnitsche.assembly import assemble
 from surfnitsche.errors import InvalidArgumentError, MeshInvalidError, UnsupportedDegreeError
-from surfnitsche.fem import frames
+from surfnitsche.fem import FrameBundle
 from surfnitsche.mesh import (
     ParametricMesh,
     _blend_boundary_elements,
@@ -325,11 +325,11 @@ class TestBuildReportMemo:
     def test_build_and_report_frame_each_element_once(self, torus_problem, monkeypatch):
         framed = []
 
-        def counting(mesh, problem, element_ids, ref_points):
+        def counting(mesh, element_ids, ref_points):
             framed.append(len(element_ids))
-            return frames(mesh, problem, element_ids, ref_points)
+            return FrameBundle(mesh, element_ids, ref_points)
 
-        monkeypatch.setattr(mesh_module, "frames", counting)
+        monkeypatch.setattr(mesh_module, "FrameBundle", counting)
         mesh = build_mesh(8, 2, torus_problem)
         geometric_report(mesh, torus_problem)
         assert sum(framed) == mesh.num_elements
@@ -339,14 +339,14 @@ class TestBuildReportMemo:
 
         class CountingEdgeBundle(fem.EdgeBundle):
             def __init__(self, *args):
-                built.append(args[2])
+                built.append(args[1])
                 super().__init__(*args)
 
         monkeypatch.setattr(fem, "EdgeBundle", CountingEdgeBundle)
         monkeypatch.setattr(mesh_module, "EdgeBundle", CountingEdgeBundle)
+        # the build's center-circle check and the report both interpolate
+        # the edge points from the element nodes
         mesh = build_mesh(8, 2, torus_problem)
-        assert built  # the build's center-circle check frames the edges
-        built.clear()
         geometric_report(mesh, torus_problem)
         geometric_report(memo_free_copy(mesh), torus_problem)
         assert built == []

@@ -9,8 +9,10 @@ Shrinking the budget must not change what they compute; a walker that
 mixed up local and global element ids would.  The mesh report is also
 checked against a copy of the formulation that framed all elements at
 once, the scaled Jacobians in a second pass and the boundary edges
-through full edge frames.
+through full edge frames.  Only that report compares the frames with the
+exact surface normal; assembly and error measurement never query it.
 """
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,9 +21,9 @@ import pytest
 from surfnitsche import geometry as geo
 from surfnitsche import mesh as mesh_module
 from surfnitsche.analysis import error_measures
-from surfnitsche.assembly import _assemble_parts
+from surfnitsche.assembly import _assemble_parts, assemble
 from surfnitsche.errors import MeshInvalidError
-from surfnitsche.fem import EdgeBundle, frames
+from surfnitsche.fem import EdgeBundle, FrameBundle
 from surfnitsche.mesh import (
     GeometricReport,
     ParametricMesh,
@@ -100,23 +102,34 @@ def test_fold_message_does_not_depend_on_chunk_size(monkeypatch):
     assert str(small.value) == str(default.value)
 
 
+def oriented_frame(bundle, problem):
+    """(exact normal, normal, signed area density) of a frame bundle, with
+    the normal oriented by the exact normal, all formed from ``jacobian``."""
+    raw = np.cross(bundle.jacobian[..., 0], bundle.jacobian[..., 1])
+    area = np.linalg.norm(raw, axis=-1)
+    unit = raw / area[..., None]
+    exact_normal = problem.normal_at_closest(bundle.position)
+    orient = np.sign(np.sum(unit * exact_normal, axis=-1))
+    return exact_normal, unit * orient[..., None], area * orient
+
+
 def all_at_once_report(mesh, problem):
     """Geometric report with every element framed in one batch.
 
-    The scaled Jacobians come from a second framing of all elements and
-    the exact normals from a separate closest-point query.
+    The scaled Jacobians come from a second framing of all elements, and
+    the exact normals orient both framings separately.
     """
     quad_degree = 2 * mesh.order + 2
     rule = triangle_rule(quad_degree)
-    bundle = frames(mesh, problem, np.arange(mesh.num_elements), rule.points)
+    bundle = FrameBundle(mesh, np.arange(mesh.num_elements), rule.points)
     rho = problem.signed_distance(bundle.position)
-    exact_normal = problem.normal_at_closest(bundle.position)
-    normal_dev = np.linalg.norm(exact_normal - bundle.normal, axis=-1)
+    exact_normal, normal, _ = oriented_frame(bundle, problem)
+    normal_dev = np.linalg.norm(exact_normal - normal, axis=-1)
 
     erule = edge_rule(quad_degree)
     max_edge_dist = 0.0
     for (local_edge, side), element_ids in mesh.boundary_edges.items():
-        edge = EdgeBundle(mesh, problem, element_ids, local_edge, erule.points)
+        edge = EdgeBundle(mesh, element_ids, local_edge, erule.points)
         pts = edge.position.reshape(-1, 3)
         proj = problem.project_to_boundary(pts, side)
         max_edge_dist = max(max_edge_dist, float(np.linalg.norm(pts - proj, axis=-1).max()))
@@ -128,7 +141,8 @@ def all_at_once_report(mesh, problem):
             max_node_dist, float(np.linalg.norm(mesh.nodes[ids] - proj, axis=-1).max())
         )
 
-    signed = frames(mesh, problem, np.arange(mesh.num_elements), rule.points).signed_area
+    second = FrameBundle(mesh, np.arange(mesh.num_elements), rule.points)
+    _, _, signed = oriented_frame(second, problem)
     signed = signed * np.sign(np.sum(signed, axis=1))[:, None]
     scaled = signed.min(axis=1) / np.abs(signed).max(axis=1)
     return GeometricReport(
@@ -144,11 +158,11 @@ def all_at_once_report(mesh, problem):
 def test_report_matches_all_at_once_oracle(torus_problem, order, monkeypatch):
     batches = []
 
-    def counting(mesh, problem, element_ids, ref_points):
+    def counting(mesh, element_ids, ref_points):
         batches.append(len(element_ids))
-        return frames(mesh, problem, element_ids, ref_points)
+        return FrameBundle(mesh, element_ids, ref_points)
 
-    monkeypatch.setattr(mesh_module, "frames", counting)
+    monkeypatch.setattr(mesh_module, "FrameBundle", counting)
     mesh = build_mesh(40, order, torus_problem)
     assert len(batches) > 1
     report = geometric_report(mesh, torus_problem)
@@ -163,24 +177,56 @@ def test_batches_cover_elements_within_budget(order, budget, monkeypatch):
     """Every element once, in order; over budget only as a single element;
     no small remainder batch.
 
-    The mesh is a stand-in with 5,003 elements, and ``frames`` a stub, so
+    The mesh is a stand-in with 5,003 elements, and ``FrameBundle`` a stub, so
     only the batching runs.  A budget of 7 is below every rule's size.
     """
     if budget != "default":
         monkeypatch.setattr(mesh_module, "BATCH_POINTS", budget)
 
-    def stub_frames(mesh, problem, ids, points):
+    def stub_frames(mesh, ids, points):
         return SimpleNamespace(area_factor=np.ones((len(ids), len(points))))
 
-    monkeypatch.setattr(mesh_module, "frames", stub_frames)
+    monkeypatch.setattr(mesh_module, "FrameBundle", stub_frames)
     num_elements = 5003
     mesh = ParametricMesh(order, np.zeros((1, 3)), np.zeros((num_elements, 1), dtype=int), {}, 1.0)
     for degree in (2 * order + 2, 2 * order + 4):
         rule = triangle_rule(degree)
-        batches = [ids for ids, _, _ in element_batches(mesh, None, rule)]
+        batches = [ids for ids, _, _ in element_batches(mesh, rule)]
         assert len(batches) > 1
         np.testing.assert_array_equal(np.concatenate(batches), np.arange(num_elements))
         for ids in batches:
             assert len(ids) == 1 or len(ids) * len(rule.weights) <= mesh_module.BATCH_POINTS
         sizes = [len(ids) for ids in batches]
         assert max(sizes) - min(sizes) <= 1
+
+
+class CountingProblem:
+    """A problem that counts the calls to each of its methods."""
+
+    def __init__(self, problem):
+        self._problem = problem
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._problem, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("name, order", CASES, ids=CASE_IDS)
+def test_assembly_and_errors_query_no_exact_normal(name, order):
+    """Frames carry only the discrete surface: the exact normal is the
+    build's and the report's business, never assembly's or measurement's."""
+    problem = PROBLEMS[name]()
+    mesh = build_mesh(4, order, problem)
+    counting = CountingProblem(problem)
+    system = assemble(mesh, 1e4, counting)
+    error_measures(mesh, np.sin(np.arange(system.dim)), counting)
+    assert counting.calls["normal_at_closest"] == 0
+    assert counting.calls["load_at"] > 0 and counting.calls["solution_at"] > 0
