@@ -1,20 +1,20 @@
 """Symmetric positive definite solves for assembled systems.
 
-Every solve stops at one fixed relative residual, REL_TOL = 1e-12
-(||A x - b|| <= REL_TOL ||b||); it is not a parameter.  Systems up to
-2000 unknowns go through a sparse direct factorization (with iterative
-refinement to push the residual below REL_TOL); larger ones through
-Jacobi-preconditioned conjugate gradients.  Both paths re-evaluate the
-final residual independently of the iteration before reporting
-success.  A system with a non-finite entry, whose shapes do not match,
-or whose rhs is so large that its norm overflows is rejected before
-either path runs.
+Every solve runs one preconditioned conjugate-gradient loop to one fixed
+relative residual, REL_TOL = 1e-12 (||A x - b|| <= REL_TOL ||b||); it is
+not a parameter.  The method picks the preconditioner.  "direct" (up to
+2000 unknowns under "auto") uses a sparse factorization of A itself, so
+one iteration meets REL_TOL; it stops after 4.  "cg" uses the inverse
+diagonal (Jacobi) and stops after 50 iterations per unknown.  When the
+recursive residual meets REL_TOL the loop recomputes b - A x; that true
+residual is the one checked and reported, and the iteration restarts
+from it if rounding left it above REL_TOL.
 
 The direct factorization is SuperLU with a symmetric fill-reducing
 ordering (minimum degree on A^T + A) and pivots taken from the diagonal
 only, so P A P^T = L U with U = D L^T.  By Sylvester's law of inertia
 the signs of diag(U) are the signs of the eigenvalues of A: one
-factorization both solves and decides definiteness
+factorization both preconditions and decides definiteness
 (is_positive_definite), which is also how the assembly module probes the
 penalty threshold.
 
@@ -26,20 +26,21 @@ per solve; it also makes the rounding, and with it the iteration count,
 depend on the BLAS thread count.  With pairwise sums the iteration
 count does not depend on it.
 
-Large systems run each conjugate-gradient iteration on two threads,
+Large systems on the Jacobi path run each iteration on two threads,
 each owning one contiguous half of the rows: the sparse product of its
-rows, its part of every vector update and its partial dot products.
-Both the sparse product and the vector updates are bound by memory
-bandwidth, which a second core nearly doubles.  The rows are split
-where np.add.reduce makes its first pairwise split (n//2 rounded down
-to a multiple of 8), so the left partial plus the right partial is
-bit for bit the sum over the whole vector.  The row-wise updates and
-the sparse product of a row range are the same operations on the same
-entries in either case, so iterates, iteration count and residual do
-not depend on whether the rows are split, on the number of CPUs or on
-thread scheduling.  The iteration has three phases (sparse product;
-x, r and z updates; direction update), each ending when both halves
-are done.  The second thread lives only for the duration of one solve.
+rows, its part of every vector update and of the preconditioner, and its
+partial dot products.  Both the sparse product and the vector updates
+are bound by memory bandwidth, which a second core nearly doubles.  The
+rows are split where np.add.reduce makes its first pairwise split (n//2
+rounded down to a multiple of 8), so the left partial plus the right
+partial is bit for bit the sum over the whole vector.  The row-wise
+updates and the sparse product of a row range are the same operations
+on the same entries in either case, so iterates, iteration count and
+residual do not depend on whether the rows are split, on the number of
+CPUs or on thread scheduling.  The iteration has three phases (sparse
+product; x, r and z updates; direction update), each ending when both
+halves are done.  The second thread lives only for the duration of one
+solve.
 """
 from __future__ import annotations
 
@@ -72,6 +73,10 @@ _SPLIT_MIN_DIM = 40_000
 
 @dataclass
 class SolveReport:
+    """A solve's result.  ``iterations`` counts conjugate-gradient iterations
+    (restarts included): 1 for a direct solve that met REL_TOL at once, 0
+    for a zero rhs.  ``relative_residual`` is the true ||b - A x|| / ||b||."""
+
     solution: np.ndarray
     iterations: int
     relative_residual: float
@@ -86,11 +91,13 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
 def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
     """Solve A x = b for symmetric positive definite A to REL_TOL.
 
-    method: "auto" picks "direct" (sparse symmetric factorization) for
-    dim <= 2000 and "cg" otherwise; both can be forced explicitly.  A
+    method: "auto" picks "direct" (CG preconditioned by a sparse
+    symmetric factorization) for dim <= 2000 and "cg" (Jacobi-
+    preconditioned CG) otherwise; both can be forced explicitly.  A
     non-square matrix, an rhs of another length, a non-finite entry or
-    an rhs whose norm overflows raises InvalidArgumentError; a final
-    residual above REL_TOL raises MaxIterationsExceededError.
+    an rhs whose norm overflows raises InvalidArgumentError; a residual
+    still above REL_TOL at the iteration cap raises
+    MaxIterationsExceededError.
     """
     rhs = float_array("rhs", rhs, finite=True)
     matrix = _checked_matrix(matrix, sp.csr_matrix, rhs.shape)
@@ -101,19 +108,28 @@ def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
     if method == "auto":
         method = "direct" if dim <= DIRECT_DIM_LIMIT else "cg"
     if method == "direct":
-        x, iters = _direct_solve(matrix, rhs)
-        tag = "direct"
+        factor = _factorize_spd(matrix)
+
+        def precondition(r, z, rows):  # acts on the whole vector: never split
+            z[:] = factor.solve(r)
+
+        bounds, max_iter, tag = (0, dim), 4, "direct"
     elif method == "cg":
-        x, iters = _jacobi_pcg(matrix, rhs)
-        tag = "iterative"
+        diag = matrix.diagonal()
+        if np.any(diag <= 0.0):
+            raise NotPositiveDefiniteError("nonpositive diagonal entry")
+        inv_diag = 1.0 / diag
+
+        def precondition(r, z, rows):
+            np.multiply(inv_diag[rows], r, out=z)
+
+        split = dim >= _SPLIT_MIN_DIM and _usable_cpus() >= 2
+        bounds = (0, _pairwise_split(dim), dim) if split else (0, dim)
+        max_iter, tag = 50 * dim, "iterative"
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    residual = _relative_residual(matrix, x, rhs)
-    if not residual <= REL_TOL:
-        raise MaxIterationsExceededError(
-            f"final residual {residual:.3e} above tolerance {REL_TOL:.3e}"
-        )
-    return SolveReport(solution=x, iterations=iters, relative_residual=residual, method=tag)
+    x, iterations, residual = _pcg(matrix, rhs, precondition, bounds, max_iter)
+    return SolveReport(solution=x, iterations=iterations, relative_residual=residual, method=tag)
 
 
 def _checked_matrix(matrix, layout, rhs_shape=None):
@@ -142,13 +158,6 @@ def _dot(a, b):
 
 def _norm(a):
     return np.sqrt(_dot(a, a))
-
-
-def _relative_residual(matrix, x, rhs):
-    norm_rhs = _norm(rhs)
-    if norm_rhs == 0.0:
-        return 0.0
-    return float(_norm(matrix @ x - rhs) / norm_rhs)
 
 
 def _factorize_spd(matrix):
@@ -194,40 +203,27 @@ def is_positive_definite(matrix) -> bool:
     return True
 
 
-def _direct_solve(matrix, rhs):
-    factor = _factorize_spd(matrix)
-    x = factor.solve(rhs)
-    # Iterative refinement: a couple of cheap triangular solves buy back
-    # the digits lost to the condition number.
-    for _ in range(3):
-        if _relative_residual(matrix, x, rhs) <= REL_TOL:
-            break
-        x = x + factor.solve(rhs - matrix @ x)
-    return x, 0
+def _pcg(matrix, rhs, precondition, bounds, max_iter):
+    """Preconditioned CG from x = 0: (x, iterations, true relative residual).
 
-
-def _jacobi_pcg(matrix, rhs):
+    precondition(r, z, rows) sets z = M^-1 r on the row slice ``rows``;
+    ``bounds`` are the row blocks, one per thread.
+    """
     dim = rhs.shape[0]
-    diag = matrix.diagonal()
-    if np.any(diag <= 0.0):
-        raise NotPositiveDefiniteError("nonpositive diagonal entry")
-    inv_diag = 1.0 / diag
     norm_rhs = _norm(rhs)
     x = np.zeros(dim)
     if norm_rhs == 0.0:
-        return x, 0
-    max_iter = 50 * dim
+        return x, 0, 0.0
     r = rhs.copy()
-    z = inv_diag * r
+    z = np.empty(dim)
+    precondition(r, z, slice(0, dim))
     p = z.copy()
     rz = _dot(r, z)
-    split = dim >= _SPLIT_MIN_DIM and _usable_cpus() >= 2
-    bounds = (0, _pairwise_split(dim), dim) if split else (0, dim)
     blocks = [
-        _RowBlock(matrix, lo, hi, x, r, z, p, inv_diag) for lo, hi in zip(bounds, bounds[1:])
+        _RowBlock(matrix, lo, hi, x, r, z, p, precondition) for lo, hi in zip(bounds, bounds[1:])
     ]
     # futures.ThreadPoolExecutor is imported on first use, not with this module.
-    with futures.ThreadPoolExecutor(max_workers=1) if split else nullcontext() as pool:
+    with futures.ThreadPoolExecutor(max_workers=1) if len(blocks) > 1 else nullcontext() as pool:
         iterations = 0
         while iterations < max_iter:
             iterations += 1
@@ -242,9 +238,10 @@ def _jacobi_pcg(matrix, rhs):
                 # Recursive residual met the target; verify the true residual
                 # and restart from scratch if rounding drifted it above.
                 r[:] = rhs - matrix @ x
-                if _norm(r) <= REL_TOL * norm_rhs:
-                    return x, iterations
-                np.multiply(inv_diag, r, out=z)
+                residual = float(_norm(r) / norm_rhs)
+                if residual <= REL_TOL:
+                    return x, iterations, residual
+                precondition(r, z, slice(0, dim))
                 p[:] = z
                 rz = _dot(r, z)
                 continue
@@ -269,7 +266,7 @@ def _usable_cpus():
 class _RowBlock:
     """One contiguous row range of a PCG iteration, as views into the full vectors."""
 
-    def __init__(self, matrix, lo, hi, x, r, z, p, inv_diag):
+    def __init__(self, matrix, lo, hi, x, r, z, p, precondition):
         # A CSR row slice whose data and column indices are views of the
         # matrix's, so every row keeps its entries and their order.  They
         # are set after construction: the constructor copies a view shorter
@@ -280,7 +277,7 @@ class _RowBlock:
         self.rows.indices = matrix.indices[start:stop]
         self.rows.indptr = matrix.indptr[lo : hi + 1] - start
         self.x, self.r, self.z, self.p = x[lo:hi], r[lo:hi], z[lo:hi], p[lo:hi]
-        self.inv_diag = inv_diag[lo:hi]
+        self.precondition, self.span = precondition, slice(lo, hi)
         self.ap = None
 
     def apply(self, p):
@@ -289,10 +286,10 @@ class _RowBlock:
         return (_dot(self.p, self.ap),)
 
     def step(self, alpha):
-        """x and r updates and z = D^-1 r; parts of r . r and r . z."""
+        """x and r updates and z = M^-1 r; parts of r . r and r . z."""
         self.x += alpha * self.p
         self.r -= alpha * self.ap
-        np.multiply(self.inv_diag, self.r, out=self.z)
+        self.precondition(self.r, self.z, self.span)
         return _dot(self.r, self.r), _dot(self.r, self.z)
 
     def turn(self, beta):

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,6 +111,54 @@ class TestFailureModes:
                 solve_linear(matrix, np.array([1.0, -0.999]), method=method)
 
 
+class TestDirectIsFactorPCG:
+    """"direct" is CG preconditioned by the factor: one iteration, one-shot accuracy."""
+
+    @pytest.mark.parametrize(
+        "problem, k",
+        [
+            *(pytest.param(geo.TorusProblem(), k, id=f"wavy-k{k}") for k in (1, 2, 3)),
+            pytest.param(geo.FlatSquareProblem(3), 3, id="flat-k3"),
+        ],
+    )
+    def test_one_iteration_at_one_shot_accuracy(self, problem, k):
+        system = assemble(build_mesh(8, k, problem), 1e4, problem)
+        report = solve_spd(system, method="direct")
+        assert report.method == "direct"
+        assert report.iterations == 1
+        one_shot = solve._factorize_spd(system.matrix).solve(system.rhs)
+        gap = np.max(np.abs(report.solution - one_shot)) / np.max(np.abs(one_shot))
+        assert gap <= 1e-15
+
+    def test_unreachable_tolerance_stops_after_few_factor_solves(self, monkeypatch):
+        # the matrix of test_unreachable_tolerance_hits_iteration_cap: the cap
+        # is a few iterations, not 50 per unknown; each iteration solves once
+        # and each restart once more, after the initial z = M^-1 r
+        matrix = sp.csr_matrix(np.array([[1.0, 1.0 - 1e-8], [1.0 - 1e-8, 1.0]]))
+        calls = []
+        factorize = solve._factorize_spd
+
+        def counting_factorize(matrix):
+            factor = factorize(matrix)
+            return SimpleNamespace(solve=lambda r: calls.append(r) or factor.solve(r))
+
+        monkeypatch.setattr(solve, "_factorize_spd", counting_factorize)
+        with pytest.raises(MaxIterationsExceededError):
+            solve_linear(matrix, np.array([1.0, -0.999]), method="direct")
+        assert 1 <= len(calls) <= 9
+
+    def test_direct_never_splits(self, monkeypatch):
+        # the factor acts on the whole vector, so a forced split leaves one block
+        matrix = laplacian_2d(61, 77, seed=11)
+        rhs = np.random.default_rng(12).normal(size=matrix.shape[0])
+        one_block = solve_linear(matrix, rhs, method="direct")
+        seen = force_split(monkeypatch)
+        forced = solve_linear(matrix, rhs, method="direct")
+        assert seen == []
+        assert forced.method == one_block.method == "direct"
+        assert_same_report(forced, one_block)
+
+
 class TestReportInvariants:
     def test_residual_reverified(self):
         matrix = sp.csr_matrix(random_spd(120, seed=4))
@@ -178,8 +227,10 @@ class TestInputChecks:
         assert str(shape) in str(info.value) and str((rhs_len,)) in str(info.value)
 
     def test_nan_residual_is_not_success(self, monkeypatch):
-        # a NaN residual compares false with any tolerance
-        monkeypatch.setattr(solve, "_direct_solve", lambda m, b: (np.full(len(b), np.nan), 0))
+        # a NaN residual compares false with any tolerance, so a factor that
+        # solves to NaNs runs into the iteration cap and never reports success
+        nan_factor = SimpleNamespace(solve=lambda r: np.full(len(r), np.nan))
+        monkeypatch.setattr(solve, "_factorize_spd", lambda matrix: nan_factor)
         with pytest.raises(MaxIterationsExceededError):
             solve_linear(sp.identity(4, format="csr"), np.ones(4), method="direct")
 
@@ -298,7 +349,9 @@ class TestRowBlocks:
         monkeypatch.setattr(solve, "_RowBlock", RecordedBlock)
         force_split(monkeypatch)
         solve_linear(matrix, rhs, method="cg")
-        assert len(blocks) == 2
+        half = solve._pairwise_split(matrix.shape[0])
+        # each block preconditions its own rows
+        assert [(b.span.start, b.span.stop) for b in blocks] == [(0, half), (half, matrix.shape[0])]
         for block in blocks:
             assert np.shares_memory(block.rows.data, matrix.data)
             assert np.shares_memory(block.rows.indices, matrix.indices)
@@ -307,9 +360,17 @@ class TestRowBlocks:
         # scipy's constructor would copy each half of data and indices
         matrix = torus_k2_system.matrix
         dim = matrix.shape[0]
-        vectors = [np.zeros(dim) for _ in range(5)]
+        vectors = [np.zeros(dim) for _ in range(4)]
+        inv_diag = 1.0 / matrix.diagonal()
+
+        def jacobi(r, z, rows):
+            np.multiply(inv_diag[rows], r, out=z)
+
         half = solve._pairwise_split(dim)
         _, peak = traced_peak(
-            lambda: [solve._RowBlock(matrix, lo, hi, *vectors) for lo, hi in [(0, half), (half, dim)]]
+            lambda: [
+                solve._RowBlock(matrix, lo, hi, *vectors, jacobi)
+                for lo, hi in [(0, half), (half, dim)]
+            ]
         )
         assert peak <= matrix.indptr.nbytes + 2**16
