@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidPenaltyError, NotPositiveDefiniteError
+from .errors import InvalidPenaltyError, NotPositiveDefiniteError, float_array
 from .mesh import ParametricMesh, assembly_degree, edge_batches, element_batches
 from .reference import edge_rule, reference_element, triangle_rule
 from .solve import SolveReport, is_positive_definite, solve_spd
@@ -91,10 +91,11 @@ def _symmetric(local):
     A matrix product need not sum L_ij and L_ji in the same order.  Averaging
     keeps every stiffness matrix exactly symmetric, and the consistency
     matrix C + C^T subtracted from it is exactly symmetric too, so each
-    element matrix, stiffness minus consistency, is exactly symmetric.  The
-    assembled matrix is then symmetric up to the order in which the sparse
-    conversion sums duplicate entries; the MatrixMarket export keeps only
-    one triangle.
+    element matrix, stiffness minus consistency, is exactly symmetric.  So
+    is the assembled matrix: an off-diagonal entry sums the terms of the at
+    most two elements holding both its nodes, and a + b = b + a exactly.
+    (Two cells around the tube, n_div = 2, put node pairs in four elements,
+    whose sums may round differently in (i, j) and (j, i).)
     """
     return 0.5 * (local + local.transpose(0, 2, 1))
 
@@ -235,13 +236,12 @@ def _penalized(parts: _Parts, beta: float, h: float):
 
 
 def _check_penalty(beta):
-    """InvalidPenaltyError unless beta is a finite positive number."""
-    try:
-        valid = bool(np.isfinite(beta) and beta > 0.0)
-    except TypeError:  # not a number, such as the string "1e4"
-        valid = False
-    if not valid:
-        raise InvalidPenaltyError(f"penalty must be a finite positive number, got beta={beta!r}")
+    """beta as a float; InvalidPenaltyError unless it is a finite positive number."""
+    got = f"got beta={beta!r}"
+    value = float_array(f"penalty ({got})", beta, (), finite=True, error=InvalidPenaltyError)
+    if not value > 0.0:
+        raise InvalidPenaltyError(f"penalty must be a finite positive number, {got}")
+    return value
 
 
 def assemble(mesh: ParametricMesh, beta: float, problem) -> SparseSystem:
@@ -289,9 +289,7 @@ def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem):
     """
     if np.ndim(beta_grid) != 1 or len(beta_grid) == 0:
         raise InvalidPenaltyError(f"beta grid must be a nonempty sequence, got {beta_grid!r}")
-    for beta in beta_grid:
-        _check_penalty(beta)
-    betas = np.asarray(beta_grid, dtype=float)
+    betas = np.array([_check_penalty(beta) for beta in beta_grid])
     parts = _assemble_parts(mesh, problem)
     order = np.argsort(betas, kind="stable")
 

@@ -56,15 +56,20 @@ def integer(name, value, error=InvalidArgumentError):
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
-def float_array(name, values, shape=None, finite=False):
+def float_array(name, values, shape=None, finite=False, error=InvalidArgumentError):
     """values as a float array of ``shape`` (any shape if None), with only
-    finite entries if ``finite``; otherwise InvalidArgumentError naming them."""
+    finite entries if ``finite``; otherwise ``error`` naming them.  Only bool,
+    integer and float data are real: no string (even "1.5") or complex value."""
     try:
-        array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"{name} must be numeric") from None
+        array = np.asarray(values)
+        real = array.dtype.kind in "biuf"
+    except (TypeError, ValueError):  # ragged nesting
+        real = False
+    if not real:
+        raise error(f"{name} must be real-valued")
+    array = array.astype(float, copy=False)
     if shape is not None and array.shape != shape:
-        raise InvalidArgumentError(f"{name} has shape {array.shape}, expected {shape}")
+        raise error(f"{name} has shape {array.shape}, expected {shape}")
     if finite and not np.all(np.isfinite(array)):
-        raise InvalidArgumentError(f"{name} has non-finite entries")
+        raise error(f"{name} has non-finite entries")
     return array

@@ -29,11 +29,11 @@ header, and values as shortest round-trip floats.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, float_array
 from .mesh import ParametricMesh
 from .reference import edge_node_ids, reference_element
+from .solve import _checked_matrix
 
 VTK_LAGRANGE_TRIANGLE = 69
 
@@ -81,9 +81,7 @@ def write_matrix_market(path, matrix):
     """Write a square sparse matrix's lower triangle in MatrixMarket coordinate format."""
     import scipy.io
 
-    matrix = sp.coo_matrix(matrix, dtype=float)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise InvalidArgumentError(f"matrix must be square, got shape {matrix.shape}")
+    matrix = _checked_matrix(matrix)
     with open(path, "wb") as handle:
         scipy.io.mmwrite(handle, matrix, symmetry="symmetric")
 

@@ -28,8 +28,6 @@ solution / gradient / load / Dirichlet data.
 """
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +38,8 @@ from .errors import (
     InvalidArgumentError,
     ProjectionError,
     UnsupportedDegreeError,
+    float_array,
+    integer,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -60,12 +60,10 @@ class TorusParams:
     minor_radius: float = 0.4
 
     def __post_init__(self):
-        real = all(isinstance(r, numbers.Real) for r in (self.minor_radius, self.major_radius))
-        if not (real and 0.0 < self.minor_radius < self.major_radius < np.inf):
-            raise InvalidArgumentError(
-                "torus radii must satisfy 0 < minor_radius < major_radius < inf, "
-                f"got minor={self.minor_radius!r}, major={self.major_radius!r}"
-            )
+        got = f"got minor={self.minor_radius!r}, major={self.major_radius!r}"
+        radii = float_array(f"torus radii ({got})", (self.minor_radius, self.major_radius), (2,))
+        if not 0.0 < radii[0] < radii[1] < np.inf:
+            raise InvalidArgumentError(f"torus radii must satisfy 0 < minor < major < inf, {got}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,7 @@ class BoundarySpec:
     def __post_init__(self):
         for name in ("amplitude", "offset", "waves_lower", "waves_upper"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and np.isfinite(value)):
-                raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
+            float_array(f"{name} (got {value!r})", value, (), finite=True)
         for name in ("waves_lower", "waves_upper"):
             waves = getattr(self, name)
             if not float(waves).is_integer():
@@ -488,15 +485,12 @@ _SQUARE_SIDES = {"lower": (1, 0.0), "right": (0, 1.0), "upper": (1, 1.0), "left"
 
 def _coefficient_array(coefficients):
     """c[a, b] from {(a, b): c_ab}, exponents non-negative integers and values finite."""
-    try:
-        values = np.array(list(coefficients.values()), dtype=float)
-        exponents = np.array([[operator.index(e) for e in key] for key in coefficients], int)
-        exponents = exponents.reshape(len(values), 2)
-        valid = np.all(np.isfinite(values)) and np.all(exponents >= 0)
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        raise InvalidArgumentError(f"invalid flat solution coefficients {coefficients!r}")
+    name = f"flat solution coefficients {coefficients!r}"
+    values = float_array(name, list(coefficients.values()), (len(coefficients),), finite=True)
+    exponents = [[integer(name, e) for e in np.ravel(key).tolist()] for key in coefficients]
+    if not all(len(key) == 2 and min(key) >= 0 for key in exponents):
+        raise InvalidArgumentError(f"invalid {name}")
+    exponents = np.array(exponents, int).reshape(-1, 2)
     array = np.zeros(exponents.max(axis=0, initial=0) + 1)
     array[tuple(exponents.T)] = values
     return array
@@ -517,9 +511,10 @@ class FlatSquareProblem:
 
     def __init__(self, degree: int = 1, coefficients: dict | None = None):
         if coefficients is None:
-            if degree not in _FLAT_SOLUTIONS:
+            key = float_array("flat solution degree", degree, (), error=UnsupportedDegreeError)
+            if key.item() not in _FLAT_SOLUTIONS:
                 raise UnsupportedDegreeError(f"no built-in flat solution of degree {degree}")
-            self.coefficients = np.array(_FLAT_SOLUTIONS[degree])
+            self.coefficients = np.array(_FLAT_SOLUTIONS[key.item()])
         else:
             self.coefficients = _coefficient_array(coefficients)
         self._dx = polyder(self.coefficients, axis=0)

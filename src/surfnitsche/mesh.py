@@ -202,8 +202,8 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
             raise MeshInvalidError(
                 f"{len(bad)} element(s) with nonpositive area Jacobian, e.g. element {bad[0]}"
             )
-        # Boundary-edge quadrature points can reach the center circle where
-        # no element quadrature point does; assembly would meet them there.
+        # Boundary-edge quadrature points can reach the center circle where no
+        # element point does; error_measures evaluates the exact solution there.
         for _, points in _edge_points(mesh):
             problem.normal_at_closest(points)
     except DegenerateInputError as err:

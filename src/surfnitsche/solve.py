@@ -94,16 +94,17 @@ def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
     method: "auto" picks "direct" (CG preconditioned by a sparse
     symmetric factorization) for dim <= 2000 and "cg" (Jacobi-
     preconditioned CG) otherwise; both can be forced explicitly.  A
-    non-square matrix, an rhs of another length, a non-finite entry or
-    an rhs whose norm overflows raises InvalidArgumentError; a residual
-    still above REL_TOL at the iteration cap raises
-    MaxIterationsExceededError.
+    non-square matrix, an rhs of another length, a non-real or non-finite
+    entry or an rhs whose norm overflows raises InvalidArgumentError; a
+    residual above REL_TOL at the iteration cap raises
+    MaxIterationsExceededError, as does a nonsymmetric matrix on "direct"
+    (its factor is that of A^T).
     """
     rhs = float_array("rhs", rhs, finite=True)
-    matrix = _checked_matrix(matrix, sp.csr_matrix, rhs.shape)
+    matrix = _checked_matrix(matrix, rhs.shape)
     dim = matrix.shape[0]
     with np.errstate(over="ignore"):
-        if not np.isfinite(_dot(rhs, rhs)):
+        if not np.isfinite(norm_rhs := _norm(rhs)):
             raise InvalidArgumentError("rhs norm overflows")
     if method == "auto":
         method = "direct" if dim <= DIRECT_DIM_LIMIT else "cg"
@@ -128,17 +129,19 @@ def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
         max_iter, tag = 50 * dim, "iterative"
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    x, iterations, residual = _pcg(matrix, rhs, precondition, bounds, max_iter)
+    x, iterations, residual = _pcg(matrix, rhs, norm_rhs, precondition, bounds, max_iter)
     return SolveReport(solution=x, iterations=iterations, relative_residual=residual, method=tag)
 
 
-def _checked_matrix(matrix, layout, rhs_shape=None):
-    """matrix as a float sp.csr_matrix or sp.csc_matrix (``layout``); InvalidArgumentError
-    unless it is numeric, square, finite and as long as an rhs of ``rhs_shape``."""
+def _checked_matrix(matrix, rhs_shape=None):
+    """matrix as a float sp.csr_matrix; InvalidArgumentError unless it is real,
+    square, finite and as long as an rhs of ``rhs_shape``."""
+    if not sp.issparse(matrix):
+        matrix = float_array("matrix", matrix)
     try:
-        matrix = layout(matrix, dtype=float)
+        matrix = sp.csr_matrix(matrix)
     except (TypeError, ValueError):
-        raise InvalidArgumentError("matrix must be a numeric 2-D array or sparse matrix") from None
+        raise InvalidArgumentError("matrix must be a 2-D array or sparse matrix") from None
     dim = matrix.shape[0]
     if matrix.shape != (dim, dim) or rhs_shape not in (None, (dim,)):
         raise InvalidArgumentError(
@@ -147,7 +150,7 @@ def _checked_matrix(matrix, layout, rhs_shape=None):
             else f"matrix of shape {matrix.shape} and rhs of shape {rhs_shape} "
             "do not form a square system"
         )
-    float_array("matrix", matrix.data, finite=True)
+    matrix.data = float_array("matrix", matrix.data, finite=True)
     return matrix
 
 
@@ -161,18 +164,20 @@ def _norm(a):
 
 
 def _factorize_spd(matrix):
-    """SuperLU factor of a symmetric matrix that must be positive definite.
+    """SuperLU factor of a checked CSR matrix that must be positive definite.
 
-    Raises NotPositiveDefiniteError when the factor is singular, when
-    SuperLU had to pivot off the diagonal (a zero diagonal pivot, which a
-    positive definite matrix never produces), or when a pivot of U is not
-    positive; the message then counts the negative eigenvalues.  A
-    matrix that is not numeric, square and finite raises InvalidArgumentError.
+    SuperLU factors A^T, the CSR arrays read in place as CSC, which is A
+    for the exactly symmetric assembled systems.  NotPositiveDefiniteError
+    when the factor is singular, when SuperLU had to pivot off the
+    diagonal (a zero diagonal pivot, which a positive definite matrix never
+    produces), or when a pivot of U is not positive; the message then
+    counts the negative eigenvalues.
     """
-    matrix = _checked_matrix(matrix, sp.csc_matrix)
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()  # splu sorts and sums duplicates in place
     try:
         factor = spla.splu(
-            matrix,
+            matrix.T,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
@@ -197,20 +202,19 @@ def is_positive_definite(matrix) -> bool:
     False.
     """
     try:
-        _factorize_spd(matrix)
+        _factorize_spd(_checked_matrix(matrix))
     except NotPositiveDefiniteError:
         return False
     return True
 
 
-def _pcg(matrix, rhs, precondition, bounds, max_iter):
+def _pcg(matrix, rhs, norm_rhs, precondition, bounds, max_iter):
     """Preconditioned CG from x = 0: (x, iterations, true relative residual).
 
-    precondition(r, z, rows) sets z = M^-1 r on the row slice ``rows``;
-    ``bounds`` are the row blocks, one per thread.
+    norm_rhs is ||rhs||; precondition(r, z, rows) sets z = M^-1 r on the
+    row slice ``rows``; ``bounds`` are the row blocks, one per thread.
     """
     dim = rhs.shape[0]
-    norm_rhs = _norm(rhs)
     x = np.zeros(dim)
     if norm_rhs == 0.0:
         return x, 0, 0.0

@@ -147,6 +147,19 @@ def test_matches_golden_fingerprints(case, recorded):
     assert_matches(fingerprints(case), recorded[case_id(case)])
 
 
+@pytest.mark.parametrize("case", SMALL + LARGE, ids=case_id)
+def test_assembled_matrices_exactly_symmetric(case, recorded):
+    """A^T == A bit for bit: the direct solve factors the CSR arrays read as CSC."""
+    name, order, n_div, placement = case
+    if "fold" in recorded[case_id(case)]:
+        pytest.skip("the mesh folds; there is no system")
+    problem = PROBLEMS[name](order)
+    mesh = build_mesh(n_div, order, problem, placement)
+    parts = _assemble_parts(mesh, problem)
+    for matrix in (parts.core, parts.penalty, assemble(mesh, BETA, problem).matrix):
+        assert (matrix != matrix.T).nnz == 0
+
+
 def test_study_matches_golden_fingerprints(recorded):
     assert_matches(study_fingerprints(), recorded[STUDY])
 

@@ -140,9 +140,75 @@ BAD_INPUT = {
         amplitude=0.5, waves_lower=4096, waves_upper=0, offset=5.9
     ),
     "boundary-too-many-waves": lambda tmp_path: surfnitsche.BoundarySpec(waves_lower=10**12),
+    # Strings, even parseable ones, and complex values are not real numbers.
+    "solve-parseable-string-matrix": lambda tmp_path: surfnitsche.solve_linear(
+        np.array([["1.5"]]), [1.0]
+    ),
+    "solve-complex-matrix": lambda tmp_path: surfnitsche.solve_linear(
+        np.eye(2) * (2 + 1j), np.ones(2)
+    ),
+    "solve-complex-sparse-matrix": lambda tmp_path: surfnitsche.solve_linear(
+        sp.identity(2, dtype=complex, format="csr"), np.ones(2)
+    ),
+    "solve-parseable-string-rhs": lambda tmp_path: surfnitsche.solve_linear(
+        sp.identity(1, format="csr"), np.str_("1e4")
+    ),
+    "solve-complex-rhs": lambda tmp_path: surfnitsche.solve_linear(
+        sp.identity(2, format="csr"), [1.0, 1 + 0j]
+    ),
+    "probe-complex-matrix": lambda tmp_path: is_positive_definite(
+        sp.identity(2, dtype=np.complex64, format="csr")
+    ),
+    "probe-parseable-string-matrix": lambda tmp_path: is_positive_definite([["1", "0"], ["0", "1"]]),
+    "error-measures-complex": lambda tmp_path: surfnitsche.error_measures(
+        _small_mesh(), np.zeros(_small_mesh().num_nodes, complex), surfnitsche.TorusProblem()
+    ),
+    "error-measures-parseable-string": lambda tmp_path: surfnitsche.error_measures(
+        _small_mesh(), ["1.5"] * _small_mesh().num_nodes, surfnitsche.TorusProblem()
+    ),
+    "vtk-complex-point-data": lambda tmp_path: surfnitsche.write_vtk(
+        tmp_path / "out.vtk", _small_mesh(), {"u": np.ones(_small_mesh().num_nodes) * 1j}
+    ),
+    "vtk-parseable-string-point-data": lambda tmp_path: surfnitsche.write_vtk(
+        tmp_path / "out.vtk", _small_mesh(), {"u": ["1.5"] * _small_mesh().num_nodes}
+    ),
+    "vector-market-complex": lambda tmp_path: surfnitsche.write_vector_market(
+        tmp_path / "out.mtx", np.array([1.0, 2 + 0j])
+    ),
+    "vector-market-parseable-string": lambda tmp_path: surfnitsche.write_vector_market(
+        tmp_path / "out.mtx", ["1.5", "2"]
+    ),
+    "matrix-market-complex": lambda tmp_path: surfnitsche.write_matrix_market(
+        tmp_path / "out.mtx", sp.identity(2, dtype=complex, format="csr")
+    ),
+    "flat-complex-coefficient": lambda tmp_path: surfnitsche.FlatSquareProblem(
+        coefficients={(1, 0): 2 + 1j}
+    ),
+    "flat-parseable-string-coefficient": lambda tmp_path: surfnitsche.FlatSquareProblem(
+        coefficients={(1, 0): "1.5"}
+    ),
+    "flat-complex-degree": lambda tmp_path: surfnitsche.FlatSquareProblem(1 + 0j),
+    "flat-numpy-string-degree": lambda tmp_path: surfnitsche.FlatSquareProblem(np.str_("1")),
+    "torus-complex-radius": lambda tmp_path: surfnitsche.TorusParams(np.complex128(1.0), 0.4),
+    "torus-parseable-string-radius": lambda tmp_path: surfnitsche.TorusParams(1.0, "0.4"),
+    "boundary-complex-amplitude": lambda tmp_path: surfnitsche.BoundarySpec(amplitude=0.2 + 0j),
+    "boundary-numpy-string-offset": lambda tmp_path: surfnitsche.BoundarySpec(
+        offset=np.str_("3.7")
+    ),
+    "assemble-complex-beta": lambda tmp_path: surfnitsche.assemble(
+        _small_mesh(), 1e4 + 0j, surfnitsche.TorusProblem()
+    ),
+    "assemble-numpy-string-beta": lambda tmp_path: surfnitsche.assemble(
+        _small_mesh(), np.str_("1e4"), surfnitsche.TorusProblem()
+    ),
+    "probe-complex-betas": lambda tmp_path: surfnitsche.min_stable_beta_probe(
+        _small_mesh(), np.array([1e4, 5.0], dtype=complex), surfnitsche.TorusProblem()
+    ),
 }
 
 
+# A warning, such as numpy's ComplexWarning for a dropped imaginary part, fails the case.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", list(BAD_INPUT))
 def test_bad_input_raises_library_error(case, tmp_path):
     with pytest.raises(surfnitsche.SurfNitscheError):
@@ -175,6 +241,26 @@ NAMED_IN_MESSAGE = {
     "probe-non-square-matrix": "matrix of shape (2, 3)",
     "boundary-overlap-between-fixed-angles": "offset=5.9",
     "boundary-too-many-waves": "waves_lower=1000000000000",
+    "solve-parseable-string-matrix": "matrix",
+    "solve-complex-matrix": "matrix",
+    "solve-complex-sparse-matrix": "matrix",
+    "solve-parseable-string-rhs": "rhs",
+    "solve-complex-rhs": "rhs",
+    "probe-complex-matrix": "matrix",
+    "probe-parseable-string-matrix": "matrix",
+    "error-measures-complex": "coefficient vector",
+    "error-measures-parseable-string": "coefficient vector",
+    "vtk-complex-point-data": "point data 'u'",
+    "vtk-parseable-string-point-data": "point data 'u'",
+    "vector-market-complex": "vector",
+    "vector-market-parseable-string": "vector",
+    "matrix-market-complex": "matrix",
+    "flat-complex-coefficient": "(2+1j)",
+    "flat-parseable-string-coefficient": "'1.5'",
+    "torus-complex-radius": "major=np.complex128(1+0j)",
+    "torus-parseable-string-radius": "minor='0.4'",
+    "boundary-complex-amplitude": "amplitude",
+    "boundary-numpy-string-offset": "offset",
 }
 
 
@@ -191,6 +277,8 @@ DEGREE_NAMED_IN_MESSAGE = {
     "edge-rule-none-degree": "edge rule degree must be an integer, got None",
     "reference-element-float-order": "element order must be an integer, got 2.0",
     "reference-element-string-order": "element order must be an integer, got '2'",
+    "flat-complex-degree": "flat solution degree",
+    "flat-numpy-string-degree": "flat solution degree",
 }
 
 
@@ -198,6 +286,24 @@ DEGREE_NAMED_IN_MESSAGE = {
 def test_bad_degree_names_argument(case, tmp_path):
     with pytest.raises(
         surfnitsche.UnsupportedDegreeError, match=re.escape(DEGREE_NAMED_IN_MESSAGE[case])
+    ):
+        BAD_INPUT[case](tmp_path)
+
+
+# Penalty arguments raise InvalidPenaltyError naming beta.
+PENALTY_NAMED_IN_MESSAGE = {
+    "assemble-string-beta": "got beta='1e4'",
+    "assemble-complex-beta": "got beta=(10000+0j)",
+    "assemble-numpy-string-beta": "got beta=np.str_('1e4')",
+    "probe-string-betas": "got beta='1e4'",
+    "probe-complex-betas": "got beta=np.complex128(10000+0j)",
+}
+
+
+@pytest.mark.parametrize("case", list(PENALTY_NAMED_IN_MESSAGE))
+def test_bad_penalty_names_argument(case, tmp_path):
+    with pytest.raises(
+        surfnitsche.InvalidPenaltyError, match=re.escape(PENALTY_NAMED_IN_MESSAGE[case])
     ):
         BAD_INPUT[case](tmp_path)
 

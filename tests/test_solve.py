@@ -158,6 +158,30 @@ class TestDirectIsFactorPCG:
         assert forced.method == one_block.method == "direct"
         assert_same_report(forced, one_block)
 
+    def test_factor_reads_the_checked_matrix_in_place(self, monkeypatch):
+        # SuperLU gets the CSR arrays read as CSC (A^T, which is A here): no copy
+        problem = geo.TorusProblem()
+        matrix = solve._checked_matrix(assemble(build_mesh(8, 2, problem), 1e4, problem).matrix)
+        seen = []
+        splu = solve.spla.splu
+        monkeypatch.setattr(solve.spla, "splu", lambda a, **kw: seen.append(a) or splu(a, **kw))
+        solve._factorize_spd(matrix)
+        (factored,) = seen
+        assert factored.format == "csc"
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(factored, name), getattr(matrix, name)), name
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[2.0, 1.0], [0.0, 2.0]], [[4.0, 1.0, 0.0], [0.0, 4.0, 1.0], [2.0, 0.0, 4.0]]],
+        ids=["2x2", "3x3"],
+    )
+    def test_nonsymmetric_matrix_not_solved(self, matrix):
+        # outside the SPD contract: the factor is that of A^T, so the loop never
+        # meets REL_TOL and returns nothing rather than an inaccurate solution
+        with pytest.raises(MaxIterationsExceededError, match="within 4 iterations"):
+            solve_linear(sp.csr_matrix(matrix), np.arange(1.0, len(matrix) + 1), method="direct")
+
 
 class TestReportInvariants:
     def test_residual_reverified(self):
@@ -210,6 +234,21 @@ class TestInputChecks:
         matrix.data[5] = bad
         with pytest.raises(InvalidArgumentError, match="matrix"):
             solve_linear(matrix, np.ones(20), method=method)
+
+    @pytest.mark.parametrize("method", ["direct", "cg"])
+    def test_non_canonical_input_left_unchanged(self, method):
+        # [[4, 1], [1, 3]] with unsorted columns and a duplicate; SuperLU sorts
+        # and sums its input in place, which must not reach the caller's arrays
+        arrays = (
+            np.array([1.0, 2.0, 2.0, 1.0, 3.0]),
+            np.array([1, 0, 0, 0, 1], dtype=np.int32),
+            np.array([0, 3, 5], dtype=np.int32),
+        )
+        matrix = sp.csr_matrix(tuple(a.copy() for a in arrays), shape=(2, 2))
+        report = solve_linear(matrix, np.array([1.0, 2.0]), method=method)
+        np.testing.assert_allclose(report.solution, [1 / 11, 7 / 11], rtol=1e-14)
+        for before, after in zip(arrays, (matrix.data, matrix.indices, matrix.indptr)):
+            assert np.array_equal(before, after)
 
     def test_nonfinite_matrix_in_probe(self):
         matrix = sp.csr_matrix(random_spd(20, seed=9))
