@@ -60,7 +60,9 @@ def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures
     degree = 2 * mesh.order + 4
 
     l2_sq = grad_sq = 0.0
-    for ids, bundle, scale in element_batches(mesh, triangle_rule(degree)):
+    rule = triangle_rule(degree)
+    for ids, bundle in element_batches(mesh, rule):
+        scale = rule.weights[None, :] * bundle.area_factor
         _, diff, grad_diff = _fields(bundle, coefficients[mesh.elements[ids]], problem)
         l2_sq += float(np.sum(scale * diff**2))
         grad_sq += float(np.sum(scale * np.sum(grad_diff**2, axis=-1)))

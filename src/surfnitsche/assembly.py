@@ -140,7 +140,8 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
     rhs_core = np.zeros(n)
     rhs_penalty = np.zeros(n)
 
-    for ids, bundle, scale in element_batches(mesh, rule):
+    for ids, bundle in element_batches(mesh, rule):
+        scale = rule.weights[None, :] * bundle.area_factor
         inv = bundle.inv_metric
         metric_weights = scale[..., None] * np.stack(
             [inv[..., 0, 0], inv[..., 1, 1], inv[..., 0, 1]], axis=-1
@@ -287,7 +288,15 @@ def min_stable_beta_probe(mesh: ParametricMesh, beta_grid, problem):
     and an overflowing beta raises InvalidPenaltyError too: overflow grows
     with beta, so checking the largest first catches it anywhere in the grid.
     """
-    if np.ndim(beta_grid) != 1 or len(beta_grid) == 0:
+    try:
+        grid = float_array(f"beta grid {beta_grid!r}", beta_grid, error=InvalidPenaltyError)
+    except InvalidPenaltyError:
+        # a string, complex or ragged entry names itself, as in assemble
+        if np.iterable(beta_grid) and not isinstance(beta_grid, str):
+            for beta in beta_grid:
+                _check_penalty(beta)
+        raise
+    if grid.ndim != 1 or grid.size == 0:
         raise InvalidPenaltyError(f"beta grid must be a nonempty sequence, got {beta_grid!r}")
     betas = np.array([_check_penalty(beta) for beta in beta_grid])
     parts = _assemble_parts(mesh, problem)

@@ -13,11 +13,13 @@ same frames at one local edge's points plus the edge geometry.
 Batched frames are built with matrix products: positions are
 values @ coords and J^T is one product of the stacked reference gradients
 (2q, n) with each element's (n, 3) coordinates; the 2x2 metric and its
-inverse, the cross products and the norms are formed entrywise.  Kernels that only need G^{-1} and
-sqrt(det G) (the stiffness matrix ``C_e @ B`` in the assembly module) or
-reference-space covectors (boundary fluxes, error gradients) never build
-the (e, q, n, 3) tangent-gradient tensor; ``lift`` maps a covector field
-to 3-space afterwards.
+inverse, the cross products and the norms are formed entrywise, each on
+first use, so a caller pays only for what it reads: the fold check needs
+no metric, and integration needs sqrt(det G).  Kernels that only need
+G^{-1} and sqrt(det G) (the stiffness matrix ``C_e @ B`` in the assembly
+module) or reference-space covectors (boundary fluxes, error gradients)
+never build the (e, q, n, 3) tangent-gradient tensor; ``lift`` maps a
+covector field to 3-space afterwards.
 """
 from __future__ import annotations
 
@@ -44,8 +46,11 @@ class FrameBundle:
     points.  Arrays are indexed (element, quad point, ...): position (e,q,3),
     jacobian (e,q,3,2), metric/inv_metric (e,q,2,2) and area_factor (e,q).
     J^T is stored contiguously and ``jacobian`` is a transposed view of it.
-    ``inv_metric`` is formed on first use: the fold check, the geometric
-    report and the boundary-edge geometry never read it.
+    A bundle forms only position and J^T.  ``metric``, ``area_factor`` and
+    ``inv_metric`` are formed on first use; the last two raise
+    DegenerateElementError where det G <= 0.  The fold check, which is the
+    geometric report's element side, reads only position and
+    ``area_normal``, so it forms no metric.
     """
 
     def __init__(self, mesh: "ParametricMesh", element_ids, ref_points):
@@ -58,23 +63,42 @@ class FrameBundle:
         jac_t = (stacked @ coords).reshape(len(coords), num_points, 2, 3)
         self._jacobian_t = jac_t
         self.jacobian = jac_t.swapaxes(-1, -2)
+
+    def area_normal(self):
+        """|J_0 x J_1| (e,q) and the unoriented unit normal J_0 x J_1 / |J_0 x J_1| (e,q,3).
+
+        DegenerateElementError where |J_0 x J_1| <= 0: det G = |J_0 x J_1|^2.
+        """
+        raw = _cross3(self._jacobian_t[..., 0, :], self._jacobian_t[..., 1, :])
+        length = _norm3(raw)
+        if np.any(length <= 0.0):
+            raise DegenerateElementError("singular first fundamental form")
+        return length, raw / length[..., None]
+
+    @cached_property
+    def metric(self):
+        """G = J^T J (e,q,2,2), formed on first use."""
+        jac_t = self._jacobian_t
         g = np.empty(jac_t.shape[:-1] + (2,))
         g[..., 0, 0] = _dot3(jac_t[..., 0, :], jac_t[..., 0, :])
         g[..., 1, 1] = _dot3(jac_t[..., 1, :], jac_t[..., 1, :])
         g[..., 0, 1] = _dot3(jac_t[..., 0, :], jac_t[..., 1, :])
         g[..., 1, 0] = g[..., 0, 1]
+        return g
+
+    @cached_property
+    def _det(self):
+        """det G (e,q); DegenerateElementError where it is <= 0."""
+        g = self.metric
         det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
         if np.any(det <= 0.0):
             raise DegenerateElementError("singular first fundamental form")
-        self.metric = g
-        self._det = det
-        self.area_factor = np.sqrt(det)
+        return det
 
-    def area_normal(self):
-        """|J_0 x J_1| (e,q) and the unoriented unit normal J_0 x J_1 / |J_0 x J_1| (e,q,3)."""
-        raw = _cross3(self._jacobian_t[..., 0, :], self._jacobian_t[..., 1, :])
-        length = _norm3(raw)
-        return length, raw / length[..., None]
+    @cached_property
+    def area_factor(self):
+        """sqrt(det G) (e,q), formed on first use."""
+        return np.sqrt(self._det)
 
     @cached_property
     def inv_metric(self):
@@ -170,12 +194,13 @@ class EdgeBundle(FrameBundle):
 
     def __init__(self, mesh: "ParametricMesh", element_ids, local_edge, t_points):
         super().__init__(mesh, element_ids, edge_ref_points(local_edge, t_points))
+        normal = self.area_normal()[1]
         tangent = self.jacobian @ edge_ref_direction(local_edge)
         self.line_factor = _norm3(tangent)
         if np.any(self.line_factor <= 0.0):
             raise DegenerateElementError("degenerate boundary edge")
         self.tangent = tangent / self.line_factor[..., None]
-        conormal = _cross3(self.tangent, self.area_normal()[1])
+        conormal = _cross3(self.tangent, normal)
         conormal /= _norm3(conormal)[..., None]
         corner = reference_element(mesh.order).corner_ids[edge_opposite_corner(local_edge)]
         opposite = mesh.nodes[mesh.elements[np.asarray(element_ids, dtype=int), corner]]

@@ -23,8 +23,11 @@ A unit square embedded in the z = 0 plane provides the degenerate flat
 case (exact geometry, polynomial solutions) used for patch tests.  Both
 geometries expose the same point-based interface consumed by the mesh
 builder, the assembler, and the error norms: closest-point projection,
-signed distance, oriented normals, boundary projection, and manufactured
-solution / gradient / load / Dirichlet data.
+signed distance and oriented normals (together in one call for the mesh's
+fold check), boundary projection, and manufactured solution / gradient /
+load / Dirichlet data.  Every point, angle and chart-parameter query reads
+its input through ``errors.float_array``, so strings and complex values
+raise InvalidArgumentError.
 """
 from __future__ import annotations
 
@@ -106,9 +109,7 @@ class BoundarySpec:
 
 def torus_embed(theta, phi, torus: TorusParams):
     """Map toroidal angles to Cartesian points, shape (..., 3)."""
-    theta, phi = np.broadcast_arrays(
-        np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    )
+    theta, phi = np.broadcast_arrays(float_array("theta", theta), float_array("phi", phi))
     w = torus.major_radius + torus.minor_radius * np.cos(theta)
     return np.stack(
         [w * np.cos(phi), w * np.sin(phi), torus.minor_radius * np.sin(theta)],
@@ -130,7 +131,7 @@ def toroidal_angles(points, torus: TorusParams):
 
 def signed_distance(points, torus: TorusParams):
     """Signed distance to the torus surface; negative inside the tube, -r on its center circle."""
-    pts = np.asarray(points, dtype=float)
+    pts = float_array("points", points)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     d = np.hypot(x, y)
     if np.any(d < _DEGENERATE_EPS):
@@ -145,7 +146,7 @@ def _tube_coordinates(points, torus: TorusParams):
     center circle (ell = 0) no tube angle; at both the nearest surface
     point is not unique, and both are rejected.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = float_array("points", points)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     d = np.hypot(x, y)
     if np.any(d < _DEGENERATE_EPS):
@@ -177,8 +178,7 @@ def surface_normal(theta, phi):
     n = (cos(theta) cos(phi), cos(theta) sin(phi), sin(theta)); this is the
     gradient of the signed distance, so it is independent of the radii.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta, phi = float_array("theta", theta), float_array("phi", phi)
     ct = np.cos(theta)
     return np.stack([ct * np.cos(phi), ct * np.sin(phi), np.sin(theta)], axis=-1)
 
@@ -195,7 +195,7 @@ def _side_curve(side, boundary: BoundarySpec):
 def boundary_phi(side, theta, boundary: BoundarySpec):
     """Evaluate the phi level of one boundary curve at angle theta."""
     waves, offset = _side_curve(side, boundary)
-    return boundary.amplitude * np.cos(waves * np.asarray(theta, dtype=float)) + offset
+    return boundary.amplitude * np.cos(waves * float_array("theta", theta)) + offset
 
 
 def boundary_curve_point(side, theta, boundary: BoundarySpec, torus: TorusParams):
@@ -276,7 +276,7 @@ def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: Torus
     |(x - q) . c'| stayed below 2.2e-13 |x - q| |c'|, and moving the input
     points by one ulp moved theta by at most 2.7e-15.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(float_array("points", points))
     if not np.all(np.isfinite(pts)):
         raise ProjectionError("non-finite point passed to boundary projection")
     waves, _ = _side_curve(side, boundary)
@@ -322,16 +322,14 @@ def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: Torus
 
 def exact_solution(theta, phi):
     """Manufactured solution u = cos(3 phi + 5 theta) sin(2 theta)."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta, phi = float_array("theta", theta), float_array("phi", phi)
     return np.cos(3.0 * phi + 5.0 * theta) * np.sin(2.0 * theta)
 
 
 def _solution_factors(theta, phi):
     """(c, s, s2, c2): cos, sin of 3 phi + 5 theta and sin, cos of 2 theta, the
     factors of the derivatives (exact_solution computes only its two)."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta, phi = float_array("theta", theta), float_array("phi", phi)
     wave = 3.0 * phi + 5.0 * theta
     return np.cos(wave), np.sin(wave), np.sin(2.0 * theta), np.cos(2.0 * theta)
 
@@ -348,8 +346,7 @@ def exact_surface_gradient(theta, phi, torus: TorusParams):
     With unit frame vectors e_theta, e_phi of the toroidal chart:
     grad u = u_theta / r * e_theta + u_phi / w * e_phi.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta, phi = float_array("theta", theta), float_array("phi", phi)
     u_t, u_p = _solution_partials(theta, phi)
     r = torus.minor_radius
     w = torus.major_radius + r * np.cos(theta)
@@ -408,8 +405,7 @@ class TorusProblem:
         t in [0, 1] runs once around the tube (theta = 2 pi t), s in [0, 1]
         interpolates between the two boundary curves.
         """
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
+        t, s = float_array("t", t), float_array("s", s)
         theta = TWO_PI * t
         lo = boundary_phi("lower", theta, self.boundary)
         hi = boundary_phi("upper", theta, self.boundary)
@@ -422,7 +418,12 @@ class TorusProblem:
         return signed_distance(points, self.torus)
 
     def normal_at_closest(self, points):
-        """Exterior surface normal at the closest surface point.
+        """Exterior surface normal at the closest surface point."""
+        return self.distance_and_normal(points)[1]
+
+    def distance_and_normal(self, points):
+        """Signed distance ell - r (bitwise ``signed_distance``) and exterior
+        normal at the closest point, from one pass over the tube coordinates.
 
         The closest-point map keeps both toroidal angles, so the normal is
         the unit vector from the center circle toward the point:
@@ -431,7 +432,8 @@ class TorusProblem:
         """
         x, y, z, d, zeta, ell = _tube_coordinates(points, self.torus)
         radial = zeta / (ell * d)
-        return np.stack([radial * x, radial * y, z / ell], axis=-1)
+        normal = np.stack([radial * x, radial * y, z / ell], axis=-1)
+        return ell - self.torus.minor_radius, normal
 
     def project_to_boundary(self, points, side):
         return project_to_boundary_curve(points, side, self.boundary, self.torus)
@@ -524,18 +526,24 @@ class FlatSquareProblem:
     chart_aspect = 1.0
 
     def chart(self, t, s):
+        t, s = float_array("t", t), float_array("s", s)
         return np.stack(np.broadcast_arrays(t, s, 0.0), axis=-1)
 
     def closest_point(self, points):
-        pts = np.array(points, dtype=float)
+        pts = float_array("points", points).copy()
         pts[..., 2] = 0.0
         return pts
 
     def signed_distance(self, points):
-        return np.asarray(points, dtype=float)[..., 2]
+        return float_array("points", points)[..., 2]
 
     def normal_at_closest(self, points):
-        return np.broadcast_to([0.0, 0.0, 1.0], np.shape(points)).copy()
+        return self.distance_and_normal(points)[1]
+
+    def distance_and_normal(self, points):
+        """(signed distance z, normal e_z) per point."""
+        pts = float_array("points", points)
+        return pts[..., 2], np.broadcast_to([0.0, 0.0, 1.0], pts.shape).copy()
 
     def correct_to_boundary(self, points, side):
         """Clamp points onto one side line of the square."""
@@ -549,11 +557,11 @@ class FlatSquareProblem:
     project_to_boundary = correct_to_boundary
 
     def solution_at(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = float_array("points", points)
         return polyval2d(pts[..., 0], pts[..., 1], self.coefficients)
 
     def solution_gradient_at(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = float_array("points", points)
         x, y = pts[..., 0], pts[..., 1]
         return np.stack(
             [polyval2d(x, y, self._dx), polyval2d(x, y, self._dy), np.zeros_like(x)],
@@ -561,7 +569,7 @@ class FlatSquareProblem:
         )
 
     def load_at(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = float_array("points", points)
         return -sum(polyval2d(pts[..., 0], pts[..., 1], c) for c in self._laplacian_terms)
 
     dirichlet_at = solution_at

@@ -22,15 +22,17 @@ softens but cannot remove the shear of an under-resolved corrected edge).
 
 Assembly and error measurement integrate through one walker whose every
 batch is a ``fem.FrameBundle`` with its basis tables: ``element_batches``
-yields frames in batches of at most ``BATCH_POINTS`` quadrature points
-with the weights w_q sqrt(det G), ``edge_batches`` one EdgeBundle (frames
-at one local edge's points) per (local edge, side) group of
-``ParametricMesh.boundary_edges`` with the weights w_q |x'(t)|.  Bounding
-a batch by points rather than by elements keeps its (e, q, ...) work
-arrays the same size at every order and rule, small enough to be reused
-from batch to batch.  Frames know only the discrete surface; only the fold
-check, which is also the report's element side, orients them by the exact
-normal.  ``build_mesh`` keeps that side on the mesh, so a report against
+yields frames in batches of at most ``BATCH_POINTS`` quadrature points,
+``edge_batches`` one EdgeBundle (frames at one local edge's points) per
+(local edge, side) group of ``ParametricMesh.boundary_edges`` with the
+weights w_q |x'(t)|.  Bounding a batch by points rather than by elements
+keeps its (e, q, ...) work arrays the same size at every order and rule,
+small enough to be reused from batch to batch.  Frames know only the
+discrete surface and form their metric on first use: the integrating
+callers form w_q sqrt(det G), while the fold check, which is also the
+report's element side, reads the unit normals and |J_0 x J_1| and orients
+them by the exact normal from one ``distance_and_normal`` query per
+batch.  ``build_mesh`` keeps that side on the mesh, so a report against
 the build problem frames no element again, and neither the build nor the
 report frames a boundary edge: both interpolate its points from the nodes.
 """
@@ -313,19 +315,19 @@ def _blend_boundary_elements(nodes, displacement, k, elements, boundary_edges, p
 
 
 def element_batches(mesh: ParametricMesh, rule):
-    """Yield (element ids, frames, w_q sqrt(det G)) per batch of elements.
+    """Yield (element ids, frames) per batch of elements.
 
     Batches run over the elements in order.  They are the fewest that keep
     each batch within ``BATCH_POINTS`` quadrature points (or one element),
     and their sizes differ by at most one, so no batch is a small
     remainder: BLAS takes another kernel for small products, whose rows
-    round differently from the same rows in a large one.
+    round differently from the same rows in a large one.  Only the callers
+    that integrate form the weights w_q sqrt(det G).
     """
     per_batch = max(1, BATCH_POINTS // len(rule.weights))
     count = -(-mesh.num_elements // per_batch)
     for ids in np.array_split(np.arange(mesh.num_elements), count):
-        bundle = FrameBundle(mesh, ids, rule.points)
-        yield ids, bundle, rule.weights[None, :] * bundle.area_factor
+        yield ids, FrameBundle(mesh, ids, rule.points)
 
 
 def edge_batches(mesh: ParametricMesh, rule):
@@ -350,19 +352,20 @@ def _element_pass(mesh: ParametricMesh, problem):
     Folds are the elements whose scaled Jacobian is <= 0: the least signed
     area density |J_0 x J_1| (signed by the exact normal, then by the sum
     over the element) over the largest.  The fields are ``max_rho``,
-    ``max_normal_dev`` and ``min_scaled_jacobian``.
+    ``max_normal_dev`` and ``min_scaled_jacobian``.  Per batch the pass
+    reads the frames' positions and ``area_normal`` only, so it forms no
+    metric, and makes one exact-geometry query, ``distance_and_normal``.
     """
     max_rho = max_normal_dev = 0.0
     min_scaled_jacobian = np.inf
     folds = []
     rule = triangle_rule(assembly_degree(mesh.order))
-    for ids, bundle, _ in element_batches(mesh, rule):
+    for ids, bundle in element_batches(mesh, rule):
         area, unit = bundle.area_normal()
-        exact_normal = problem.normal_at_closest(bundle.position)
+        rho, exact_normal = problem.distance_and_normal(bundle.position)
         orient = np.sign(_dot3(unit, exact_normal))
         if np.any(orient == 0.0):
             raise DegenerateElementError("element normal perpendicular to the surface")
-        rho = problem.signed_distance(bundle.position)
         normal_dev = _norm3(exact_normal - unit * orient[..., None])
         signed = area * orient
         signed *= np.sign(np.sum(signed, axis=1))[:, None]

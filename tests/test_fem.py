@@ -96,10 +96,12 @@ class TestTangentGradient:
         )
 
     def test_singular_metric_rejected(self):
-        # collinear corners: J has parallel columns, so det G is exactly zero
+        # collinear corners: J has parallel columns, so det G is exactly zero;
+        # the bundle forms G on first use, and its area factor checks det G
         mesh = flat_mesh_from_triangle([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+        bundle = FrameBundle(mesh, [0], [[0.3, 0.3]])
         with pytest.raises(DegenerateElementError):
-            FrameBundle(mesh, [0], [[0.3, 0.3]])
+            bundle.area_factor
 
     def test_orthogonal_to_normal(self, torus_problem):
         mesh = build_mesh(4, 3, torus_problem)

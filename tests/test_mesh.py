@@ -1,4 +1,5 @@
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,13 +11,20 @@ from surfnitsche import fem
 from surfnitsche import geometry as geo
 from surfnitsche import mesh as mesh_module
 from surfnitsche.assembly import assemble
-from surfnitsche.errors import InvalidArgumentError, MeshInvalidError, UnsupportedDegreeError
+from surfnitsche.errors import (
+    DegenerateElementError,
+    InvalidArgumentError,
+    MeshInvalidError,
+    UnsupportedDegreeError,
+)
 from surfnitsche.fem import FrameBundle
 from surfnitsche.mesh import (
+    NODE_PLACEMENTS,
     ParametricMesh,
     _blend_boundary_elements,
     _facet_linear_nodes,
     _grid_shape,
+    assembly_degree,
     build_mesh,
     geometric_report,
 )
@@ -25,6 +33,7 @@ from surfnitsche.reference import (
     edge_ref_points,
     lattice_multi_indices,
     reference_element,
+    triangle_rule,
 )
 
 from conftest import boundary_specs, observed_orders
@@ -373,6 +382,91 @@ class TestBuildReportMemo:
         for ids in mesh.boundary_edges.values():
             with pytest.raises(ValueError):
                 ids[0] = 0
+
+
+def reference_element_pass(mesh, problem):
+    """The fold pass as it stood before the metric was formed on first use.
+
+    Each batch forms G, checks det G and its area factor, then queries the
+    exact normal and the signed distance in two calls.  Returns the fold
+    ids and the element-side report fields.
+    """
+    rule = triangle_rule(assembly_degree(mesh.order))
+    max_rho = max_normal_dev = 0.0
+    min_scaled_jacobian = np.inf
+    folds = []
+    for ids, bundle in mesh_module.element_batches(mesh, rule):
+        assert np.all(bundle.area_factor > 0.0)
+        area, unit = bundle.area_normal()
+        exact_normal = problem.normal_at_closest(bundle.position)
+        orient = np.sign(np.sum(unit * exact_normal, axis=-1))
+        assert np.all(orient != 0.0)
+        rho = problem.signed_distance(bundle.position)
+        normal_dev = np.linalg.norm(exact_normal - unit * orient[..., None], axis=-1)
+        signed = area * orient
+        signed *= np.sign(np.sum(signed, axis=1))[:, None]
+        scaled = signed.min(axis=1) / np.abs(signed).max(axis=1)
+        folds.append(ids[scaled <= 0.0])
+        max_rho = max(max_rho, float(np.abs(rho).max()))
+        max_normal_dev = max(max_normal_dev, float(normal_dev.max()))
+        min_scaled_jacobian = min(min_scaled_jacobian, float(scaled.min()))
+    side = dict(
+        max_rho=max_rho, max_normal_dev=max_normal_dev, min_scaled_jacobian=min_scaled_jacobian
+    )
+    return np.concatenate(folds), side
+
+
+FOLD_PROBLEMS = {
+    "wavy": geo.TorusProblem,
+    "simplified": geo.TorusProblem.simplified,
+    "flat": lambda: geo.FlatSquareProblem(3),
+}
+FOLD_CASES = [
+    (name, order, n_div, placement)
+    for name in FOLD_PROBLEMS
+    for order in (1, 2, 3)
+    for n_div in (4, 8, 16, 32)
+    for placement in NODE_PLACEMENTS
+]
+
+
+class TestFoldPass:
+    """The build's fold pass reads only positions and unit normals, with one
+    exact-geometry query per batch, and computes what the full frames did."""
+
+    @pytest.mark.parametrize(
+        "name, order, n_div, placement",
+        FOLD_CASES,
+        ids=[f"{name}-k{k}-n{n}-{p}" for name, k, n, p in FOLD_CASES],
+    )
+    def test_equals_reference_pass(self, name, order, n_div, placement, monkeypatch):
+        problem = FOLD_PROBLEMS[name]()
+        element_pass, passes = mesh_module._element_pass, []
+
+        def recording(mesh, problem):
+            passes.append((mesh, element_pass(mesh, problem)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(mesh_module, "_element_pass", recording)
+        try:
+            build_mesh(n_div, order, problem, placement)
+        except MeshInvalidError:
+            # the facet-linear wavy band at k = 2, 3 folds at every size here
+            assert (name, placement) == ("wavy", "facet-linear") and order > 1
+        [(mesh, (bad, side))] = passes
+        expected_bad, expected_side = reference_element_pass(mesh, problem)
+        assert bad.dtype == expected_bad.dtype
+        assert bad.tolist() == expected_bad.tolist()
+        assert side == expected_side
+
+    def test_collinear_element_rejected_without_warning(self):
+        # collinear corners: J_0 x J_1 = 0 at every point, det G = 0
+        nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        mesh = ParametricMesh(1, nodes, np.array([[0, 1, 2]]), {}, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateElementError, match="singular first fundamental form"):
+                mesh_module._element_pass(mesh, geo.FlatSquareProblem(1))
 
 
 def vertex_grid(n_div, problem):

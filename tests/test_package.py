@@ -204,6 +204,49 @@ BAD_INPUT = {
     "probe-complex-betas": lambda tmp_path: surfnitsche.min_stable_beta_probe(
         _small_mesh(), np.array([1e4, 5.0], dtype=complex), surfnitsche.TorusProblem()
     ),
+    "probe-ragged-betas": lambda tmp_path: surfnitsche.min_stable_beta_probe(
+        _small_mesh(), [[1.0], [1.0, 2.0]], surfnitsche.TorusProblem()
+    ),
+    "probe-string-grid": lambda tmp_path: surfnitsche.min_stable_beta_probe(
+        _small_mesh(), "1e4", surfnitsche.TorusProblem()
+    ),
+    # Point and angle queries read their input as real numbers too.
+    "torus-closest-point-parseable-string": lambda tmp_path: surfnitsche.TorusProblem().closest_point(
+        [["1.2", "0", "0.3"]]
+    ),
+    "boundary-projection-parseable-string": lambda tmp_path: project_to_boundary_curve(
+        [["1.2", "0", "0.3"]], "lower", surfnitsche.BoundarySpec(), surfnitsche.TorusParams()
+    ),
+    "torus-distance-and-normal-complex": lambda tmp_path: (
+        surfnitsche.TorusProblem().distance_and_normal(np.array([[1.2, 0.0, 0.3]], complex))
+    ),
+    "signed-distance-parseable-string": lambda tmp_path: surfnitsche.signed_distance(
+        ["1.2", "0", "0.3"], surfnitsche.TorusParams()
+    ),
+    "torus-embed-parseable-string": lambda tmp_path: surfnitsche.torus_embed(
+        "0.5", 0.0, surfnitsche.TorusParams()
+    ),
+    "surface-normal-complex": lambda tmp_path: surfnitsche.surface_normal(0.5, 1j),
+    "boundary-phi-parseable-string": lambda tmp_path: surfnitsche.boundary_phi(
+        "lower", "0.5", surfnitsche.BoundarySpec()
+    ),
+    "exact-solution-parseable-string": lambda tmp_path: surfnitsche.exact_solution("0.5", 0.0),
+    "torus-chart-complex": lambda tmp_path: surfnitsche.TorusProblem().chart(0.5 + 0j, 0.5),
+    "torus-load-parseable-string": lambda tmp_path: surfnitsche.TorusProblem().load_at(
+        [["1.2", "0", "0.3"]]
+    ),
+    "flat-chart-parseable-string": lambda tmp_path: surfnitsche.FlatSquareProblem(1).chart(
+        "0.5", 0.5
+    ),
+    "flat-closest-point-parseable-string": lambda tmp_path: (
+        surfnitsche.FlatSquareProblem(1).closest_point([["0.5", "0.5", "0"]])
+    ),
+    "flat-normal-parseable-string": lambda tmp_path: (
+        surfnitsche.FlatSquareProblem(1).normal_at_closest([["0.5", "0.5", "0"]])
+    ),
+    "flat-solution-complex": lambda tmp_path: surfnitsche.FlatSquareProblem(1).solution_at(
+        np.array([[0.5, 0.5, 0.0]], complex)
+    ),
 }
 
 
@@ -261,6 +304,20 @@ NAMED_IN_MESSAGE = {
     "torus-parseable-string-radius": "minor='0.4'",
     "boundary-complex-amplitude": "amplitude",
     "boundary-numpy-string-offset": "offset",
+    "torus-closest-point-parseable-string": "points",
+    "boundary-projection-parseable-string": "points",
+    "torus-distance-and-normal-complex": "points",
+    "signed-distance-parseable-string": "points",
+    "torus-embed-parseable-string": "theta",
+    "surface-normal-complex": "phi",
+    "boundary-phi-parseable-string": "theta",
+    "exact-solution-parseable-string": "theta",
+    "torus-chart-complex": "t must be real-valued",
+    "torus-load-parseable-string": "points",
+    "flat-chart-parseable-string": "t must be real-valued",
+    "flat-closest-point-parseable-string": "points",
+    "flat-normal-parseable-string": "points",
+    "flat-solution-complex": "points",
 }
 
 
@@ -297,6 +354,8 @@ PENALTY_NAMED_IN_MESSAGE = {
     "assemble-numpy-string-beta": "got beta=np.str_('1e4')",
     "probe-string-betas": "got beta='1e4'",
     "probe-complex-betas": "got beta=np.complex128(10000+0j)",
+    "probe-ragged-betas": "got beta=[1.0]",
+    "probe-string-grid": "beta grid '1e4' must be real-valued",
 }
 
 

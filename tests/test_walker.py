@@ -184,14 +184,14 @@ def test_batches_cover_elements_within_budget(order, budget, monkeypatch):
         monkeypatch.setattr(mesh_module, "BATCH_POINTS", budget)
 
     def stub_frames(mesh, ids, points):
-        return SimpleNamespace(area_factor=np.ones((len(ids), len(points))))
+        return SimpleNamespace()
 
     monkeypatch.setattr(mesh_module, "FrameBundle", stub_frames)
     num_elements = 5003
     mesh = ParametricMesh(order, np.zeros((1, 3)), np.zeros((num_elements, 1), dtype=int), {}, 1.0)
     for degree in (2 * order + 2, 2 * order + 4):
         rule = triangle_rule(degree)
-        batches = [ids for ids, _, _ in element_batches(mesh, rule)]
+        batches = [ids for ids, _ in element_batches(mesh, rule)]
         assert len(batches) > 1
         np.testing.assert_array_equal(np.concatenate(batches), np.arange(num_elements))
         for ids in batches:
@@ -230,3 +230,38 @@ def test_assembly_and_errors_query_no_exact_normal(name, order):
     error_measures(mesh, np.sin(np.arange(system.dim)), counting)
     assert counting.calls["normal_at_closest"] == 0
     assert counting.calls["load_at"] > 0 and counting.calls["solution_at"] > 0
+
+
+@pytest.mark.parametrize("name, order", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("placement", ["chart", "facet-linear"])
+def test_build_forms_no_metric_and_queries_once_per_batch(name, order, placement, monkeypatch):
+    """The fold check reads positions and unit normals only: no batch of the
+    build forms G, sqrt(det G) or G^-1, and each batch asks the problem for
+    the signed distance and the exact normal in one call."""
+    formed, batches = [], []
+
+    class WatchedFrames(FrameBundle):
+        def __init__(self, *args):
+            batches.append(args[1])
+            super().__init__(*args)
+
+    for attribute in ("metric", "area_factor", "inv_metric"):
+        watched = property(lambda self, attribute=attribute: formed.append(attribute))
+        monkeypatch.setattr(WatchedFrames, attribute, watched, raising=False)
+    monkeypatch.setattr(mesh_module, "FrameBundle", WatchedFrames)
+    monkeypatch.setattr(mesh_module, "BATCH_POINTS", SMALL_BATCH_POINTS)
+    counting = CountingProblem(PROBLEMS[name]())
+    try:
+        # the center-circle check of the boundary-edge points, one per edge group
+        edge_checks = len(build_mesh(8, order, counting, placement).boundary_edges)
+    except MeshInvalidError:
+        # the facet-linear wavy band folds at k = 2, 3 before that check
+        assert (name, placement) == ("wavy", "facet-linear") and order > 1
+        edge_checks = 0
+    framed = np.concatenate(batches)
+    assert len(batches) > 1
+    np.testing.assert_array_equal(framed, np.arange(len(framed)))
+    assert formed == []
+    assert counting.calls["distance_and_normal"] == len(batches)
+    assert counting.calls["signed_distance"] == 0
+    assert counting.calls["normal_at_closest"] == edge_checks
