@@ -38,5 +38,6 @@ for order in (1, 2, 3):
 # triangles directly); the nodal field is the signed distance, which is
 # zero because every node sits on the surface.
 mesh = build_mesh(8, 3, problem)
-write_vtk("torus_k3.vtk", mesh, {"signed_distance": problem.signed_distance(mesh.nodes)})
+rho, _ = problem.distance_and_normal(mesh.nodes)
+write_vtk("torus_k3.vtk", mesh, {"signed_distance": rho})
 print("\nwrote torus_k3.vtk")

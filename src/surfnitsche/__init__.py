@@ -37,7 +37,6 @@ from .geometry import (
     exact_solution,
     exact_surface_gradient,
     load,
-    signed_distance,
     surface_normal,
     torus_embed,
 )

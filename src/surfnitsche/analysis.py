@@ -21,6 +21,7 @@ import numpy as np
 
 from .assembly import _boundary_data, _solve_at_penalty, assemble
 from .errors import InvalidArgumentError, float_array, integer
+from .fem import _dot3
 from .mesh import ParametricMesh, build_mesh, edge_batches, element_batches
 from .reference import edge_rule, triangle_rule
 
@@ -65,12 +66,12 @@ def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures
         scale = rule.weights[None, :] * bundle.area_factor
         _, diff, grad_diff = _fields(bundle, coefficients[mesh.elements[ids]], problem)
         l2_sq += float(np.sum(scale * diff**2))
-        grad_sq += float(np.sum(scale * np.sum(grad_diff**2, axis=-1)))
+        grad_sq += float(np.sum(scale * _dot3(grad_diff, grad_diff)))
 
     flux_sq = jump_sq = mismatch_sq = 0.0
     for side, ids, edge, scale in edge_batches(mesh, edge_rule(degree)):
         u_h, diff, grad_diff = _fields(edge, coefficients[mesh.elements[ids]], problem)
-        flux_diff = np.sum(edge.conormal * grad_diff, axis=-1)
+        flux_diff = _dot3(edge.conormal, grad_diff)
         flux_sq += float(np.sum(scale * flux_diff**2))
         jump_sq += float(np.sum(scale * diff**2))
         mismatch_sq += float(np.sum(scale * (u_h - _boundary_data(problem, side, edge)) ** 2))

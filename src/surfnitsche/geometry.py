@@ -21,13 +21,25 @@ ds^2 = r^2 dtheta^2 + w^2 dphi^2 with w = R + r cos(theta):
 
 A unit square embedded in the z = 0 plane provides the degenerate flat
 case (exact geometry, polynomial solutions) used for patch tests.  Both
-geometries expose the same point-based interface consumed by the mesh
-builder, the assembler, and the error norms: closest-point projection,
-signed distance and oriented normals (together in one call for the mesh's
-fold check), boundary projection, and manufactured solution / gradient /
-load / Dirichlet data.  Every point, angle and chart-parameter query reads
-its input through ``errors.float_array``, so strings and complex values
-raise InvalidArgumentError.
+problems expose the same twelve members, and the library reads no other:
+
+    chart_aspect, periodic,    build_mesh: the cell grid and its numbering
+      boundary_sides
+    chart                      build_mesh: places every node
+    closest_point              build_mesh: snaps facet-linear nodes to the surface
+    correct_to_boundary        build_mesh: moves facet-linear boundary nodes
+    distance_and_normal        build_mesh (fold and center-circle checks) and
+                               geometric_report: signed distance and exact normal
+    project_to_boundary        geometric_report, and the point q(x) of the
+                               Dirichlet data in assemble and error_measures
+    dirichlet_at               assemble and error_measures: g(q(x))
+    load_at                    assemble: f(p(x))
+    solution_at,               error_measures: u(p(x)) and its gradient
+      solution_gradient_at
+
+Every point, angle and chart-parameter query reads its input through
+``errors.float_array``, so strings and complex values raise
+InvalidArgumentError.
 """
 from __future__ import annotations
 
@@ -127,16 +139,6 @@ def toroidal_angles(points, torus: TorusParams):
     """
     x, y, z, _, zeta, _ = _tube_coordinates(points, torus)
     return np.mod(np.arctan2(z, zeta), TWO_PI), np.mod(np.arctan2(y, x), TWO_PI)
-
-
-def signed_distance(points, torus: TorusParams):
-    """Signed distance to the torus surface; negative inside the tube, -r on its center circle."""
-    pts = float_array("points", points)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    d = np.hypot(x, y)
-    if np.any(d < _DEGENERATE_EPS):
-        raise DegenerateInputError("signed distance undefined on the symmetry axis")
-    return np.hypot(d - torus.major_radius, z) - torus.minor_radius
 
 
 def _tube_coordinates(points, torus: TorusParams):
@@ -414,16 +416,9 @@ class TorusProblem:
     def closest_point(self, points):
         return closest_point(points, self.torus)
 
-    def signed_distance(self, points):
-        return signed_distance(points, self.torus)
-
-    def normal_at_closest(self, points):
-        """Exterior surface normal at the closest surface point."""
-        return self.distance_and_normal(points)[1]
-
     def distance_and_normal(self, points):
-        """Signed distance ell - r (bitwise ``signed_distance``) and exterior
-        normal at the closest point, from one pass over the tube coordinates.
+        """Signed distance ell - r and exterior normal at the closest point,
+        from one pass over the tube coordinates.
 
         The closest-point map keeps both toroidal angles, so the normal is
         the unit vector from the center circle toward the point:
@@ -533,12 +528,6 @@ class FlatSquareProblem:
         pts = float_array("points", points).copy()
         pts[..., 2] = 0.0
         return pts
-
-    def signed_distance(self, points):
-        return float_array("points", points)[..., 2]
-
-    def normal_at_closest(self, points):
-        return self.distance_and_normal(points)[1]
 
     def distance_and_normal(self, points):
         """(signed distance z, normal e_z) per point."""

@@ -207,7 +207,7 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
         # Boundary-edge quadrature points can reach the center circle where no
         # element point does; error_measures evaluates the exact solution there.
         for _, points in _edge_points(mesh):
-            problem.normal_at_closest(points)
+            problem.distance_and_normal(points)
     except DegenerateInputError as err:
         # Cells spanning half the tube put facet nodes or quadrature points
         # on the center circle, where the surface has no nearest point.
@@ -409,5 +409,5 @@ def _boundary_distance(groups, problem):
     distances = [0.0]
     for side, pts in groups:
         proj = problem.project_to_boundary(pts, side)
-        distances.append(float(np.linalg.norm(pts - proj, axis=-1).max()))
+        distances.append(float(_norm3(pts - proj).max()))
     return max(distances)

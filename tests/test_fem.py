@@ -65,7 +65,8 @@ class TestElementFrame:
         assert np.all(bundle.area_factor > 0.0)
         np.testing.assert_allclose(length, bundle.area_factor, rtol=1e-12)
         # the chart mesh is consistently oriented against the exact surface normal
-        dots = np.sum(normal * torus_problem.normal_at_closest(bundle.position), axis=-1)
+        angles = geo.toroidal_angles(bundle.position, torus_problem.torus)
+        dots = np.sum(normal * geo.surface_normal(*angles), axis=-1)
         assert abs(np.sign(dots).sum()) == dots.size
 
 
@@ -141,7 +142,7 @@ def oriented_conormals(mesh, problem, ids, local_edge, edge):
     """
     raw = _cross3(edge.jacobian[..., 0], edge.jacobian[..., 1])
     unit = raw / _norm3(raw)[..., None]
-    orient = _dot3(unit, problem.normal_at_closest(edge.position))
+    orient = _dot3(unit, problem.distance_and_normal(edge.position)[1])
     assert np.all(orient != 0.0)
     conormal = _cross3(edge.tangent, unit * np.sign(orient)[..., None])
     conormal /= _norm3(conormal)[..., None]

@@ -64,13 +64,17 @@ class TestTorusBasics:
         )
 
     def test_signed_distance_values(self, torus):
-        assert geo.signed_distance([2.0, 0.0, 0.0], torus) == pytest.approx(0.6, abs=1e-15)
-        assert geo.signed_distance([1.4, 0.0, 0.0], torus) == pytest.approx(0.0, abs=1e-15)
-        assert geo.signed_distance([1.0, 0.0, 0.0], torus) == pytest.approx(-0.4, abs=1e-15)
+        distance = geo.TorusProblem(torus).distance_and_normal
+        assert distance([2.0, 0.0, 0.0])[0] == pytest.approx(0.6, abs=1e-15)
+        assert distance([1.4, 0.0, 0.0])[0] == pytest.approx(0.0, abs=1e-15)
+        assert distance([1.1, 0.0, 0.0])[0] == pytest.approx(-0.3, abs=1e-15)
+        # no nearest point, so no distance, on the center circle
+        with pytest.raises(DegenerateInputError):
+            distance([1.0, 0.0, 0.0])
 
     def test_degenerate_axis(self, torus):
         with pytest.raises(DegenerateInputError):
-            geo.signed_distance([0.0, 0.0, 0.3], torus)
+            geo.TorusProblem(torus).distance_and_normal([0.0, 0.0, 0.3])
         with pytest.raises(DegenerateInputError):
             geo.closest_point([0.0, 0.0, 0.3], torus)
 
@@ -112,9 +116,8 @@ class TestClosestPoint:
         pts = random_tube_points(rng, torus, 1000)
         projected = geo.closest_point(pts, torus)
         gap = np.linalg.norm(pts - projected, axis=-1)
-        np.testing.assert_allclose(
-            gap, np.abs(geo.signed_distance(pts, torus)), atol=1e-12
-        )
+        rho, _ = geo.TorusProblem(torus).distance_and_normal(pts)
+        np.testing.assert_allclose(gap, np.abs(rho), atol=1e-12)
         np.testing.assert_allclose(geo.closest_point(projected, torus), projected, atol=1e-12)
 
 
@@ -134,34 +137,36 @@ class TestSurfaceNormal:
         rng = np.random.default_rng(4)
         pts = random_tube_points(rng, torus, 20)
         analytic = geo.surface_normal(*geo.toroidal_angles(geo.closest_point(pts, torus), torus))
+        distance = geo.TorusProblem(torus).distance_and_normal
         step = 1e-6
         fd = np.zeros_like(pts)
         for axis in range(3):
             offset = np.zeros(3)
             offset[axis] = step
-            fd[:, axis] = (
-                geo.signed_distance(pts + offset, torus)
-                - geo.signed_distance(pts - offset, torus)
-            ) / (2 * step)
+            fd[:, axis] = (distance(pts + offset)[0] - distance(pts - offset)[0]) / (2 * step)
         np.testing.assert_allclose(fd, analytic, atol=1e-6)
 
 
 class TestNormalAtClosest:
     def test_matches_normal_at_closest_angles(self, torus_problem):
+        """distance_and_normal against the normal at the closest point's angles
+        and the distance hypot(hypot(x, y) - R, z) - r, which it forms bitwise."""
         rng = np.random.default_rng(12)
         torus = torus_problem.torus
         pts = random_tube_points(rng, torus, 2000)
+        rho, normal = torus_problem.distance_and_normal(pts)
         via_angles = geo.surface_normal(*geo.toroidal_angles(geo.closest_point(pts, torus), torus))
-        np.testing.assert_allclose(
-            torus_problem.normal_at_closest(pts), via_angles, rtol=0.0, atol=1e-14
-        )
+        np.testing.assert_allclose(normal, via_angles, rtol=0.0, atol=1e-14)
+        x, y, z = pts.T
+        hypot = np.hypot(np.hypot(x, y) - torus.major_radius, z) - torus.minor_radius
+        np.testing.assert_array_equal(rho, hypot)
 
     @pytest.mark.parametrize(
         "point", [[0.0, 0.0, 0.3], [1.0, 0.0, 0.0]], ids=["axis", "center-circle"]
     )
     def test_degenerate(self, torus_problem, point):
         with pytest.raises(DegenerateInputError):
-            torus_problem.normal_at_closest(point)
+            torus_problem.distance_and_normal(point)
 
 
 class TestBoundary:
@@ -429,7 +434,8 @@ def test_projection_recovers_offset_point(theta, phi, offset):
     surface = geo.torus_embed(theta, phi, torus)
     shifted = surface + offset * geo.surface_normal(theta, phi)
     np.testing.assert_allclose(geo.closest_point(shifted, torus), surface, atol=1e-12)
-    assert geo.signed_distance(shifted, torus) == pytest.approx(offset, abs=1e-12)
+    rho, _ = geo.TorusProblem(torus).distance_and_normal(shifted)
+    assert rho == pytest.approx(offset, abs=1e-12)
 
 
 class TestFlatSquare:

@@ -267,7 +267,7 @@ def test_random_band_mesh_valid_or_rejected(boundary, n_div, order, placement):
         mesh = build_mesh(n_div, order, problem, placement)
     except MeshInvalidError:
         return
-    np.testing.assert_allclose(problem.signed_distance(mesh.nodes), 0.0, atol=1e-12)
+    np.testing.assert_allclose(problem.distance_and_normal(mesh.nodes)[0], 0.0, atol=1e-12)
     for side, ids in mesh.boundary_nodes.items():
         on_curve = mesh.nodes[ids]
         np.testing.assert_allclose(
@@ -387,8 +387,8 @@ class TestBuildReportMemo:
 def reference_element_pass(mesh, problem):
     """The fold pass as it stood before the metric was formed on first use.
 
-    Each batch forms G, checks det G and its area factor, then queries the
-    exact normal and the signed distance in two calls.  Returns the fold
+    Each batch forms G and checks det G and its area factor before it
+    queries the signed distance and the exact normal.  Returns the fold
     ids and the element-side report fields.
     """
     rule = triangle_rule(assembly_degree(mesh.order))
@@ -398,10 +398,9 @@ def reference_element_pass(mesh, problem):
     for ids, bundle in mesh_module.element_batches(mesh, rule):
         assert np.all(bundle.area_factor > 0.0)
         area, unit = bundle.area_normal()
-        exact_normal = problem.normal_at_closest(bundle.position)
+        rho, exact_normal = problem.distance_and_normal(bundle.position)
         orient = np.sign(np.sum(unit * exact_normal, axis=-1))
         assert np.all(orient != 0.0)
-        rho = problem.signed_distance(bundle.position)
         normal_dev = np.linalg.norm(exact_normal - unit * orient[..., None], axis=-1)
         signed = area * orient
         signed *= np.sign(np.sum(signed, axis=1))[:, None]

@@ -220,8 +220,8 @@ BAD_INPUT = {
     "torus-distance-and-normal-complex": lambda tmp_path: (
         surfnitsche.TorusProblem().distance_and_normal(np.array([[1.2, 0.0, 0.3]], complex))
     ),
-    "signed-distance-parseable-string": lambda tmp_path: surfnitsche.signed_distance(
-        ["1.2", "0", "0.3"], surfnitsche.TorusParams()
+    "torus-distance-and-normal-parseable-string": lambda tmp_path: (
+        surfnitsche.TorusProblem().distance_and_normal(["1.2", "0", "0.3"])
     ),
     "torus-embed-parseable-string": lambda tmp_path: surfnitsche.torus_embed(
         "0.5", 0.0, surfnitsche.TorusParams()
@@ -241,8 +241,8 @@ BAD_INPUT = {
     "flat-closest-point-parseable-string": lambda tmp_path: (
         surfnitsche.FlatSquareProblem(1).closest_point([["0.5", "0.5", "0"]])
     ),
-    "flat-normal-parseable-string": lambda tmp_path: (
-        surfnitsche.FlatSquareProblem(1).normal_at_closest([["0.5", "0.5", "0"]])
+    "flat-distance-and-normal-parseable-string": lambda tmp_path: (
+        surfnitsche.FlatSquareProblem(1).distance_and_normal([["0.5", "0.5", "0"]])
     ),
     "flat-solution-complex": lambda tmp_path: surfnitsche.FlatSquareProblem(1).solution_at(
         np.array([[0.5, 0.5, 0.0]], complex)
@@ -307,7 +307,7 @@ NAMED_IN_MESSAGE = {
     "torus-closest-point-parseable-string": "points",
     "boundary-projection-parseable-string": "points",
     "torus-distance-and-normal-complex": "points",
-    "signed-distance-parseable-string": "points",
+    "torus-distance-and-normal-parseable-string": "points",
     "torus-embed-parseable-string": "theta",
     "surface-normal-complex": "phi",
     "boundary-phi-parseable-string": "theta",
@@ -316,7 +316,7 @@ NAMED_IN_MESSAGE = {
     "torus-load-parseable-string": "points",
     "flat-chart-parseable-string": "t must be real-valued",
     "flat-closest-point-parseable-string": "points",
-    "flat-normal-parseable-string": "points",
+    "flat-distance-and-normal-parseable-string": "points",
     "flat-solution-complex": "points",
 }
 

@@ -108,7 +108,7 @@ def oriented_frame(bundle, problem):
     raw = np.cross(bundle.jacobian[..., 0], bundle.jacobian[..., 1])
     area = np.linalg.norm(raw, axis=-1)
     unit = raw / area[..., None]
-    exact_normal = problem.normal_at_closest(bundle.position)
+    exact_normal = problem.distance_and_normal(bundle.position)[1]
     orient = np.sign(np.sum(unit * exact_normal, axis=-1))
     return exact_normal, unit * orient[..., None], area * orient
 
@@ -122,7 +122,7 @@ def all_at_once_report(mesh, problem):
     quad_degree = 2 * mesh.order + 2
     rule = triangle_rule(quad_degree)
     bundle = FrameBundle(mesh, np.arange(mesh.num_elements), rule.points)
-    rho = problem.signed_distance(bundle.position)
+    rho = problem.distance_and_normal(bundle.position)[0]
     exact_normal, normal, _ = oriented_frame(bundle, problem)
     normal_dev = np.linalg.norm(exact_normal - normal, axis=-1)
 
@@ -228,7 +228,7 @@ def test_assembly_and_errors_query_no_exact_normal(name, order):
     counting = CountingProblem(problem)
     system = assemble(mesh, 1e4, counting)
     error_measures(mesh, np.sin(np.arange(system.dim)), counting)
-    assert counting.calls["normal_at_closest"] == 0
+    assert counting.calls["distance_and_normal"] == 0
     assert counting.calls["load_at"] > 0 and counting.calls["solution_at"] > 0
 
 
@@ -237,7 +237,8 @@ def test_assembly_and_errors_query_no_exact_normal(name, order):
 def test_build_forms_no_metric_and_queries_once_per_batch(name, order, placement, monkeypatch):
     """The fold check reads positions and unit normals only: no batch of the
     build forms G, sqrt(det G) or G^-1, and each batch asks the problem for
-    the signed distance and the exact normal in one call."""
+    the signed distance and the exact normal in one call, as the
+    center-circle check does once per boundary-edge group."""
     formed, batches = [], []
 
     class WatchedFrames(FrameBundle):
@@ -262,6 +263,4 @@ def test_build_forms_no_metric_and_queries_once_per_batch(name, order, placement
     assert len(batches) > 1
     np.testing.assert_array_equal(framed, np.arange(len(framed)))
     assert formed == []
-    assert counting.calls["distance_and_normal"] == len(batches)
-    assert counting.calls["signed_distance"] == 0
-    assert counting.calls["normal_at_closest"] == edge_checks
+    assert counting.calls["distance_and_normal"] == len(batches) + edge_checks
