@@ -11,6 +11,11 @@ rates.  Refinement studies double the grid resolution per level and
 report estimated orders of convergence as log2 of consecutive error
 ratios.  The error integrals run over the batches of the mesh module's
 quadrature walker, the same ones assembly integrates over.
+
+Gradients stay in reference components: with w = J^T grad u(p(x)) -
+grad_ref u_h the gradient error is J G^{-1} w, so |grad e|^2 = w . G^{-1} w
+and nu.grad e = (G^{-1} J^T nu) . w.  Each batch makes one exact-solution
+query, ``problem.solution_and_gradient_at``.
 """
 from __future__ import annotations
 
@@ -21,7 +26,6 @@ import numpy as np
 
 from .assembly import _boundary_data, _solve_at_penalty, assemble
 from .errors import InvalidArgumentError, float_array, integer
-from .fem import _dot3
 from .mesh import ParametricMesh, build_mesh, edge_batches, element_batches
 from .reference import edge_rule, triangle_rule
 
@@ -64,14 +68,14 @@ def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures
     rule = triangle_rule(degree)
     for ids, bundle in element_batches(mesh, rule):
         scale = rule.weights[None, :] * bundle.area_factor
-        _, diff, grad_diff = _fields(bundle, coefficients[mesh.elements[ids]], problem)
+        _, diff, w = _fields(bundle, coefficients[mesh.elements[ids]], problem)
         l2_sq += float(np.sum(scale * diff**2))
-        grad_sq += float(np.sum(scale * _dot3(grad_diff, grad_diff)))
+        grad_sq += float(np.sum(scale * np.sum(w * bundle.raise_index(w), axis=-1)))
 
     flux_sq = jump_sq = mismatch_sq = 0.0
     for side, ids, edge, scale in edge_batches(mesh, edge_rule(degree)):
-        u_h, diff, grad_diff = _fields(edge, coefficients[mesh.elements[ids]], problem)
-        flux_diff = _dot3(edge.conormal, grad_diff)
+        u_h, diff, w = _fields(edge, coefficients[mesh.elements[ids]], problem)
+        flux_diff = np.sum(edge.reference_components(edge.conormal) * w, axis=-1)
         flux_sq += float(np.sum(scale * flux_diff**2))
         jump_sq += float(np.sum(scale * diff**2))
         mismatch_sq += float(np.sum(scale * (u_h - _boundary_data(problem, side, edge)) ** 2))
@@ -90,15 +94,14 @@ def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures
 
 
 def _fields(bundle, coeff, problem):
-    """u_h, u(p(x)) - u_h and the tangential grad u(p(x)) - grad u_h on a
+    """u_h, u(p(x)) - u_h and w = J^T grad u(p(x)) - grad_ref u_h (e,q,2) on a
     batch of either kind; ``coeff`` (e,n) holds its elements' coefficients."""
     num_points, num_local, _ = bundle.grads.shape
     table = bundle.grads.transpose(1, 0, 2).reshape(num_local, 2 * num_points)
     u_h = coeff @ bundle.values.T
-    grad_u_h = bundle.lift((coeff @ table).reshape(len(coeff), num_points, 2))
-    diff = problem.solution_at(bundle.position) - u_h
-    grad_exact = bundle.project_tangent(problem.solution_gradient_at(bundle.position))
-    return u_h, diff, grad_exact - grad_u_h
+    u, grad_u = problem.solution_and_gradient_at(bundle.position)
+    w = bundle.covectors(grad_u) - (coeff @ table).reshape(len(coeff), num_points, 2)
+    return u_h, u - u_h, w
 
 
 def convergence_study(

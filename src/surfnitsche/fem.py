@@ -15,11 +15,10 @@ values @ coords and J^T is one product of the stacked reference gradients
 (2q, n) with each element's (n, 3) coordinates; the 2x2 metric and its
 inverse, the cross products and the norms are formed entrywise, each on
 first use, so a caller pays only for what it reads: the fold check needs
-no metric, and integration needs sqrt(det G).  Kernels that only need
-G^{-1} and sqrt(det G) (the stiffness matrix ``C_e @ B`` in the assembly
-module) or reference-space covectors (boundary fluxes, error gradients)
-never build the (e, q, n, 3) tangent-gradient tensor; ``lift`` maps a
-covector field to 3-space afterwards.
+no metric, and integration needs sqrt(det G).  No library kernel maps
+back to 3-space: the stiffness matrix (``C_e @ B`` in the assembly
+module) needs G^{-1} and sqrt(det G) only, and boundary fluxes and the
+error pass work with covectors J^T v and their components G^{-1} J^T v.
 """
 from __future__ import annotations
 
@@ -115,6 +114,10 @@ class FrameBundle:
         """Tangential gradients of all basis functions; shape (e,q,n,3)."""
         return grads @ (self.inv_metric @ self._jacobian_t)
 
+    def covectors(self, vectors):
+        """J^T v of ambient vectors v (e,q,3): their reference covectors, (e,q,2)."""
+        return (self._jacobian_t @ vectors[..., None])[..., 0]
+
     def reference_components(self, vectors):
         """Components G^{-1} J^T v of ambient vectors v (e,q,3); shape (e,q,2).
 
@@ -122,23 +125,15 @@ class FrameBundle:
         components dotted with its reference gradient, so fluxes contract
         them directly against the reference gradients.
         """
-        return self._raise((self._jacobian_t @ vectors[..., None])[..., 0])
+        return self.raise_index(self.covectors(vectors))
 
-    def lift(self, ref_gradients):
-        """Tangential gradients J G^{-1} g of reference gradients g (e,q,2); (e,q,3)."""
-        return self._push(self._raise(ref_gradients))
+    # raise_index writes its per-point products entrywise: a stacked matmul
+    # of matrices this small costs a call per point and ran 2-3x slower.
+    # J^T v above stays a matmul; its entrywise form rounds differently,
+    # enough to move the Nitsche flux terms and, with them, where PCG
+    # stops on the k = 3 study.
 
-    def project_tangent(self, vectors):
-        """Project ambient vectors (e,q,3) onto the discrete tangent plane."""
-        return self._push(self.reference_components(vectors))
-
-    # _raise and _push write their per-point products entrywise: a stacked
-    # matmul of matrices this small costs a call per point and ran 2-3x
-    # slower.  J^T v above stays a matmul; its entrywise form rounds
-    # differently, enough to move the Nitsche flux terms and, with them,
-    # where PCG stops on the k = 3 study.
-
-    def _raise(self, covectors):
+    def raise_index(self, covectors):
         """G^{-1} w for covectors w (e,q,2)."""
         inv = self.inv_metric
         v0, v1 = covectors[..., 0], covectors[..., 1]
@@ -146,12 +141,6 @@ class FrameBundle:
             [inv[..., 0, 0] * v0 + inv[..., 0, 1] * v1, inv[..., 1, 0] * v0 + inv[..., 1, 1] * v1],
             axis=-1,
         )
-
-    def _push(self, components):
-        """J c for reference components c (e,q,2); shape (e,q,3)."""
-        jac_t = self._jacobian_t
-        c0, c1 = components[..., 0, None], components[..., 1, None]
-        return c0 * jac_t[..., 0, :] + c1 * jac_t[..., 1, :]
 
 
 # Products over a last axis of length 3, written entrywise: np.cross,

@@ -34,8 +34,8 @@ problems expose the same twelve members, and the library reads no other:
                                Dirichlet data in assemble and error_measures
     dirichlet_at               assemble and error_measures: g(q(x))
     load_at                    assemble: f(p(x))
-    solution_at,               error_measures: u(p(x)) and its gradient
-      solution_gradient_at
+    solution_and_gradient_at   error_measures: u(p(x)) and its gradient
+    solution_at                ``surfnitsche solve``: nodal error and VTK output
 
 Every point, angle and chart-parameter query reads its input through
 ``errors.float_array``, so strings and complex values raise
@@ -336,10 +336,10 @@ def _solution_factors(theta, phi):
     return np.cos(wave), np.sin(wave), np.sin(2.0 * theta), np.cos(2.0 * theta)
 
 
-def _solution_partials(theta, phi):
-    """First partials (u_theta, u_phi) of the manufactured solution."""
+def _solution_jet(theta, phi):
+    """(u, u_theta, u_phi) of the manufactured solution; u is bitwise exact_solution."""
     c, s, s2, c2 = _solution_factors(theta, phi)
-    return -5.0 * s * s2 + 2.0 * c * c2, -3.0 * s * s2
+    return c * s2, -5.0 * s * s2 + 2.0 * c * c2, -3.0 * s * s2
 
 
 def exact_surface_gradient(theta, phi, torus: TorusParams):
@@ -349,7 +349,7 @@ def exact_surface_gradient(theta, phi, torus: TorusParams):
     grad u = u_theta / r * e_theta + u_phi / w * e_phi.
     """
     theta, phi = float_array("theta", theta), float_array("phi", phi)
-    u_t, u_p = _solution_partials(theta, phi)
+    _, u_t, u_p = _solution_jet(theta, phi)
     r = torus.minor_radius
     w = torus.major_radius + r * np.cos(theta)
     st, ct = np.sin(theta), np.cos(theta)
@@ -447,18 +447,21 @@ class TorusProblem:
         """Closest-point extension of the exact solution, u(p(x)): u at the angles of x."""
         return exact_solution(*toroidal_angles(points, self.torus))
 
-    def solution_gradient_at(self, points):
-        """Ambient gradient of the closest-point extension of the solution.
+    def solution_and_gradient_at(self, points):
+        """u(p(x)) and its ambient gradient, from one pass over the tube coordinates.
 
         u(p(x)) depends on x only through the toroidal angles, so the
         gradient is u_theta grad(theta) + u_phi grad(phi) with the exact
-        ambient gradients of the angle fields.
+        ambient gradients of the angle fields.  Both are evaluated at the
+        angles of ``toroidal_angles``, so u is bitwise ``solution_at``.
         """
         x, y, z, d, zeta, ell = _tube_coordinates(points, self.torus)
-        u_t, u_p = _solution_partials(np.arctan2(z, zeta), np.arctan2(y, x))
+        u, u_t, u_p = _solution_jet(
+            np.mod(np.arctan2(z, zeta), TWO_PI), np.mod(np.arctan2(y, x), TWO_PI)
+        )
         grad_theta = np.stack([-z * x / d, -z * y / d, zeta], axis=-1) / (ell * ell)[..., None]
         grad_phi = np.stack([-y / d**2, x / d**2, np.zeros_like(d)], axis=-1)
-        return u_t[..., None] * grad_theta + u_p[..., None] * grad_phi
+        return u, u_t[..., None] * grad_theta + u_p[..., None] * grad_phi
 
     def load_at(self, points):
         """Closest-point extension of the load, f(p(x)): f at the angles of x."""
@@ -549,13 +552,11 @@ class FlatSquareProblem:
         pts = float_array("points", points)
         return polyval2d(pts[..., 0], pts[..., 1], self.coefficients)
 
-    def solution_gradient_at(self, points):
+    def solution_and_gradient_at(self, points):
         pts = float_array("points", points)
         x, y = pts[..., 0], pts[..., 1]
-        return np.stack(
-            [polyval2d(x, y, self._dx), polyval2d(x, y, self._dy), np.zeros_like(x)],
-            axis=-1,
-        )
+        gradient = [polyval2d(x, y, self._dx), polyval2d(x, y, self._dy), np.zeros_like(x)]
+        return polyval2d(x, y, self.coefficients), np.stack(gradient, axis=-1)
 
     def load_at(self, points):
         pts = float_array("points", points)

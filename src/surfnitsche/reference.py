@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import UnsupportedDegreeError, integer
+from .errors import UnsupportedDegreeError, float_array, integer
 
 MAX_QUADRATURE_DEGREE = 20
 
@@ -50,7 +50,8 @@ class ReferenceElement:
     """Nodal Lagrange basis of total order k on the uniform triangle lattice.
 
     Basis coefficients come from inverting the monomial Vandermonde matrix
-    at the lattice nodes, which is well conditioned for k <= 3.
+    at the lattice nodes, which is well conditioned for k <= 3.  Points
+    are real and finite, of shape (2,) or (n, 2), or InvalidArgumentError.
     """
 
     def __init__(self, order: int):
@@ -74,14 +75,12 @@ class ReferenceElement:
         return 0, k, self.num_nodes - 1
 
     def _monomials(self, points):
-        pts = np.atleast_2d(points)
-        xi, eta = pts[:, 0], pts[:, 1]
+        xi, eta = _reference_points(points)
         a, b = self._exponents[:, 0], self._exponents[:, 1]
         return xi[:, None] ** a[None, :] * eta[:, None] ** b[None, :]
 
     def _monomial_gradients(self, points):
-        pts = np.atleast_2d(points)
-        xi, eta = pts[:, 0], pts[:, 1]
+        xi, eta = _reference_points(points)
         a, b = self._exponents[:, 0], self._exponents[:, 1]
         dxi = a * xi[:, None] ** np.maximum(a - 1, 0) * eta[:, None] ** b
         deta = xi[:, None] ** a * (b * eta[:, None] ** np.maximum(b - 1, 0))
@@ -99,6 +98,12 @@ class ReferenceElement:
     def tabulate(self, points):
         """(values, gradients) at reference points."""
         return self.eval(points), self.grad(points)
+
+
+def _reference_points(points):
+    """(xi, eta) of real, finite points of shape (2,) or (n, 2), each (n,)."""
+    pts = np.atleast_2d(float_array("reference points", points, finite=True))
+    return float_array("reference points", pts, (len(pts), 2)).T
 
 
 @lru_cache(maxsize=None)

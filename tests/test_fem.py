@@ -35,9 +35,9 @@ def flat_mesh_from_triangle(vertices, order=1):
 
 
 def lifted_gradient(bundle, ref_point, coeffs):
-    """Tangential gradient of v = sum coeffs_i phi_i (linear basis) by lift."""
-    grads = reference_element(1).grad(np.array([ref_point]))[0]
-    return bundle.lift((np.asarray(coeffs, dtype=float) @ grads)[None, None, :])[0, 0]
+    """Tangential gradient of v = sum coeffs_i phi_i (linear basis) at a one-point bundle."""
+    grads = reference_element(1).grad(np.array([ref_point]))
+    return np.asarray(coeffs, dtype=float) @ bundle.basis_tangent_gradients(grads)[0, 0]
 
 
 class TestElementFrame:

@@ -361,9 +361,26 @@ class TestManufacturedSolution:
         theta = rng.uniform(0.0, TWO_PI, 50)
         phi = rng.uniform(0.0, TWO_PI, 50)
         pts = geo.torus_embed(theta, phi, torus_problem.torus)
-        ambient = torus_problem.solution_gradient_at(pts)
+        ambient = torus_problem.solution_and_gradient_at(pts)[1]
         chart = geo.exact_surface_gradient(theta, phi, torus_problem.torus)
         np.testing.assert_allclose(ambient, chart, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [geo.TorusProblem(), geo.TorusProblem.simplified(), geo.FlatSquareProblem(3)],
+        ids=["wavy", "simplified", "flat"],
+    )
+    def test_solution_and_gradient_value_is_solution_at(self, problem):
+        """The value half of the error pass's one query is bitwise solution_at,
+        in the tube around the surface and over the plane near the square."""
+        rng = np.random.default_rng(12)
+        if isinstance(problem, geo.TorusProblem):
+            pts = random_tube_points(rng, problem.torus, 2000)
+        else:
+            pts = np.column_stack([rng.uniform(-0.5, 1.5, (2000, 2)), rng.uniform(-0.1, 0.1, 2000)])
+        u, gradient = problem.solution_and_gradient_at(pts)
+        assert np.array_equal(u, problem.solution_at(pts))
+        assert gradient.shape == pts.shape
 
     def test_dirichlet_matches_solution_on_boundary(self, torus_problem):
         theta = np.linspace(0.0, TWO_PI, 9)
@@ -381,7 +398,7 @@ class TestManufacturedSolution:
 class TestPointData:
     """solution_at, load_at and friends read the angles of the point itself."""
 
-    DATA = ["solution_at", "solution_gradient_at", "load_at", "dirichlet_at"]
+    DATA = ["solution_at", "solution_and_gradient_at", "load_at", "dirichlet_at"]
 
     @pytest.mark.parametrize("method", DATA)
     @pytest.mark.parametrize(
@@ -529,7 +546,8 @@ class TestFlatSquare:
                 lap = lap + b * (b - 1) * c * x**a * y ** (b - 2)
         gradient = np.column_stack(np.broadcast_arrays(ux, uy, 0.0 * x))
         np.testing.assert_allclose(problem.solution_at(pts), u, rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(problem.solution_gradient_at(pts), gradient, rtol=0, atol=1e-13)
+        ambient = problem.solution_and_gradient_at(pts)[1]
+        np.testing.assert_allclose(ambient, gradient, rtol=0, atol=1e-13)
         np.testing.assert_allclose(problem.load_at(pts), -lap + 0.0 * x, rtol=0.0, atol=1e-13)
 
     def test_unknown_degree(self):

@@ -40,6 +40,10 @@ def einsum_tangent_gradients(jacobian, inv_metric, grads):
     return np.einsum("eqdr,eqrs,qns->eqnd", jacobian, inv_metric, grads)
 
 
+def einsum_components(jacobian, inv_metric, vectors):
+    return np.einsum("eqrs,eqds,eqd->eqr", inv_metric, jacobian, vectors)
+
+
 def einsum_project(jacobian, inv_metric, vectors):
     covariant = np.einsum("eqds,eqd->eqs", jacobian, vectors)
     return np.einsum("eqdr,eqrs,eqs->eqd", jacobian, inv_metric, covariant)
@@ -108,7 +112,7 @@ def einsum_error_measures(mesh, coefficients, problem):
     coeff = coefficients[conn]
     u_h = np.einsum("qn,en->eq", values, coeff)
     grad_u_h = np.einsum("eqnd,en->eqd", einsum_tangent_gradients(jac, inv_metric, grads), coeff)
-    grad_exact = einsum_project(jac, inv_metric, problem.solution_gradient_at(position))
+    grad_exact = einsum_project(jac, inv_metric, problem.solution_and_gradient_at(position)[1])
     l2_sq = np.sum(scale * (problem.solution_at(position) - u_h) ** 2)
     grad_sq = np.sum(scale * np.sum((grad_exact - grad_u_h) ** 2, axis=-1))
 
@@ -123,7 +127,7 @@ def einsum_error_measures(mesh, coefficients, problem):
         u_h = np.einsum("qn,en->eq", edge.values, coeff)
         tg = einsum_tangent_gradients(jac, inv_metric, edge.grads)
         grad_u_h = np.einsum("eqnd,en->eqd", tg, coeff)
-        grad_exact = einsum_project(jac, inv_metric, problem.solution_gradient_at(position))
+        grad_exact = einsum_project(jac, inv_metric, problem.solution_and_gradient_at(position)[1])
         flux_diff = np.sum(edge.conormal * (grad_exact - grad_u_h), axis=-1)
         flux_sq += np.sum(scale * flux_diff**2)
         jump_sq += np.sum(scale * (problem.solution_at(position) - u_h) ** 2)
@@ -171,9 +175,10 @@ def test_frames_match_einsum(case):
     tg = bundle.basis_tangent_gradients(grads)
     assert tg.shape == (mesh.num_elements, len(rule.weights), values.shape[1], 3)
     assert relative_gap(tg, einsum_tangent_gradients(jac, inv_metric, grads)) <= RTOL
-    vectors = problem.solution_gradient_at(position)
+    vectors = problem.solution_and_gradient_at(position)[1]
+    assert relative_gap(bundle.covectors(vectors), np.einsum("eqdr,eqd->eqr", jac, vectors)) <= RTOL
     assert relative_gap(
-        bundle.project_tangent(vectors), einsum_project(jac, inv_metric, vectors)
+        bundle.reference_components(vectors), einsum_components(jac, inv_metric, vectors)
     ) <= RTOL
 
 

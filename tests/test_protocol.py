@@ -1,13 +1,18 @@
 """The problem protocol: the twelve members the library reads of a problem.
 
-Every stage of the pipeline runs against a ``StrictProblem``, which
-exposes only those members, for the wavy and simplified torus bands and
-the flat square at k = 1..3.  Together the stages must read every member,
-and the problem classes must define no other public method.
+Every stage of the pipeline, and ``surfnitsche solve``, runs against a
+``StrictProblem``, which exposes only those members, for the wavy and
+simplified torus bands and the flat square at k = 1..3.  Together they
+must read every member, the problem classes must define no other public
+method, and the table in the ``geometry`` docstring must list exactly
+these members.
 """
+import re
+
 import numpy as np
 import pytest
 
+from surfnitsche import cli
 from surfnitsche import geometry as geo
 from surfnitsche.analysis import convergence_study, error_measures
 from surfnitsche.assembly import assemble, min_stable_beta_probe
@@ -28,7 +33,7 @@ PROTOCOL = frozenset(
         "load_at",
         "dirichlet_at",
         "solution_at",
-        "solution_gradient_at",
+        "solution_and_gradient_at",
     }
 )
 
@@ -56,7 +61,7 @@ class StrictProblem:
 
 
 @pytest.mark.parametrize("name, order", CASES, ids=CASE_IDS)
-def test_pipeline_reads_exactly_the_protocol(name, order):
+def test_pipeline_reads_exactly_the_protocol(name, order, monkeypatch):
     read = set()
     problem = StrictProblem(PROBLEMS[name](), read)
     other = StrictProblem(PROBLEMS[name](), read)
@@ -73,6 +78,8 @@ def test_pipeline_reads_exactly_the_protocol(name, order):
     error_measures(mesh, report.solution, problem)
     min_stable_beta_probe(mesh, [1e2, 1e4], problem)
     convergence_study(order, 3, 1e4, problem, base_divisions=3)
+    monkeypatch.setattr(cli, "PROBLEMS", {"strict": lambda k: problem})
+    assert cli.run(["solve", "--problem", "strict", "--k", str(order), "--n-div", "4"]) == 0
     assert read == PROTOCOL
 
 
@@ -88,3 +95,12 @@ def test_strict_problem_rejects_other_members():
 def test_problem_classes_define_only_the_protocol(cls):
     public = {name for name in vars(cls) if not name.startswith("_")}
     assert public - {"simplified"} == PROTOCOL
+
+
+def test_geometry_docstring_table_lists_the_protocol():
+    """The left column of the member table names each member exactly once."""
+    table = geo.__doc__.split("the library reads no other:\n\n")[1].split("\n\n")[0]
+    lines = table.splitlines()
+    column = lines[0].index("build_mesh")
+    names = [name for line in lines for name in re.findall(r"\w+", line[:column])]
+    assert sorted(names) == sorted(PROTOCOL)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfnitsche import reference as ref
-from surfnitsche.errors import UnsupportedDegreeError
+from surfnitsche.errors import InvalidArgumentError, UnsupportedDegreeError
 
 
 def monomial_integral(a, b):
@@ -103,3 +103,24 @@ def test_edge_paths():
     assert ref.edge_opposite_corner(0) == 2
     assert ref.edge_opposite_corner(1) == 0
     assert ref.edge_opposite_corner(2) == 1
+
+
+@pytest.mark.parametrize("method", ["eval", "grad", "tabulate"])
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[0.2, 0.3, 0.5]],
+        [0.2, 0.3, 0.5],
+        [[0.2 + 1e-3j, 0.3]],
+        ["0.2", "0.3"],
+        [[0.2, np.nan]],
+        [[[0.2, 0.3]]],
+        0.2,
+    ],
+    ids=["three-columns", "three-vector", "complex", "strings", "nan", "three-dims", "scalar"],
+)
+def test_basis_rejects_bad_points(method, points):
+    """Only real, finite points of shape (2,) or (n, 2) are read; anything
+    else raises instead of being cut to two columns or evaluated as given."""
+    with pytest.raises(InvalidArgumentError, match="reference points"):
+        getattr(ref.reference_element(2), method)(points)

@@ -11,6 +11,7 @@ checked against a copy of the formulation that framed all elements at
 once, the scaled Jacobians in a second pass and the boundary edges
 through full edge frames.  Only that report compares the frames with the
 exact surface normal; assembly and error measurement never query it.
+Error measurement asks for u and grad u once per batch.
 """
 from collections import Counter
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from surfnitsche.mesh import (
     GeometricReport,
     ParametricMesh,
     build_mesh,
+    edge_batches,
     element_batches,
     geometric_report,
 )
@@ -229,7 +231,23 @@ def test_assembly_and_errors_query_no_exact_normal(name, order):
     system = assemble(mesh, 1e4, counting)
     error_measures(mesh, np.sin(np.arange(system.dim)), counting)
     assert counting.calls["distance_and_normal"] == 0
-    assert counting.calls["load_at"] > 0 and counting.calls["solution_at"] > 0
+    assert counting.calls["load_at"] > 0 and counting.calls["solution_and_gradient_at"] > 0
+
+
+@pytest.mark.parametrize("name, order", CASES, ids=CASE_IDS)
+def test_error_pass_queries_the_solution_once_per_batch(name, order, monkeypatch):
+    """u and grad u come from one problem call per element or edge batch."""
+    monkeypatch.setattr(mesh_module, "BATCH_POINTS", SMALL_BATCH_POINTS)
+    problem = PROBLEMS[name]()
+    mesh = build_mesh(8, order, problem)
+    degree = 2 * order + 4
+    batches = len(list(element_batches(mesh, triangle_rule(degree))))
+    batches += len(list(edge_batches(mesh, edge_rule(degree))))
+    counting = CountingProblem(problem)
+    error_measures(mesh, np.sin(np.arange(mesh.num_nodes)), counting)
+    assert batches > len(mesh.boundary_edges) + 1
+    assert counting.calls["solution_and_gradient_at"] == batches
+    assert counting.calls["solution_at"] == 0
 
 
 @pytest.mark.parametrize("name, order", CASES, ids=CASE_IDS)
