@@ -120,6 +120,7 @@ def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
         if np.any(diag <= 0.0):
             raise NotPositiveDefiniteError("nonpositive diagonal entry")
         inv_diag = 1.0 / diag
+        del diag  # the solve reads inv_diag only
 
         def precondition(r, z, rows):
             np.multiply(inv_diag[rows], r, out=z)

@@ -158,13 +158,14 @@ class TestElementBlockAssembly:
         assert parts.penalty.indices.dtype == np.int32
 
     def test_assemble_memory_bounded(self, torus_problem):
-        # k = 3 at n_div 64, 73,920 dof: 2.1x; the element block and its
-        # COO to CSR conversion took 3.3x
+        # k = 3 at n_div 64, 73,920 dof: 1.6x, with the penalty added into
+        # the core's data in place; a copy of the core's data took 2.1x, the
+        # element block and its COO to CSR conversion 3.3x
         mesh = build_mesh(64, 3, torus_problem)
         system, peak = traced_peak(lambda: assemble(mesh, 1e4, torus_problem))
         matrix = system.matrix
         size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-        assert peak <= 2.5 * (size + system.rhs.nbytes)
+        assert peak <= 1.75 * (size + system.rhs.nbytes)
 
     def test_assembled_indices_own_their_memory(self, torus_problem):
         # at k = 3 fewer than half the unsummed column ids are duplicates, so
@@ -181,9 +182,11 @@ def scipy_penalized(parts, beta, h):
     return parts.core + weight * parts.penalty, parts.rhs_core + weight * parts.rhs_penalty
 
 
-# the flat meshes' cores hold exact zeros (200 at k = 1), which A drops
+# the flat meshes' cores hold exact zeros (200 at k = 1), which A drops;
+# the 4,096 elements of wavy k = 3 at n_div 32 span several element batches
 EQUALITY_CASES = [
     *(pytest.param(geo.TorusProblem(), 8, k, id=f"wavy-k{k}") for k in (1, 2, 3)),
+    pytest.param(geo.TorusProblem(), 32, 3, id="wavy-k3-n32"),
     *(pytest.param(geo.FlatSquareProblem(k), 12, k, id=f"flat-k{k}") for k in (1, 2, 3)),
 ]
 
@@ -218,6 +221,28 @@ class TestPenaltyOnCorePattern:
         assert np.shares_memory(matrix.indices, parts.core.indices)
         assert np.shares_memory(matrix.indptr, parts.core.indptr)
         assert not np.shares_memory(matrix.data, parts.core.data)
+        matrix, _ = _penalized(parts, 1e4, mesh.h, in_place=True)
+        assert np.shares_memory(matrix.data, parts.core.data)
+
+    @pytest.mark.parametrize(
+        "problem,n_div,order",
+        [(geo.TorusProblem(), 8, 3), (geo.FlatSquareProblem(1), 12, 1)],
+        ids=["wavy-k3", "flat-k1"],
+    )
+    def test_reused_parts_match_fresh_parts(self, problem, n_div, order):
+        # the probe adds every beta into a copy of one parts' core data;
+        # assemble adds its one beta into fresh parts' core data in place
+        mesh = build_mesh(n_div, order, problem)
+        parts = _assemble_parts(mesh, problem)
+        core = parts.core.copy()
+        for beta in (1e4, 3.0, 1e4):
+            matrix, rhs = _penalized(parts, beta, mesh.h)
+            fresh = _assemble_parts(mesh, problem)
+            expected, expected_rhs = _penalized(fresh, beta, mesh.h, in_place=True)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(matrix, name), getattr(expected, name))
+                assert np.array_equal(getattr(parts.core, name), getattr(core, name))
+            assert np.array_equal(rhs, expected_rhs)
 
     def test_zeros_dropped_without_touching_the_core(self):
         problem = geo.FlatSquareProblem(1)
