@@ -33,7 +33,6 @@ from .geometry import (
     TorusParams,
     TorusProblem,
     boundary_phi,
-    closest_point,
     exact_solution,
     exact_surface_gradient,
     load,

@@ -21,15 +21,15 @@ ds^2 = r^2 dtheta^2 + w^2 dphi^2 with w = R + r cos(theta):
 
 A unit square embedded in the z = 0 plane provides the degenerate flat
 case (exact geometry, polynomial solutions) used for patch tests.  Both
-problems expose the same twelve members, and the library reads no other:
+problems expose the same eleven members, and the library reads no other:
 
     chart_aspect, periodic,    build_mesh: the cell grid and its numbering
       boundary_sides
     chart                      build_mesh: places every node
-    closest_point              build_mesh: snaps facet-linear nodes to the surface
     correct_to_boundary        build_mesh: moves facet-linear boundary nodes
-    distance_and_normal        build_mesh (fold and center-circle checks) and
-                               geometric_report: signed distance and exact normal
+    distance_and_normal        build_mesh (facet-linear snap x - d n, fold and
+                               center-circle checks) and geometric_report:
+                               signed distance and exact normal
     project_to_boundary        geometric_report, and the point q(x) of the
                                Dirichlet data in assemble and error_measures
     dirichlet_at               assemble and error_measures: g(q(x))
@@ -138,6 +138,11 @@ def toroidal_angles(points, torus: TorusParams):
     surface point have the same angles.
     """
     x, y, z, _, zeta, _ = _tube_coordinates(points, torus)
+    return _tube_angles(x, y, z, zeta)
+
+
+def _tube_angles(x, y, z, zeta):
+    """(theta, phi) in [0, 2*pi) from the tube coordinates of _tube_coordinates."""
     return np.mod(np.arctan2(z, zeta), TWO_PI), np.mod(np.arctan2(y, x), TWO_PI)
 
 
@@ -158,20 +163,6 @@ def _tube_coordinates(points, torus: TorusParams):
     if np.any(ell < _DEGENERATE_EPS):
         raise DegenerateInputError("closest point and angles not unique on the center circle")
     return x, y, z, d, zeta, ell
-
-
-def closest_point(points, torus: TorusParams):
-    """Project points onto the torus surface.
-
-    The projection is analytic: project radially onto the center circle,
-    then move distance r toward the point within the (radial, z) plane.
-    """
-    x, y, z, d, zeta, ell = _tube_coordinates(points, torus)
-    w = torus.major_radius + torus.minor_radius * zeta / ell
-    return np.stack(
-        [w * x / d, w * y / d, torus.minor_radius * z / ell],
-        axis=-1,
-    )
 
 
 def surface_normal(theta, phi):
@@ -413,9 +404,6 @@ class TorusProblem:
         hi = boundary_phi("upper", theta, self.boundary)
         return torus_embed(theta, lo + s * (hi - lo), self.torus)
 
-    def closest_point(self, points):
-        return closest_point(points, self.torus)
-
     def distance_and_normal(self, points):
         """Signed distance ell - r and exterior normal at the closest point,
         from one pass over the tube coordinates.
@@ -456,9 +444,7 @@ class TorusProblem:
         angles of ``toroidal_angles``, so u is bitwise ``solution_at``.
         """
         x, y, z, d, zeta, ell = _tube_coordinates(points, self.torus)
-        u, u_t, u_p = _solution_jet(
-            np.mod(np.arctan2(z, zeta), TWO_PI), np.mod(np.arctan2(y, x), TWO_PI)
-        )
+        u, u_t, u_p = _solution_jet(*_tube_angles(x, y, z, zeta))
         grad_theta = np.stack([-z * x / d, -z * y / d, zeta], axis=-1) / (ell * ell)[..., None]
         grad_phi = np.stack([-y / d**2, x / d**2, np.zeros_like(d)], axis=-1)
         return u, u_t[..., None] * grad_theta + u_p[..., None] * grad_phi
@@ -511,10 +497,10 @@ class FlatSquareProblem:
 
     def __init__(self, degree: int = 1, coefficients: dict | None = None):
         if coefficients is None:
-            key = float_array("flat solution degree", degree, (), error=UnsupportedDegreeError)
-            if key.item() not in _FLAT_SOLUTIONS:
+            key = integer("flat solution degree", degree, UnsupportedDegreeError)
+            if key not in _FLAT_SOLUTIONS:
                 raise UnsupportedDegreeError(f"no built-in flat solution of degree {degree}")
-            self.coefficients = np.array(_FLAT_SOLUTIONS[key.item()])
+            self.coefficients = np.array(_FLAT_SOLUTIONS[key])
         else:
             self.coefficients = _coefficient_array(coefficients)
         self._dx = polyder(self.coefficients, axis=0)
@@ -527,11 +513,6 @@ class FlatSquareProblem:
         t, s = float_array("t", t), float_array("s", s)
         return np.stack(np.broadcast_arrays(t, s, 0.0), axis=-1)
 
-    def closest_point(self, points):
-        pts = float_array("points", points).copy()
-        pts[..., 2] = 0.0
-        return pts
-
     def distance_and_normal(self, points):
         """(signed distance z, normal e_z) per point."""
         pts = float_array("points", points)
@@ -542,7 +523,8 @@ class FlatSquareProblem:
         if side not in _SQUARE_SIDES:
             raise InvalidArgumentError(f"unknown boundary side {side!r}")
         axis, value = _SQUARE_SIDES[side]
-        pts = np.clip(self.closest_point(points), 0.0, 1.0)
+        pts = np.clip(float_array("points", points), 0.0, 1.0)
+        pts[..., 2] = 0.0
         pts[..., axis] = value
         return pts
 

@@ -14,9 +14,10 @@ the corners of their element with weights (k - i - j, i, j) / k.  Chart
 nodes already sit on the surface and the boundary curves, so they are
 used as they are.  Facet nodes go through the classical curved-mesh
 correction passes: snap all nodes to the surface with the closest-point
-map, move boundary-chain nodes onto the boundary curves, blend the
-boundary correction into the interiors of boundary-adjacent elements
-with a quadratic falloff, and re-snap the blended nodes.  That pipeline
+map x - d(x) n(x), from one ``distance_and_normal`` query, move
+boundary-chain nodes onto the boundary curves, blend the boundary
+correction into the interiors of boundary-adjacent elements with a
+quadratic falloff, and re-snap the blended nodes.  That pipeline
 remains valid only while the cells resolve the boundary waves (the blend
 softens but cannot remove the shear of an under-resolved corrected edge).
 
@@ -142,11 +143,14 @@ def _boundary_nodes(k, elements, boundary_edges):
 
 def _grid_shape(n_div: int, order: int, problem) -> tuple[int, int]:
     """Cells (n_t, n_s) of the order-k grid; InvalidArgumentError names a
-    chart aspect that is infinite or too large for the node ids to index."""
+    chart aspect that is infinite, too thin for one cell row, or too large
+    for the node ids to index."""
     aspect = problem.chart_aspect
     if not np.isfinite(aspect):
         raise InvalidArgumentError(f"chart aspect must be finite, got {aspect}")
     n_s = n_div * int(np.ceil(aspect - 1e-9))
+    if n_s < 1:
+        raise InvalidArgumentError(f"chart aspect {aspect:g} is too thin for one cell row")
     if (order * n_div + 1) * (order * n_s + 1) > np.iinfo(np.intp).max:
         raise InvalidArgumentError(f"chart aspect {aspect:g} gives more nodes than ids can index")
     return n_div, n_s
@@ -194,7 +198,7 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     h = float(_norm3(corners - np.roll(corners, 1, axis=1)).max())
     try:
         if node_placement == "facet-linear":
-            nodes = problem.closest_point(_facet_linear_nodes(nodes, elements, k))
+            nodes = _snap(problem, _facet_linear_nodes(nodes, elements, k))
             nodes = _correct_boundary(nodes, k, elements, boundary_edges, problem)
         mesh = ParametricMesh(
             order=k, nodes=nodes, elements=elements, boundary_edges=boundary_edges, h=h
@@ -216,6 +220,12 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
         array.flags.writeable = False
     mesh._element_side = (problem, mesh.nodes, mesh.elements, element_side)
     return mesh
+
+
+def _snap(problem, points):
+    """Closest surface points p(x) = x - d(x) n(x), from one ``distance_and_normal`` query."""
+    distance, normal = problem.distance_and_normal(points)
+    return points - distance[..., None] * normal
 
 
 def _facet_linear_nodes(chart_nodes, elements, k):
@@ -310,7 +320,7 @@ def _blend_boundary_elements(nodes, displacement, k, elements, boundary_edges, p
         targets.append((nodes[conn[:, off_edge]] + blend[:, off_edge]).reshape(-1, 3))
     # Unique over the reversed claims keeps each node's last claim, in id order.
     node_ids, last = np.unique(np.concatenate(claims)[::-1], return_index=True)
-    nodes[node_ids] = problem.closest_point(np.concatenate(targets)[::-1][last])
+    nodes[node_ids] = _snap(problem, np.concatenate(targets)[::-1][last])
     return nodes
 
 

@@ -2,9 +2,11 @@
 
 The oracles deliberately avoid the code paths they check: the surface
 Laplacian oracle applies central differences to the exact solution in
-the metric identity, and the nearest-point oracle solves the
-stationarity system of the squared distance with Newton iterations
-built only from the torus embedding and its derivatives.
+the metric identity, the nearest-point oracle solves the stationarity
+system of the squared distance with Newton iterations built only from
+the torus embedding and its derivatives, and the closed-form projection
+places the nearest point by the tube's geometry rather than by the
+library's x - d(x) n(x).
 """
 import tracemalloc
 
@@ -82,6 +84,23 @@ def newton_closest_point(x, torus, grid=400, iters=25):
         step = np.linalg.solve(hess, grad)
         a, b = a - step[0], b - step[1]
     return geo.torus_embed(a, b, torus)
+
+
+def exact_closest_point(problem, points):
+    """Nearest surface point in closed form: z = 0 on the flat square; on the
+    torus, radially onto the center circle and then r toward the point,
+    (w x / d, w y / d, r z / ell) with w = R + r zeta / ell."""
+    pts = np.array(points, dtype=float)
+    if isinstance(problem, geo.FlatSquareProblem):
+        pts[..., 2] = 0.0
+        return pts
+    R, r = problem.torus.major_radius, problem.torus.minor_radius
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    d = np.hypot(x, y)
+    zeta = d - R
+    ell = np.hypot(zeta, z)
+    w = R + r * zeta / ell
+    return np.stack([w * x / d, w * y / d, r * z / ell], axis=-1)
 
 
 def boundary_curve_tangent(side, theta, boundary, torus):

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from surfnitsche import geometry as geo
 from surfnitsche.errors import DegenerateInputError, InvalidArgumentError
+from surfnitsche.mesh import _snap
 
 from conftest import (
     boundary_curve_tangent,
     boundary_specs,
+    exact_closest_point,
     fd_laplace_beltrami,
     newton_closest_point,
     random_tube_points,
@@ -76,11 +78,11 @@ class TestTorusBasics:
         with pytest.raises(DegenerateInputError):
             geo.TorusProblem(torus).distance_and_normal([0.0, 0.0, 0.3])
         with pytest.raises(DegenerateInputError):
-            geo.closest_point([0.0, 0.0, 0.3], torus)
+            _snap(geo.TorusProblem(torus), [0.0, 0.0, 0.3])
 
     def test_degenerate_center_circle(self, torus):
         with pytest.raises(DegenerateInputError):
-            geo.closest_point([1.0, 0.0, 0.0], torus)
+            _snap(geo.TorusProblem(torus), [1.0, 0.0, 0.0])
 
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
@@ -88,9 +90,11 @@ class TestTorusBasics:
 
 
 class TestClosestPoint:
+    """The library's closest-point map, mesh._snap: x - d(x) n(x)."""
+
     def test_symmetry_example(self, torus):
         np.testing.assert_allclose(
-            geo.closest_point([2.0, 0.0, 0.0], torus), [1.4, 0.0, 0.0], atol=1e-14
+            _snap(geo.TorusProblem(torus), [2.0, 0.0, 0.0]), [1.4, 0.0, 0.0], atol=1e-14
         )
 
     def test_identity_on_surface(self, torus):
@@ -98,27 +102,37 @@ class TestClosestPoint:
         theta = rng.uniform(0.0, TWO_PI, 50)
         phi = rng.uniform(0.0, TWO_PI, 50)
         pts = geo.torus_embed(theta, phi, torus)
-        np.testing.assert_allclose(geo.closest_point(pts, torus), pts, atol=1e-14)
+        np.testing.assert_allclose(_snap(geo.TorusProblem(torus), pts), pts, atol=1e-14)
 
     def test_against_stationarity_oracle(self, torus):
+        problem = geo.TorusProblem(torus)
         # frozen from the oracle: the point above the center circle projects
         # to the top of the tube
         np.testing.assert_allclose(
-            geo.closest_point([1.0, 0.0, 0.1], torus), [1.0, 0.0, 0.4], atol=1e-10
+            _snap(problem, [1.0, 0.0, 0.1]), [1.0, 0.0, 0.4], atol=1e-10
         )
         rng = np.random.default_rng(1)
         for x in random_tube_points(rng, torus, 10):
             oracle = newton_closest_point(x, torus)
-            np.testing.assert_allclose(geo.closest_point(x, torus), oracle, atol=1e-10)
+            np.testing.assert_allclose(_snap(problem, x), oracle, atol=1e-10)
+
+    def test_matches_closed_form_projection(self, torus):
+        # within 4 ulps of the point's norm (0.6 to 1.4 on the surface)
+        problem = geo.TorusProblem(torus)
+        pts = random_tube_points(np.random.default_rng(18), torus, 2000)
+        expected = exact_closest_point(problem, pts)
+        gap = np.abs(_snap(problem, pts) - expected).max(axis=-1)
+        assert np.all(gap <= 4 * np.spacing(np.linalg.norm(expected, axis=-1)))
 
     def test_distance_identity_and_idempotency(self, torus):
+        problem = geo.TorusProblem(torus)
         rng = np.random.default_rng(2)
         pts = random_tube_points(rng, torus, 1000)
-        projected = geo.closest_point(pts, torus)
+        projected = _snap(problem, pts)
         gap = np.linalg.norm(pts - projected, axis=-1)
-        rho, _ = geo.TorusProblem(torus).distance_and_normal(pts)
+        rho, _ = problem.distance_and_normal(pts)
         np.testing.assert_allclose(gap, np.abs(rho), atol=1e-12)
-        np.testing.assert_allclose(geo.closest_point(projected, torus), projected, atol=1e-12)
+        np.testing.assert_allclose(_snap(problem, projected), projected, atol=1e-12)
 
 
 class TestSurfaceNormal:
@@ -136,8 +150,9 @@ class TestSurfaceNormal:
     def test_matches_distance_gradient(self, torus):
         rng = np.random.default_rng(4)
         pts = random_tube_points(rng, torus, 20)
-        analytic = geo.surface_normal(*geo.toroidal_angles(geo.closest_point(pts, torus), torus))
-        distance = geo.TorusProblem(torus).distance_and_normal
+        problem = geo.TorusProblem(torus)
+        analytic = geo.surface_normal(*geo.toroidal_angles(exact_closest_point(problem, pts), torus))
+        distance = problem.distance_and_normal
         step = 1e-6
         fd = np.zeros_like(pts)
         for axis in range(3):
@@ -155,7 +170,8 @@ class TestNormalAtClosest:
         torus = torus_problem.torus
         pts = random_tube_points(rng, torus, 2000)
         rho, normal = torus_problem.distance_and_normal(pts)
-        via_angles = geo.surface_normal(*geo.toroidal_angles(geo.closest_point(pts, torus), torus))
+        projected = exact_closest_point(torus_problem, pts)
+        via_angles = geo.surface_normal(*geo.toroidal_angles(projected, torus))
         np.testing.assert_allclose(normal, via_angles, rtol=0.0, atol=1e-14)
         x, y, z = pts.T
         hypot = np.hypot(np.hypot(x, y) - torus.major_radius, z) - torus.minor_radius
@@ -256,7 +272,7 @@ class TestBoundary:
                 side, theta, torus_problem.boundary, torus_problem.torus
             )
             near += rng.uniform(-0.05, 0.05, (5, 3))
-            near = geo.closest_point(near, torus_problem.torus)
+            near = exact_closest_point(torus_problem, near)
             projected = torus_problem.project_to_boundary(near, side)
             for x, p in zip(near, projected):
                 dense_min = np.min(np.linalg.norm(curve - x, axis=-1))
@@ -413,7 +429,7 @@ class TestPointData:
         # rounding: by about 1e-14 of the largest value (|u| <= 1, |f| <= 200).
         torus = torus_problem.torus
         pts = random_tube_points(np.random.default_rng(17), torus, 2000)
-        angles = geo.toroidal_angles(geo.closest_point(pts, torus), torus)
+        angles = geo.toroidal_angles(exact_closest_point(torus_problem, pts), torus)
         np.testing.assert_allclose(
             torus_problem.solution_at(pts), geo.exact_solution(*angles), rtol=0.0, atol=1e-13
         )
@@ -450,8 +466,9 @@ def test_projection_recovers_offset_point(theta, phi, offset):
     torus = geo.TorusParams()
     surface = geo.torus_embed(theta, phi, torus)
     shifted = surface + offset * geo.surface_normal(theta, phi)
-    np.testing.assert_allclose(geo.closest_point(shifted, torus), surface, atol=1e-12)
-    rho, _ = geo.TorusProblem(torus).distance_and_normal(shifted)
+    problem = geo.TorusProblem(torus)
+    np.testing.assert_allclose(_snap(problem, shifted), surface, atol=1e-12)
+    rho, _ = problem.distance_and_normal(shifted)
     assert rho == pytest.approx(offset, abs=1e-12)
 
 

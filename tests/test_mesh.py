@@ -24,6 +24,7 @@ from surfnitsche.mesh import (
     _blend_boundary_elements,
     _facet_linear_nodes,
     _grid_shape,
+    _snap,
     assembly_degree,
     build_mesh,
     geometric_report,
@@ -36,7 +37,7 @@ from surfnitsche.reference import (
     triangle_rule,
 )
 
-from conftest import boundary_specs, observed_orders
+from conftest import boundary_specs, exact_closest_point, observed_orders
 
 
 def vertex_edge_counts(mesh):
@@ -92,7 +93,8 @@ def loop_blend(mesh, displacement, problem):
                     repeats += int(node) in moved
                     moved[int(node)] = nodes[node] + blend[local]
     ids = np.array(sorted(moved), dtype=int)
-    nodes[ids] = problem.closest_point(np.array([moved[int(i)] for i in ids]))
+    # the library's snap, so that the blend is compared bitwise
+    nodes[ids] = _snap(problem, np.array([moved[int(i)] for i in ids]))
     return nodes, repeats
 
 
@@ -505,7 +507,7 @@ def vertex_grid_placement(n_div, k, problem):
         np.stack([vertex[ci, cj], vertex[ci + 1, cj], vertex[ci + 1, cj + 1]], axis=1),
         np.stack([vertex[ci, cj], vertex[ci + 1, cj + 1], vertex[ci, cj + 1]], axis=1),
     )
-    return problem.closest_point(np.einsum("nv,nvd->nd", weights, corners))
+    return exact_closest_point(problem, np.einsum("nv,nvd->nd", weights, corners))
 
 
 LAYOUT_PROBLEMS = {
@@ -545,7 +547,9 @@ class TestLayout:
         # values at t = 0 where the vertex grid reads them at t = 1
         problem = LAYOUT_PROBLEMS[name]
         chart = build_mesh(n_div, order, problem)
-        placed = problem.closest_point(_facet_linear_nodes(chart.nodes, chart.elements, order))
+        placed = exact_closest_point(
+            problem, _facet_linear_nodes(chart.nodes, chart.elements, order)
+        )
         expected = vertex_grid_placement(n_div, order, problem)
         np.testing.assert_allclose(placed, expected, rtol=0.0, atol=1e-15)
 

@@ -53,6 +53,10 @@ BAD_INPUT = {
     "mesh-infinite-chart-aspect": lambda tmp_path: surfnitsche.build_mesh(
         4, 1, surfnitsche.TorusProblem(surfnitsche.TorusParams(1e200, 1e-200))
     ),
+    # aspect 4e-13 leaves no cell row
+    "mesh-thin-chart-aspect": lambda tmp_path: surfnitsche.build_mesh(
+        4, 1, surfnitsche.TorusProblem(boundary=surfnitsche.BoundarySpec(0.0, 0, 0, 1e-12))
+    ),
     "study-fractional-levels": lambda tmp_path: surfnitsche.convergence_study(
         1, 3.5, 1e4, surfnitsche.TorusProblem()
     ),
@@ -188,6 +192,7 @@ BAD_INPUT = {
         coefficients={(1, 0): "1.5"}
     ),
     "flat-complex-degree": lambda tmp_path: surfnitsche.FlatSquareProblem(1 + 0j),
+    "flat-float-degree": lambda tmp_path: surfnitsche.FlatSquareProblem(2.0),
     "flat-numpy-string-degree": lambda tmp_path: surfnitsche.FlatSquareProblem(np.str_("1")),
     "torus-complex-radius": lambda tmp_path: surfnitsche.TorusParams(np.complex128(1.0), 0.4),
     "torus-parseable-string-radius": lambda tmp_path: surfnitsche.TorusParams(1.0, "0.4"),
@@ -211,9 +216,6 @@ BAD_INPUT = {
         _small_mesh(), "1e4", surfnitsche.TorusProblem()
     ),
     # Point and angle queries read their input as real numbers too.
-    "torus-closest-point-parseable-string": lambda tmp_path: surfnitsche.TorusProblem().closest_point(
-        [["1.2", "0", "0.3"]]
-    ),
     "boundary-projection-parseable-string": lambda tmp_path: project_to_boundary_curve(
         [["1.2", "0", "0.3"]], "lower", surfnitsche.BoundarySpec(), surfnitsche.TorusParams()
     ),
@@ -238,9 +240,6 @@ BAD_INPUT = {
     "flat-chart-parseable-string": lambda tmp_path: surfnitsche.FlatSquareProblem(1).chart(
         "0.5", 0.5
     ),
-    "flat-closest-point-parseable-string": lambda tmp_path: (
-        surfnitsche.FlatSquareProblem(1).closest_point([["0.5", "0.5", "0"]])
-    ),
     "flat-distance-and-normal-parseable-string": lambda tmp_path: (
         surfnitsche.FlatSquareProblem(1).distance_and_normal([["0.5", "0.5", "0"]])
     ),
@@ -261,6 +260,7 @@ def test_bad_input_raises_library_error(case, tmp_path):
 # The part of the message that names the offending argument or value.
 NAMED_IN_MESSAGE = {
     "flat-side": "'bogus'",
+    "mesh-thin-chart-aspect": "chart aspect 3.97887e-13",
     "flat-projection-side": "'bogus'",
     "flat-fractional-exponent": "(0.5, 0)",
     "flat-negative-exponent": "(-1, 0)",
@@ -304,7 +304,6 @@ NAMED_IN_MESSAGE = {
     "torus-parseable-string-radius": "minor='0.4'",
     "boundary-complex-amplitude": "amplitude",
     "boundary-numpy-string-offset": "offset",
-    "torus-closest-point-parseable-string": "points",
     "boundary-projection-parseable-string": "points",
     "torus-distance-and-normal-complex": "points",
     "torus-distance-and-normal-parseable-string": "points",
@@ -315,7 +314,6 @@ NAMED_IN_MESSAGE = {
     "torus-chart-complex": "t must be real-valued",
     "torus-load-parseable-string": "points",
     "flat-chart-parseable-string": "t must be real-valued",
-    "flat-closest-point-parseable-string": "points",
     "flat-distance-and-normal-parseable-string": "points",
     "flat-solution-complex": "points",
 }
@@ -335,6 +333,7 @@ DEGREE_NAMED_IN_MESSAGE = {
     "reference-element-float-order": "element order must be an integer, got 2.0",
     "reference-element-string-order": "element order must be an integer, got '2'",
     "flat-complex-degree": "flat solution degree",
+    "flat-float-degree": "flat solution degree must be an integer, got 2.0",
     "flat-numpy-string-degree": "flat solution degree",
 }
 

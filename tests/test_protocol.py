@@ -1,4 +1,4 @@
-"""The problem protocol: the twelve members the library reads of a problem.
+"""The problem protocol: the eleven members the library reads of a problem.
 
 Every stage of the pipeline, and ``surfnitsche solve``, runs against a
 ``StrictProblem``, which exposes only those members, for the wavy and
@@ -26,7 +26,6 @@ PROTOCOL = frozenset(
         "chart_aspect",
         "periodic",
         "boundary_sides",
-        "closest_point",
         "distance_and_normal",
         "correct_to_boundary",
         "project_to_boundary",
@@ -85,7 +84,8 @@ def test_pipeline_reads_exactly_the_protocol(name, order, monkeypatch):
 
 def test_strict_problem_rejects_other_members():
     strict = StrictProblem(geo.TorusProblem(), set())
-    for name in ("simplified", "torus", "boundary", "signed_distance", "normal_at_closest"):
+    removed = ("signed_distance", "normal_at_closest", "closest_point")
+    for name in ("simplified", "torus", "boundary", *removed):
         with pytest.raises(AttributeError):
             getattr(strict, name)
     assert np.all(np.isfinite(strict.distance_and_normal([[1.2, 0.0, 0.3]])[0]))

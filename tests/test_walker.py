@@ -256,7 +256,8 @@ def test_build_forms_no_metric_and_queries_once_per_batch(name, order, placement
     """The fold check reads positions and unit normals only: no batch of the
     build forms G, sqrt(det G) or G^-1, and each batch asks the problem for
     the signed distance and the exact normal in one call, as the
-    center-circle check does once per boundary-edge group."""
+    center-circle check does once per boundary-edge group and the
+    facet-linear snap and re-snap once each."""
     formed, batches = [], []
 
     class WatchedFrames(FrameBundle):
@@ -281,4 +282,5 @@ def test_build_forms_no_metric_and_queries_once_per_batch(name, order, placement
     assert len(batches) > 1
     np.testing.assert_array_equal(framed, np.arange(len(framed)))
     assert formed == []
-    assert counting.calls["distance_and_normal"] == len(batches) + edge_checks
+    snaps = 2 if placement == "facet-linear" else 0
+    assert counting.calls["distance_and_normal"] == snaps + len(batches) + edge_checks
