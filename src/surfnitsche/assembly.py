@@ -36,14 +36,17 @@ sorted; no (element, i, j) entry is keyed to a slot of a summed pattern.
 The penalty matrices of the boundary elements are stored the same way,
 and A(beta) adds them on the core's pattern (see _penalized).
 
-The core's data is a view of the leading entries of the element-row
-buffer.  assemble builds its parts for one beta and adds the penalty into
+From k = 2 on, the core's data and column ids are the element-row buffer
+and the unsummed column ids, shrunk in place to their leading nnz entries
+once summed (at k = 1 most entries are duplicates and scipy copies the
+sums out).  assemble builds its parts for one beta and adds the penalty into
 that data in place; min_stable_beta_probe reuses one set of parts for
 every beta it factorizes and adds into a copy.  The batch loops run in
 functions of their own, and the slot map and the row order are freed as
 soon as they are dead, so no batch's work arrays coexist with the sum.
-At k = 3, n_div 64 (73,920 dof) assemble peaks at 24.4 MiB (tracemalloc)
-for a 15.2 MiB system; with a copy of the core's data it took 32.0 MiB.
+At k = 3, n_div 64 (73,920 dof) assemble peaks at 23.7 MiB (tracemalloc)
+and keeps the 15.2 MiB system.  Keeping views of the unsummed arrays
+instead kept 18.1 MiB, and a copy of the core's data peaked at 32.0 MiB.
 """
 from __future__ import annotations
 
@@ -128,6 +131,16 @@ def _summed_csr(rows, conn, order, n):
     indptr = np.concatenate([[0], np.cumsum(np.bincount(conn.ravel(), minlength=n) * m)])
     matrix = sp.csr_matrix((rows.ravel(), conn[order // m].ravel(), indptr), shape=(n, n))
     matrix.sum_duplicates()
+    # sum_duplicates copies the summed entries out when more than half were
+    # duplicates (k = 1) and otherwise keeps views of the leading nnz entries
+    # of the unsummed arrays: shrink those arrays to nnz in place
+    for name in ("data", "indices"):
+        buffer = getattr(matrix, name).base
+        if buffer is not None:
+            # no view of the buffer may outlive it: resize may move its memory
+            setattr(matrix, name, None)
+            buffer.resize(matrix.indptr[-1], refcheck=False)
+            setattr(matrix, name, buffer)
     return matrix
 
 
@@ -194,7 +207,7 @@ def _assemble_parts(mesh: ParametricMesh, problem) -> _Parts:
         mesh, problem, degree, conn, slot, rows, rhs_core, rhs_penalty
     )
     del slot
-    # the core's data is a view of the leading entries of rows
+    # from k = 2 on the core's data is rows, shrunk to nnz
     core = _summed_csr(rows, conn, order, n)
     del order
     pen_conn = conn[pen_ids]
@@ -286,9 +299,6 @@ def assemble(mesh: ParametricMesh, beta: float, problem) -> SparseSystem:
     _check_penalty(beta)
     # the parts serve this beta only: A's data is the core's, added into in place
     matrix, rhs = _penalized(_assemble_parts(mesh, problem), beta, mesh.h, in_place=True)
-    # sum_duplicates leaves a view of the unsummed ids when few were duplicates; free them
-    if matrix.indices.base is not None and matrix.indices.base.size > matrix.indices.size:
-        matrix.indices = matrix.indices.copy()
     return SparseSystem(matrix=matrix, rhs=rhs)
 
 

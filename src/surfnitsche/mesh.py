@@ -194,6 +194,7 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
     n_t, n_s = _grid_shape(n_div, k, problem)
     t, s, elements, boundary_edges = _layout(n_t, n_s, k, problem.periodic, problem.boundary_sides)
     nodes = problem.chart(t, s)
+    del t, s
     corners = nodes[elements[:, list(reference_element(k).corner_ids)]]
     h = float(_norm3(corners - np.roll(corners, 1, axis=1)).max())
     try:
@@ -231,14 +232,20 @@ def _snap(problem, points):
 def _facet_linear_nodes(chart_nodes, elements, k):
     """Nodes interpolated linearly between their element's corners, unsnapped.
 
-    A node two elements share lies on their common edge, where both sum the
-    same two products in either order, so the scatter may keep either.
+    Each node is interpolated once, in one element holding it.  A node two
+    elements share lies on their common edge, where both sum the same two
+    products in either order, so any holder gives the same bits.
     """
     weights = barycentric_lattice(k) / k
-    corners = chart_nodes[elements[:, list(reference_element(k).corner_ids)]]
-    nodes = np.empty_like(chart_nodes)
-    nodes[elements] = sum(weights[:, c, None] * corners[:, None, c] for c in range(3))
-    return nodes
+    # each node's position e * m + l in the connectivity of one element holding it
+    slot = np.empty(len(chart_nodes), dtype=np.intp)
+    slot[elements.ravel()] = np.arange(elements.size)
+    element, local = np.divmod(slot, elements.shape[1])
+    del slot
+    corner_ids = reference_element(k).corner_ids
+    return sum(
+        weights[local, c, None] * chart_nodes[elements[element, corner_ids[c]]] for c in range(3)
+    )
 
 
 def _correct_boundary(nodes, k, elements, boundary_edges, problem):

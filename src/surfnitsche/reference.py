@@ -9,7 +9,10 @@ orders element connectivity throughout the library.
 Triangle quadrature uses the collapsed-square construction: Gauss-Legendre
 in the first square coordinate and Gauss-Jacobi with weight (1 - v) in the
 second, which is exact for the stated total degree with positive weights
-at any degree.
+at any degree.  Both come from numpy: Gauss-Legendre from
+``np.polynomial.legendre.leggauss``, Gauss-Jacobi from the eigenvalues of
+its Jacobi matrix (Golub & Welsch 1969).  Nodes and weights agree with
+scipy.special's ``roots_legendre`` and ``roots_jacobi`` to a few ulps.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import UnsupportedDegreeError, float_array, integer
 
@@ -120,6 +123,20 @@ class QuadratureRule:
     degree: int
 
 
+def _gauss_jacobi_1_0(n):
+    """n-point Gauss-Jacobi nodes and weights on [-1, 1] for the weight 1 - x.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    recurrence of P_n^(1,0), each weight int (1 - x) dx = 2 times the square
+    of the first component of its unit eigenvector.
+    """
+    k = np.arange(n)
+    diagonal = -1.0 / ((2 * k + 1) * (2 * k + 3))
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2 * k[1:] + 1)
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:
     """Rule for the reference triangle, exact for total degree <= degree."""
@@ -127,8 +144,8 @@ def triangle_rule(degree: int) -> QuadratureRule:
     if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
         raise UnsupportedDegreeError(f"triangle rule degree must be 0..20, got {degree}")
     n = max(1, (degree + 2) // 2)
-    xu, wu = roots_legendre(n)
-    xv, wv = roots_jacobi(n, 1.0, 0.0)
+    xu, wu = leggauss(n)
+    xv, wv = _gauss_jacobi_1_0(n)
     u = 0.5 * (xu + 1.0)
     v = 0.5 * (xv + 1.0)
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -146,7 +163,7 @@ def edge_rule(degree: int) -> QuadratureRule:
     if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
         raise UnsupportedDegreeError(f"edge rule degree must be 0..20, got {degree}")
     n = max(1, (degree + 2) // 2)
-    x, w = roots_legendre(n)
+    x, w = leggauss(n)
     return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, degree)
 
 

@@ -167,13 +167,19 @@ class TestElementBlockAssembly:
         size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
         assert peak <= 1.75 * (size + system.rhs.nbytes)
 
-    def test_assembled_indices_own_their_memory(self, torus_problem):
-        # at k = 3 fewer than half the unsummed column ids are duplicates, so
-        # sum_duplicates leaves the core's ids a view into the unsummed array
-        mesh = build_mesh(8, 3, torus_problem)
-        assert _assemble_parts(mesh, torus_problem).core.indices.base is not None
-        indices = assemble(mesh, 1e4, torus_problem).matrix.indices
-        assert indices.base is None and indices.flags.owndata
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_assembled_storage_is_sized_to_nnz(self, torus_problem, order):
+        # sum_duplicates copies the summed entries when more than half of the
+        # unsummed ones were duplicates (k = 1) and otherwise leaves views of
+        # the unsummed arrays (k = 3), which assembly shrinks to nnz in place:
+        # neither the parts nor A keep a longer array alive
+        mesh = build_mesh(8, order, torus_problem)
+        core = _assemble_parts(mesh, torus_problem).core
+        unsummed = mesh.elements.size * mesh.elements.shape[1]
+        assert (2 * core.nnz >= unsummed) == (order == 3)
+        matrix = assemble(mesh, 1e4, torus_problem).matrix
+        for array in (core.data, core.indices, matrix.data, matrix.indices):
+            assert (array if array.base is None else array.base).size == array.size
 
 
 def scipy_penalized(parts, beta, h):

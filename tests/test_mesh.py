@@ -30,6 +30,7 @@ from surfnitsche.mesh import (
     geometric_report,
 )
 from surfnitsche.reference import (
+    barycentric_lattice,
     edge_node_ids,
     edge_ref_points,
     lattice_multi_indices,
@@ -37,7 +38,7 @@ from surfnitsche.reference import (
     triangle_rule,
 )
 
-from conftest import boundary_specs, exact_closest_point, observed_orders
+from conftest import boundary_specs, exact_closest_point, observed_orders, traced_peak
 
 
 def vertex_edge_counts(mesh):
@@ -510,6 +511,16 @@ def vertex_grid_placement(n_div, k, problem):
     return exact_closest_point(problem, np.einsum("nv,nvd->nd", weights, corners))
 
 
+def per_element_facet_linear_nodes(chart_nodes, elements, k):
+    """Facet-linear nodes interpolated in every element holding them, the
+    scatter keeping the last element's values."""
+    weights = barycentric_lattice(k) / k
+    corners = chart_nodes[elements[:, list(reference_element(k).corner_ids)]]
+    nodes = np.empty_like(chart_nodes)
+    nodes[elements] = sum(weights[:, c, None] * corners[:, None, c] for c in range(3))
+    return nodes
+
+
 LAYOUT_PROBLEMS = {
     "wavy": geo.TorusProblem(),
     "simplified": geo.TorusProblem.simplified(),
@@ -530,6 +541,23 @@ class TestLayout:
         orders += [chart.elements[rng.permutation(chart.num_elements)] for _ in range(3)]
         for elements in orders:
             assert _facet_linear_nodes(chart.nodes, elements, order).tobytes() == expected
+
+    @pytest.mark.parametrize("n_div", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(LAYOUT_PROBLEMS))
+    def test_facet_linear_nodes_match_per_element_formula(self, name, order, n_div):
+        # one interpolation per node gives the bits of one per (element, node)
+        chart = build_mesh(n_div, order, LAYOUT_PROBLEMS[name])
+        placed = _facet_linear_nodes(chart.nodes, chart.elements, order)
+        expected = per_element_facet_linear_nodes(chart.nodes, chart.elements, order)
+        assert placed.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_facet_linear_nodes_memory_bounded(self, torus_problem, order):
+        # 4.2-5.1x the nodes at n_div 32; forming (element, node, 3) arrays took 6.4-21.4x
+        chart = build_mesh(32, order, torus_problem)
+        _, peak = traced_peak(lambda: _facet_linear_nodes(chart.nodes, chart.elements, order))
+        assert peak <= 5.5 * chart.nodes.nbytes
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("name", list(LAYOUT_PROBLEMS))

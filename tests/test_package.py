@@ -385,6 +385,25 @@ def test_import_leaves_scipy_io_unloaded():
     assert _fresh_python(code).strip() == "False"
 
 
+def test_pipeline_leaves_scipy_special_and_io_unloaded():
+    """No stage of a run imports scipy.special or scipy.io: the quadrature
+    rules come from numpy, and only the MatrixMarket writers need scipy.io."""
+    code = (
+        "import sys, surfnitsche as sn\n"
+        "problem = sn.TorusProblem()\n"
+        "sn.build_mesh(4, 2, sn.TorusProblem.simplified(), 'facet-linear')\n"
+        "mesh = sn.build_mesh(4, 3, problem)\n"
+        "sn.geometric_report(mesh, problem)\n"
+        "system = sn.assemble(mesh, 1e4, problem)\n"
+        "report = sn.solve_spd(system, method='direct')\n"
+        "sn.solve_spd(system, method='cg')\n"
+        "sn.error_measures(mesh, report.solution, problem)\n"
+        "sn.min_stable_beta_probe(mesh, [1.0, 1e4], problem)\n"
+        "print('scipy.special' in sys.modules, 'scipy.io' in sys.modules)"
+    )
+    assert _fresh_python(code).split() == ["False", "False"]
+
+
 def test_star_import_binds_exactly_all():
     """``from surfnitsche import *`` binds the public names and no submodule."""
     code = (

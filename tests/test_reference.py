@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 from surfnitsche import reference as ref
 from surfnitsche.errors import InvalidArgumentError, UnsupportedDegreeError
@@ -20,6 +21,23 @@ def test_triangle_rule_monomial_exactness(degree):
         for b in range(degree + 1 - a):
             value = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
             assert value == pytest.approx(monomial_integral(a, b), abs=1e-14)
+
+
+@pytest.mark.parametrize("degree", range(0, 21))
+def test_rules_match_scipy_roots(degree):
+    # the rules come from numpy; built from scipy.special's roots instead,
+    # the collapsed-square and edge rules agree to a few ulps
+    n = max(1, (degree + 2) // 2)
+    xu, wu = roots_legendre(n)
+    xv, wv = roots_jacobi(n, 1.0, 0.0)
+    uu, vv = np.meshgrid(0.5 * (xu + 1.0), 0.5 * (xv + 1.0), indexing="ij")
+    triangle, edge = ref.triangle_rule(degree), ref.edge_rule(degree)
+    close = dict(rtol=0.0, atol=4e-15)
+    np.testing.assert_allclose(triangle.points[:, 0], (uu * (1.0 - vv)).ravel(), **close)
+    np.testing.assert_allclose(triangle.points[:, 1], vv.ravel(), **close)
+    np.testing.assert_allclose(triangle.weights, (np.outer(wu, wv) / 8.0).ravel(), **close)
+    np.testing.assert_allclose(edge.points, 0.5 * (xu + 1.0), **close)
+    np.testing.assert_allclose(edge.weights, 0.5 * wu, **close)
 
 
 def test_triangle_rule_area():

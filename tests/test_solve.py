@@ -130,11 +130,8 @@ class TestDirectIsFactorPCG:
         gap = np.max(np.abs(report.solution - one_shot)) / np.max(np.abs(one_shot))
         assert gap <= 1e-15
 
-    def test_unreachable_tolerance_stops_after_few_factor_solves(self, monkeypatch):
-        # the matrix of test_unreachable_tolerance_hits_iteration_cap: the cap
-        # is a few iterations, not 50 per unknown; each iteration solves once
-        # and each restart once more, after the initial z = M^-1 r
-        matrix = sp.csr_matrix(np.array([[1.0, 1.0 - 1e-8], [1.0 - 1e-8, 1.0]]))
+    @staticmethod
+    def count_factor_solves(monkeypatch):
         calls = []
         factorize = solve._factorize_spd
 
@@ -143,9 +140,27 @@ class TestDirectIsFactorPCG:
             return SimpleNamespace(solve=lambda r: calls.append(r) or factor.solve(r))
 
         monkeypatch.setattr(solve, "_factorize_spd", counting_factorize)
+        return calls
+
+    def test_unreachable_tolerance_stops_after_few_factor_solves(self, monkeypatch):
+        # the matrix of test_unreachable_tolerance_hits_iteration_cap: the cap
+        # is a few iterations, not 50 per unknown; M^-1 r is formed after the
+        # residual check, so only the initial z = M^-1 r and each restart's
+        # solve, one per iteration here
+        matrix = sp.csr_matrix(np.array([[1.0, 1.0 - 1e-8], [1.0 - 1e-8, 1.0]]))
+        calls = self.count_factor_solves(monkeypatch)
         with pytest.raises(MaxIterationsExceededError):
             solve_linear(matrix, np.array([1.0, -0.999]), method="direct")
-        assert 1 <= len(calls) <= 9
+        assert 1 <= len(calls) <= 5
+
+    def test_converging_iteration_applies_no_factor_solve(self, monkeypatch):
+        # the initial z = M^-1 r is the only solve of a one-iteration direct solve
+        problem = geo.TorusProblem()
+        system = assemble(build_mesh(8, 2, problem), 1e4, problem)
+        calls = self.count_factor_solves(monkeypatch)
+        report = solve_spd(system, method="direct")
+        assert report.iterations == 1
+        assert len(calls) == 1
 
     def test_direct_never_splits(self, monkeypatch):
         # the factor acts on the whole vector, so a forced split leaves one block
