@@ -37,10 +37,10 @@ partial is bit for bit the sum over the whole vector.  The row-wise
 updates and the sparse product of a row range are the same operations
 on the same entries in either case, so iterates, iteration count and
 residual do not depend on whether the rows are split, on the number of
-CPUs or on thread scheduling.  The iteration has three phases (sparse
-product; x, r and z updates; direction update), each ending when both
-halves are done.  The second thread lives only for the duration of one
-solve.
+CPUs or on thread scheduling.  The iteration has four phases (sparse
+product; x and r updates; preconditioner, after the residual check;
+direction update), each ending when both halves are done.  The second
+thread lives only for the duration of one solve.
 """
 from __future__ import annotations
 
@@ -63,11 +63,12 @@ from .errors import (
 REL_TOL = 1e-12
 DIRECT_DIM_LIMIT = 2000
 # PCG splits its rows over two threads from this many unknowns up.  The
-# second thread costs about 0.2 ms per iteration in hand-offs; on a 2-vCPU
-# VM the split made the k = 2 torus system at 32,896 unknowns 11 % slower,
-# those at 41,616 (k = 3) and 51,360 (k = 2) 5 % faster and the k = 3
-# system at 73,920 unknowns 42 % faster.  Must stay above 128: shorter
-# arrays are summed without a pairwise split.
+# second thread costs a hand-off of about 65 us per phase, four per
+# iteration.  With three phases, on a 2-vCPU VM the split made the k = 2
+# torus system at 32,896 unknowns 11 % slower, those at 41,616 (k = 3)
+# and 51,360 (k = 2) 5 % faster and the k = 3 system at 73,920 unknowns
+# 42 % faster.  Must stay above 128: shorter arrays are summed without a
+# pairwise split.
 _SPLIT_MIN_DIM = 40_000
 
 
@@ -214,11 +215,8 @@ def _pcg(matrix, rhs, norm_rhs, precondition, bounds, max_iter):
 
     norm_rhs is ||rhs||; precondition(r, z, rows) sets z = M^-1 r on the
     row slice ``rows``; ``bounds`` are the row blocks, one per thread.
-    One block applies M^-1 after the residual check, so the iteration that
-    converges applies none.  Two threads apply it in the step phase, before
-    the check: a phase of its own would cost a thread hand-off every
-    iteration (3-15 % of the Jacobi solve at 73,920 unknowns) to save one
-    row-local application per solve.
+    M^-1 is applied after the residual check, so the iteration that
+    converges applies none.
     """
     dim = rhs.shape[0]
     x = np.zeros(dim)
@@ -229,12 +227,9 @@ def _pcg(matrix, rhs, norm_rhs, precondition, bounds, max_iter):
     precondition(r, z, slice(0, dim))
     p = z.copy()
     rz = _dot(r, z)
-    blocks = [
-        _RowBlock(matrix, lo, hi, x, r, z, p, precondition) for lo, hi in zip(bounds, bounds[1:])
-    ]
+    blocks = [_RowBlock(matrix, lo, hi, x, r, z, p) for lo, hi in zip(bounds, bounds[1:])]
     # futures.ThreadPoolExecutor is imported on first use, not with this module.
     with futures.ThreadPoolExecutor(max_workers=1) if len(blocks) > 1 else nullcontext() as pool:
-        eager = pool is not None
         iterations = 0
         while iterations < max_iter:
             iterations += 1
@@ -244,7 +239,7 @@ def _pcg(matrix, rhs, norm_rhs, precondition, bounds, max_iter):
                     f"negative curvature at iteration {iterations}"
                 )
             alpha = rz / curvature
-            rr, *eager_parts = _on_blocks(pool, blocks, _RowBlock.step, alpha, eager)
+            (rr,) = _on_blocks(pool, blocks, _RowBlock.step, alpha)
             if np.sqrt(rr) <= REL_TOL * norm_rhs:
                 # Recursive residual met the target; verify the true residual
                 # and restart from scratch if rounding drifted it above.
@@ -256,7 +251,7 @@ def _pcg(matrix, rhs, norm_rhs, precondition, bounds, max_iter):
                 p[:] = z
                 rz = _dot(r, z)
                 continue
-            (rz_next,) = eager_parts or _on_blocks(pool, blocks, _RowBlock.precondition)
+            (rz_next,) = _on_blocks(pool, blocks, _RowBlock.precondition, precondition)
             _on_blocks(pool, blocks, _RowBlock.turn, rz_next / rz)
             rz = rz_next
     raise MaxIterationsExceededError(f"no convergence within {max_iter} iterations")
@@ -278,7 +273,7 @@ def _usable_cpus():
 class _RowBlock:
     """One contiguous row range of a PCG iteration, as views into the full vectors."""
 
-    def __init__(self, matrix, lo, hi, x, r, z, p, precondition):
+    def __init__(self, matrix, lo, hi, x, r, z, p):
         # A CSR row slice whose data and column indices are views of the
         # matrix's, so every row keeps its entries and their order.  They
         # are set after construction: the constructor copies a view shorter
@@ -289,7 +284,7 @@ class _RowBlock:
         self.rows.indices = matrix.indices[start:stop]
         self.rows.indptr = matrix.indptr[lo : hi + 1] - start
         self.x, self.r, self.z, self.p = x[lo:hi], r[lo:hi], z[lo:hi], p[lo:hi]
-        self.apply_inverse, self.span = precondition, slice(lo, hi)
+        self.span = slice(lo, hi)
         self.ap = None
 
     def apply(self, p):
@@ -297,15 +292,15 @@ class _RowBlock:
         self.ap = self.rows @ p
         return (_dot(self.p, self.ap),)
 
-    def step(self, alpha, eager):
-        """x and r updates; part of r . r, and with ``eager`` precondition()'s part."""
+    def step(self, alpha):
+        """x and r updates; part of r . r."""
         self.x += alpha * self.p
         self.r -= alpha * self.ap
-        return (_dot(self.r, self.r), *(self.precondition() if eager else ()))
+        return (_dot(self.r, self.r),)
 
-    def precondition(self):
-        """z = M^-1 r; part of r . z."""
-        self.apply_inverse(self.r, self.z, self.span)
+    def precondition(self, precondition):
+        """z = M^-1 r on this block's rows; part of r . z."""
+        precondition(self.r, self.z, self.span)
         return (_dot(self.r, self.z),)
 
     def turn(self, beta):
@@ -315,16 +310,16 @@ class _RowBlock:
         return ()
 
 
-def _on_blocks(pool, blocks, phase, *args):
-    """phase(block, *args) on every block, the second one on the pool's thread.
+def _on_blocks(pool, blocks, phase, arg):
+    """phase(block, arg) on every block, the second one on the pool's thread.
 
     Returns the partial sums of the blocks added left + right.
     """
     if pool is None:
-        return phase(blocks[0], *args)
-    right = pool.submit(phase, blocks[1], *args)
+        return phase(blocks[0], arg)
+    right = pool.submit(phase, blocks[1], arg)
     try:
-        left = phase(blocks[0], *args)
+        left = phase(blocks[0], arg)
     finally:
         right_parts = right.result()
     return tuple(a + b for a, b in zip(left, right_parts))

@@ -410,21 +410,35 @@ class TestRowBlocks:
             assert np.shares_memory(block.rows.data, matrix.data)
             assert np.shares_memory(block.rows.indices, matrix.indices)
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_converging_iteration_applies_no_preconditioner(self, split, monkeypatch):
+        # one loop order for any block count: every iteration but the last
+        # preconditions each block once, after the residual check
+        matrix = laplacian_2d(23, 29, seed=16)
+        rhs = np.random.default_rng(17).normal(size=matrix.shape[0])
+        if split:
+            force_split(monkeypatch)
+        calls = []
+        precondition = solve._RowBlock.precondition
+        monkeypatch.setattr(
+            solve._RowBlock,
+            "precondition",
+            lambda block, apply: calls.append(block.span) or precondition(block, apply),
+        )
+        report = solve_linear(matrix, rhs, method="cg")
+        blocks = 2 if split else 1
+        assert report.iterations > 1
+        assert len(calls) == blocks * (report.iterations - 1)
+
     def test_blocks_copy_no_entries(self, torus_k2_system):
         # scipy's constructor would copy each half of data and indices
         matrix = torus_k2_system.matrix
         dim = matrix.shape[0]
         vectors = [np.zeros(dim) for _ in range(4)]
-        inv_diag = 1.0 / matrix.diagonal()
-
-        def jacobi(r, z, rows):
-            np.multiply(inv_diag[rows], r, out=z)
-
         half = solve._pairwise_split(dim)
         _, peak = traced_peak(
             lambda: [
-                solve._RowBlock(matrix, lo, hi, *vectors, jacobi)
-                for lo, hi in [(0, half), (half, dim)]
+                solve._RowBlock(matrix, lo, hi, *vectors) for lo, hi in [(0, half), (half, dim)]
             ]
         )
         assert peak <= matrix.indptr.nbytes + 2**16
