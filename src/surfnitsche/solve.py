@@ -40,18 +40,29 @@ residual do not depend on whether the rows are split, on the number of
 CPUs or on thread scheduling.  The iteration has four phases (sparse
 product; x and r updates; preconditioner, after the residual check;
 direction update), each ending when both halves are done.  The second
-thread lives only for the duration of one solve.
+thread lives only for the duration of one solve; it is handed each
+phase through two plain locks, and an exception it raises is raised
+again in the caller.
+
+No phase allocates.  Every vector, A p and one work vector included, is
+allocated once per solve, and each row block works in its slice of
+them: products and dot products write through ``out=`` into the work
+vector, and the sparse product of a block's rows is scipy's own CSR
+kernel (the one ``matrix @ vector`` calls) writing into its slice of
+A p.  These are the operations ``rows @ p``, ``alpha * p`` and
+``np.add.reduce(a * b)`` make, on the same entries in the same order,
+without a fresh array or scipy's Python dispatch per phase.  The
+true-residual check uses the same kernel and vectors.
 """
 from __future__ import annotations
 
 import os
-from concurrent import futures
-from contextlib import nullcontext
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .errors import (
     InvalidArgumentError,
@@ -63,12 +74,14 @@ from .errors import (
 REL_TOL = 1e-12
 DIRECT_DIM_LIMIT = 2000
 # PCG splits its rows over two threads from this many unknowns up.  The
-# second thread costs a hand-off of about 65 us per phase, four per
-# iteration.  With three phases, on a 2-vCPU VM the split made the k = 2
-# torus system at 32,896 unknowns 11 % slower, those at 41,616 (k = 3)
-# and 51,360 (k = 2) 5 % faster and the k = 3 system at 73,920 unknowns
-# 42 % faster.  Must stay above 128: shorter arrays are summed without a
-# pairwise split.
+# second thread costs a hand-off of about 18 us per phase, four per
+# iteration.  On a 2-vCPU VM (medians of 6 to 8 alternating solves; a
+# range where two sets were run) the split took this share of the
+# one-block time on the torus systems: k = 3 at 18,528 unknowns 1.05,
+# k = 3 at 28,920 0.90-0.95, k = 2 at 32,896 1.01-1.04, k = 3 at 41,616
+# 0.77-0.79, k = 2 at 51,360 0.82 and k = 3 at 73,920 0.72; below 13,000
+# unknowns it is slower by a third or more.  Must stay above 128: shorter
+# arrays are summed without a pairwise split.
 _SPLIT_MIN_DIM = 40_000
 
 
@@ -156,13 +169,25 @@ def _checked_matrix(matrix, rhs_shape=None):
     return matrix
 
 
-def _dot(a, b):
-    """a . b by pairwise summation, without a BLAS call."""
-    return np.add.reduce(a * b)
+def _dot(a, b, work=None):
+    """a . b by pairwise summation, without a BLAS call; a * b is formed in
+    ``work`` if given, else in a new array."""
+    return np.add.reduce(np.multiply(a, b, out=work))
 
 
-def _norm(a):
-    return np.sqrt(_dot(a, a))
+def _norm(a, work=None):
+    return np.sqrt(_dot(a, a, work))
+
+
+def _matvec(matrix, v, out):
+    """out = matrix @ v for a CSR matrix, bit for bit, without allocating.
+
+    The kernel is the one ``matrix @ v`` calls; it adds the products to its
+    output, so that is zeroed first.
+    """
+    out.fill(0.0)
+    _sparsetools.csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, v, out)
+    return out
 
 
 def _factorize_spd(matrix):
@@ -175,6 +200,8 @@ def _factorize_spd(matrix):
     produces), or when a pivot of U is not positive; the message then
     counts the negative eigenvalues.
     """
+    import scipy.sparse.linalg as spla  # here, so that mesh-only runs never load it
+
     if not matrix.has_canonical_format:
         matrix = matrix.copy()  # splu sorts and sums duplicates in place
     try:
@@ -223,37 +250,41 @@ def _pcg(matrix, rhs, norm_rhs, precondition, bounds, max_iter):
     if norm_rhs == 0.0:
         return x, 0, 0.0
     r = rhs.copy()
-    z = np.empty(dim)
+    z, p, ap, work = (np.empty(dim) for _ in range(4))  # ap holds A p
     precondition(r, z, slice(0, dim))
-    p = z.copy()
-    rz = _dot(r, z)
-    blocks = [_RowBlock(matrix, lo, hi, x, r, z, p) for lo, hi in zip(bounds, bounds[1:])]
-    # futures.ThreadPoolExecutor is imported on first use, not with this module.
-    with futures.ThreadPoolExecutor(max_workers=1) if len(blocks) > 1 else nullcontext() as pool:
+    p[:] = z
+    rz = _dot(r, z, work)
+    vectors = (x, r, z, p, ap, work)
+    blocks = [_RowBlock(matrix, lo, hi, *vectors) for lo, hi in zip(bounds, bounds[1:])]
+    worker = _Worker(blocks[1]) if len(blocks) > 1 else None
+    try:
         iterations = 0
         while iterations < max_iter:
             iterations += 1
-            (curvature,) = _on_blocks(pool, blocks, _RowBlock.apply, p)
+            curvature = _on_blocks(worker, blocks, _RowBlock.apply, p)
             if curvature <= 0.0:
                 raise NotPositiveDefiniteError(
                     f"negative curvature at iteration {iterations}"
                 )
             alpha = rz / curvature
-            (rr,) = _on_blocks(pool, blocks, _RowBlock.step, alpha)
+            rr = _on_blocks(worker, blocks, _RowBlock.step, alpha)
             if np.sqrt(rr) <= REL_TOL * norm_rhs:
                 # Recursive residual met the target; verify the true residual
                 # and restart from scratch if rounding drifted it above.
-                r[:] = rhs - matrix @ x
-                residual = float(_norm(r) / norm_rhs)
+                np.subtract(rhs, _matvec(matrix, x, ap), out=r)
+                residual = float(_norm(r, work) / norm_rhs)
                 if residual <= REL_TOL:
                     return x, iterations, residual
                 precondition(r, z, slice(0, dim))
                 p[:] = z
-                rz = _dot(r, z)
+                rz = _dot(r, z, work)
                 continue
-            (rz_next,) = _on_blocks(pool, blocks, _RowBlock.precondition, precondition)
-            _on_blocks(pool, blocks, _RowBlock.turn, rz_next / rz)
+            rz_next = _on_blocks(worker, blocks, _RowBlock.precondition, precondition)
+            _on_blocks(worker, blocks, _RowBlock.turn, rz_next / rz)
             rz = rz_next
+    finally:
+        if worker is not None:
+            worker.close()
     raise MaxIterationsExceededError(f"no convergence within {max_iter} iterations")
 
 
@@ -271,9 +302,10 @@ def _usable_cpus():
 
 
 class _RowBlock:
-    """One contiguous row range of a PCG iteration, as views into the full vectors."""
+    """One contiguous row range of a PCG iteration, as views into the full
+    vectors x, r, z, p, A p and a work vector; no phase allocates."""
 
-    def __init__(self, matrix, lo, hi, x, r, z, p):
+    def __init__(self, matrix, lo, hi, x, r, z, p, ap, work):
         # A CSR row slice whose data and column indices are views of the
         # matrix's, so every row keeps its entries and their order.  They
         # are set after construction: the constructor copies a view shorter
@@ -284,42 +316,97 @@ class _RowBlock:
         self.rows.indices = matrix.indices[start:stop]
         self.rows.indptr = matrix.indptr[lo : hi + 1] - start
         self.x, self.r, self.z, self.p = x[lo:hi], r[lo:hi], z[lo:hi], p[lo:hi]
+        self.ap, self.work = ap[lo:hi], work[lo:hi]
         self.span = slice(lo, hi)
-        self.ap = None
 
     def apply(self, p):
         """This block of A p, and its part of p . A p."""
-        self.ap = self.rows @ p
-        return (_dot(self.p, self.ap),)
+        _matvec(self.rows, p, self.ap)
+        return _dot(self.p, self.ap, self.work)
 
     def step(self, alpha):
         """x and r updates; part of r . r."""
-        self.x += alpha * self.p
-        self.r -= alpha * self.ap
-        return (_dot(self.r, self.r),)
+        self.x += np.multiply(alpha, self.p, out=self.work)
+        self.r -= np.multiply(alpha, self.ap, out=self.work)
+        return _dot(self.r, self.r, self.work)
 
     def precondition(self, precondition):
         """z = M^-1 r on this block's rows; part of r . z."""
         precondition(self.r, self.z, self.span)
-        return (_dot(self.r, self.z),)
+        return _dot(self.r, self.z, self.work)
 
     def turn(self, beta):
         """New search direction p = z + beta p."""
         self.p *= beta
         self.p += self.z
-        return ()
 
 
-def _on_blocks(pool, blocks, phase, arg):
-    """phase(block, arg) on every block, the second one on the pool's thread.
+class _Worker:
+    """A thread that runs the phases of one row block, for one solve.
 
-    Returns the partial sums of the blocks added left + right.
+    Two plain locks hand each phase over: ``submit`` releases ``_go``,
+    which the thread waits on, and the thread releases ``_done`` once the
+    phase has returned or raised.  ``result`` waits for that and re-raises
+    the phase's exception.  Call ``close`` to end the thread.
     """
-    if pool is None:
+
+    def __init__(self, block):
+        self._block = block
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._task = self._outcome = None
+        self._pending = False
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._task is None:
+                return
+            phase, arg = self._task
+            try:
+                self._outcome = (phase(self._block, arg), None)
+            except BaseException as exc:  # raised again by result(), in the caller
+                self._outcome = (None, exc)
+            self._done.release()
+
+    def submit(self, phase, arg):
+        """Start phase(block, arg) on the thread."""
+        self._task = (phase, arg)
+        self._pending = True
+        self._go.release()
+
+    def result(self):
+        """What the submitted phase returned; its exception if it raised."""
+        self._done.acquire()
+        self._pending = False
+        (value, error), self._outcome = self._outcome, None
+        if error is not None:
+            raise error
+        return value
+
+    def close(self):
+        """Wait for a phase still running, then end and join the thread."""
+        if self._pending:
+            self._done.acquire()
+        self._task = None
+        self._go.release()
+        self._thread.join()
+
+
+def _on_blocks(worker, blocks, phase, arg):
+    """phase(block, arg) on every block, the second one on the worker's thread.
+
+    Returns the blocks' partial sums added left + right, or None for a
+    phase that returns none.
+    """
+    if worker is None:
         return phase(blocks[0], arg)
-    right = pool.submit(phase, blocks[1], arg)
+    worker.submit(phase, arg)
     try:
         left = phase(blocks[0], arg)
     finally:
-        right_parts = right.result()
-    return tuple(a + b for a, b in zip(left, right_parts))
+        right = worker.result()
+    return None if left is None else left + right

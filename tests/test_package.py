@@ -404,6 +404,20 @@ def test_pipeline_leaves_scipy_special_and_io_unloaded():
     assert _fresh_python(code).split() == ["False", "False"]
 
 
+def test_mesh_only_run_leaves_solver_unloaded():
+    """Building meshes and their report loads no solver: scipy.sparse.linalg
+    is imported by the sparse factorization, when it first runs."""
+    code = (
+        "import sys, surfnitsche as sn\n"
+        "for problem, placement in [(sn.TorusProblem(), 'chart'),\n"
+        "                            (sn.TorusProblem.simplified(), 'facet-linear')]:\n"
+        "    mesh = sn.build_mesh(4, 2, problem, placement)\n"
+        "    sn.geometric_report(mesh, problem)\n"
+        "print('scipy.sparse.linalg' in sys.modules)"
+    )
+    assert _fresh_python(code).strip() == "False"
+
+
 def test_star_import_binds_exactly_all():
     """``from surfnitsche import *`` binds the public names and no submodule."""
     code = (

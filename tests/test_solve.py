@@ -1,11 +1,13 @@
 import os
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from surfnitsche import geometry as geo
 from surfnitsche import solve
@@ -178,8 +180,8 @@ class TestDirectIsFactorPCG:
         problem = geo.TorusProblem()
         matrix = solve._checked_matrix(assemble(build_mesh(8, 2, problem), 1e4, problem).matrix)
         seen = []
-        splu = solve.spla.splu
-        monkeypatch.setattr(solve.spla, "splu", lambda a, **kw: seen.append(a) or splu(a, **kw))
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda a, **kw: seen.append(a) or splu(a, **kw))
         solve._factorize_spd(matrix)
         (factored,) = seen
         assert factored.format == "csc"
@@ -434,7 +436,7 @@ class TestRowBlocks:
         # scipy's constructor would copy each half of data and indices
         matrix = torus_k2_system.matrix
         dim = matrix.shape[0]
-        vectors = [np.zeros(dim) for _ in range(4)]
+        vectors = [np.zeros(dim) for _ in range(6)]
         half = solve._pairwise_split(dim)
         _, peak = traced_peak(
             lambda: [
@@ -442,3 +444,108 @@ class TestRowBlocks:
             ]
         )
         assert peak <= matrix.indptr.nbytes + 2**16
+
+
+def row_blocks(matrix):
+    """The two row blocks of a split solve of ``matrix``, over NaN-filled vectors."""
+    dim = matrix.shape[0]
+    vectors = [np.full(dim, np.nan) for _ in range(6)]
+    half = solve._pairwise_split(dim)
+    return [solve._RowBlock(matrix, lo, hi, *vectors) for lo, hi in [(0, half), (half, dim)]]
+
+
+def with_empty_rows(dim, seed):
+    """A random sparse matrix of which every third row has no entries."""
+    matrix = sp.random(dim, dim, density=0.02, format="csr", random_state=seed)
+    matrix.data[:] = np.random.default_rng(seed).normal(size=matrix.nnz)
+    keep = np.arange(dim) % 3 != 0
+    return (sp.diags(keep.astype(float)) @ matrix).tocsr()
+
+
+def sine_modes(nx, ny, modes):
+    """Sum of the product sine modes (a, b) of laplacian_2d's unscaled grid."""
+    def sine(n, a):
+        return np.sin(a * np.pi * np.arange(1, n + 1) / (n + 1))
+
+    return sum(np.outer(sine(ny, b), sine(nx, a)).ravel() for a, b in modes)
+
+
+class TestAllocationFreeLoop:
+    """Each phase writes into preallocated vectors, the second block's on a
+    worker thread handed each phase by two locks."""
+
+    @pytest.mark.parametrize("case", ["torus-k2", "empty-rows"])
+    def test_apply_is_the_sparse_product(self, case, torus_k2_system):
+        matrix = torus_k2_system.matrix if case == "torus-k2" else with_empty_rows(1001, seed=18)
+        assert case != "empty-rows" or np.count_nonzero(np.diff(matrix.indptr) == 0) > 300
+        p = np.random.default_rng(19).normal(size=matrix.shape[0])
+        blocks = row_blocks(matrix)
+        for block in blocks:
+            block.p[:] = p[block.span]
+            curvature = block.apply(p)
+            # the NaNs the vectors started with are overwritten, not added to
+            assert np.array_equal(block.ap, block.rows @ p)
+            assert curvature == solve._dot(p[block.span], block.rows @ p)
+        # each block wrote its own rows of A p and nothing else
+        assert np.array_equal(np.concatenate([b.ap for b in blocks]), matrix @ p)
+
+    @pytest.mark.parametrize("side", ["caller", "worker"])
+    def test_phase_error_reaches_caller(self, side, monkeypatch):
+        matrix = laplacian_2d(33, 35, seed=15)
+        rhs = np.ones(matrix.shape[0])
+        force_split(monkeypatch)
+        step = solve._RowBlock.step
+
+        def failing_step(block, alpha):
+            if (block.span.start > 0) == (side == "worker"):
+                raise ArithmeticError(f"step failed on the {side}'s block")
+            return step(block, alpha)
+
+        monkeypatch.setattr(solve._RowBlock, "step", failing_step)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"the {side}'s block"):
+            solve_linear(matrix, rhs, method="cg")
+        assert threading.active_count() == before
+
+    def test_peak_independent_of_iteration_count(self, monkeypatch):
+        # an rhs of two modes converges in a few iterations, a random one in
+        # hundreds; both split solves peak at the same size, up to a few Python
+        # objects, within the seven vectors the solve holds (inverse diagonal,
+        # x, r, z, p, A p and work) and the blocks' row pointers (with those
+        # scipy's constructor makes first)
+        nx, ny = 61, 77
+        matrix = laplacian_2d(nx, ny, seed=11)
+        dim = matrix.shape[0]
+        scale = np.sqrt(matrix.diagonal() / 4.0)  # laplacian_2d's random diagonal
+        few = scale * sine_modes(nx, ny, [(1, 1), (2, 3)])
+        many = np.random.default_rng(12).normal(size=dim)
+        force_split(monkeypatch)
+        (few_report, few_peak), (many_report, many_peak) = [
+            traced_peak(lambda: solve_linear(matrix, rhs, method="cg")) for rhs in (few, many)
+        ]
+        assert 1 < few_report.iterations and 5 * few_report.iterations < many_report.iterations
+        assert abs(few_peak - many_peak) < 2**12  # a block's vector is 18,788 bytes
+        assert many_peak <= 7 * 8 * dim + 2 * matrix.indptr.nbytes + 2**14
+
+    def test_phases_allocate_nothing(self, monkeypatch):
+        # no phase of an iteration raises the traced memory by a block's vector
+        # (8 * dim / 2 = 18,788 bytes here); the records go to a preallocated array
+        matrix = laplacian_2d(61, 77, seed=11)
+        rhs = np.random.default_rng(12).normal(size=matrix.shape[0])
+        force_split(monkeypatch)
+        growth = np.full(4000, -1)
+        calls = iter(range(growth.size))
+        on_blocks = solve._on_blocks
+
+        def traced_on_blocks(*args):
+            current = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = on_blocks(*args)
+            growth[next(calls)] = tracemalloc.get_traced_memory()[1] - current
+            return result
+
+        monkeypatch.setattr(solve, "_on_blocks", traced_on_blocks)
+        report, _ = traced_peak(lambda: solve_linear(matrix, rhs, method="cg"))
+        phases = growth[growth >= 0]
+        assert phases.size == 4 * report.iterations - 2
+        assert phases.max() < 2**12
