@@ -16,7 +16,7 @@ for order in (1, 2, 3):
     system = assemble(mesh, beta=1e4, problem=problem)
     report = solve_spd(system)
     err = error_measures(mesh, report.solution, problem)
-    nodal = np.abs(report.solution - problem.solution_at(mesh.nodes)).max()
+    nodal = np.abs(report.solution - problem.solution_and_gradient_at(mesh.nodes)[0]).max()
     print(
         f"k={order}: nodal error {nodal:.2e}, L2 {err.l2_error:.2e}, "
         f"energy {err.energy_error:.2e}"

@@ -82,7 +82,7 @@ def cmd_solve(args) -> int:
     system = assemble(mesh, args.beta, problem)
     report = _solve_at_penalty(system, args.beta)
     err = error_measures(mesh, report.solution, problem)
-    exact = problem.solution_at(mesh.nodes)
+    exact = problem.solution_and_gradient_at(mesh.nodes)[0]
     max_nodal = float(np.abs(report.solution - exact).max())
     print(f"dof = {mesh.num_nodes}")
     print(f"h = {mesh.h:.12e}")

@@ -56,6 +56,13 @@ def integer(name, value, error=InvalidArgumentError):
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
+def choice(name, value, choices):
+    """value if it is a string among ``choices``; otherwise InvalidArgumentError naming it."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise InvalidArgumentError(f"unknown {name} {value!r}")
+
+
 def float_array(name, values, shape=None, finite=False, error=InvalidArgumentError):
     """values as a float array of ``shape`` (any shape if None), with only
     finite entries if ``finite``; otherwise ``error`` naming them.  Only bool,

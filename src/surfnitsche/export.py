@@ -90,6 +90,7 @@ def write_vector_market(path, vector):
     """Write a dense vector in MatrixMarket array format."""
     import scipy.io
 
-    vector = float_array("vector", vector, (np.size(vector),))
+    vector = float_array("vector", vector)
+    vector = float_array("vector", vector, (vector.size,))
     with open(path, "wb") as handle:
         scipy.io.mmwrite(handle, vector[:, None])

@@ -21,10 +21,10 @@ ds^2 = r^2 dtheta^2 + w^2 dphi^2 with w = R + r cos(theta):
 
 A unit square embedded in the z = 0 plane provides the degenerate flat
 case (exact geometry, polynomial solutions) used for patch tests.  Both
-problems expose the same eleven members, and the library reads no other:
+problems expose the same nine members, and the library reads no other:
 
-    chart_aspect, periodic,    build_mesh: the cell grid and its numbering
-      boundary_sides
+    chart_aspect, periodic     build_mesh: the cell grid, its numbering and
+                               its boundary sides
     chart                      build_mesh: places every node
     correct_to_boundary        build_mesh: moves facet-linear boundary nodes
     distance_and_normal        build_mesh (facet-linear snap x - d n, fold and
@@ -34,15 +34,17 @@ problems expose the same eleven members, and the library reads no other:
                                Dirichlet data in assemble and error_measures
     dirichlet_at               assemble and error_measures: g(q(x))
     load_at                    assemble: f(p(x))
-    solution_and_gradient_at   error_measures: u(p(x)) and its gradient
-    solution_at                ``surfnitsche solve``: nodal error and VTK output
+    solution_and_gradient_at   error_measures: u(p(x)) and its gradient;
+                               ``surfnitsche solve``: u at the nodes
 
 Every point, angle and chart-parameter query reads its input through
 ``errors.float_array``, so strings and complex values raise
-InvalidArgumentError.
+InvalidArgumentError; angles must also be finite and broadcast together,
+and an angle so large that a wave argument overflows raises it too.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,7 @@ from .errors import (
     InvalidArgumentError,
     ProjectionError,
     UnsupportedDegreeError,
+    choice,
     float_array,
     integer,
 )
@@ -112,16 +115,41 @@ class BoundarySpec:
                 raise InvalidArgumentError(f"{name}={waves!r} exceeds {_MAX_WAVES} waves")
         count = max(4096, 64 * int(max(abs(self.waves_lower), abs(self.waves_upper))))
         theta = np.linspace(0.0, TWO_PI, count, endpoint=False)
-        gap = boundary_phi("upper", theta, self) - boundary_phi("lower", theta, self)
+        with np.errstate(over="ignore"):  # an infinite gap fails the overlap check
+            gap = boundary_phi("upper", theta, self) - boundary_phi("lower", theta, self)
         if not np.all(gap > 0.0):
             raise InvalidArgumentError("boundary curves cross; the band is empty somewhere")
         if not np.all(gap < TWO_PI):
             raise InvalidArgumentError(f"offset={self.offset!r} makes the band overlap itself")
 
 
+def _angles(theta, phi):
+    """(theta, phi) as real, finite float arrays broadcast together."""
+    theta = float_array("theta", theta, finite=True)
+    phi = float_array("phi", phi, finite=True)
+    try:
+        return np.broadcast_arrays(theta, phi)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"theta of shape {theta.shape} and phi of shape {phi.shape} do not broadcast"
+        ) from None
+
+
+@contextmanager
+def _no_overflow(name):
+    """Raise InvalidArgumentError naming ``name``, and no warning, where the
+    block overflows or makes a NaN of finite numbers.  NumPy's floating-point
+    status flags tell, so the values need no second pass."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise InvalidArgumentError(f"{name} overflows") from None
+
+
 def torus_embed(theta, phi, torus: TorusParams):
     """Map toroidal angles to Cartesian points, shape (..., 3)."""
-    theta, phi = np.broadcast_arrays(float_array("theta", theta), float_array("phi", phi))
+    theta, phi = _angles(theta, phi)
     w = torus.major_radius + torus.minor_radius * np.cos(theta)
     return np.stack(
         [w * np.cos(phi), w * np.sin(phi), torus.minor_radius * np.sin(theta)],
@@ -171,24 +199,24 @@ def surface_normal(theta, phi):
     n = (cos(theta) cos(phi), cos(theta) sin(phi), sin(theta)); this is the
     gradient of the signed distance, so it is independent of the radii.
     """
-    theta, phi = float_array("theta", theta), float_array("phi", phi)
+    theta, phi = _angles(theta, phi)
     ct = np.cos(theta)
     return np.stack([ct * np.cos(phi), ct * np.sin(phi), np.sin(theta)], axis=-1)
 
 
 def _side_curve(side, boundary: BoundarySpec):
     """(waves, offset) of one boundary curve phi = A cos(W theta) + offset."""
-    if side == "lower":
+    if choice("boundary side", side, ("lower", "upper")) == "lower":
         return boundary.waves_lower, 0.0
-    if side == "upper":
-        return boundary.waves_upper, boundary.offset
-    raise InvalidArgumentError(f"unknown boundary side {side!r}")
+    return boundary.waves_upper, boundary.offset
 
 
 def boundary_phi(side, theta, boundary: BoundarySpec):
-    """Evaluate the phi level of one boundary curve at angle theta."""
+    """Evaluate the phi level of one boundary curve at finite angles theta."""
     waves, offset = _side_curve(side, boundary)
-    return boundary.amplitude * np.cos(waves * float_array("theta", theta)) + offset
+    theta = float_array("theta", theta, finite=True)
+    with _no_overflow(f"phi of the {side} boundary curve"):
+        return boundary.amplitude * np.cos(waves * theta) + offset
 
 
 def boundary_curve_point(side, theta, boundary: BoundarySpec, torus: TorusParams):
@@ -313,17 +341,24 @@ def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: Torus
     return result.reshape(np.shape(points))
 
 
+def _solution_wave(theta, phi):
+    """(theta, 3 phi + 5 theta) of finite angles broadcast together; a finite
+    wave argument also keeps 2 theta finite."""
+    theta, phi = _angles(theta, phi)
+    with _no_overflow("the wave argument 3 phi + 5 theta"):
+        return theta, 3.0 * phi + 5.0 * theta
+
+
 def exact_solution(theta, phi):
     """Manufactured solution u = cos(3 phi + 5 theta) sin(2 theta)."""
-    theta, phi = float_array("theta", theta), float_array("phi", phi)
-    return np.cos(3.0 * phi + 5.0 * theta) * np.sin(2.0 * theta)
+    theta, wave = _solution_wave(theta, phi)
+    return np.cos(wave) * np.sin(2.0 * theta)
 
 
 def _solution_factors(theta, phi):
     """(c, s, s2, c2): cos, sin of 3 phi + 5 theta and sin, cos of 2 theta, the
     factors of the derivatives (exact_solution computes only its two)."""
-    theta, phi = float_array("theta", theta), float_array("phi", phi)
-    wave = 3.0 * phi + 5.0 * theta
+    theta, wave = _solution_wave(theta, phi)
     return np.cos(wave), np.sin(wave), np.sin(2.0 * theta), np.cos(2.0 * theta)
 
 
@@ -339,7 +374,7 @@ def exact_surface_gradient(theta, phi, torus: TorusParams):
     With unit frame vectors e_theta, e_phi of the toroidal chart:
     grad u = u_theta / r * e_theta + u_phi / w * e_phi.
     """
-    theta, phi = float_array("theta", theta), float_array("phi", phi)
+    theta, phi = _angles(theta, phi)
     _, u_t, u_p = _solution_jet(theta, phi)
     r = torus.minor_radius
     w = torus.major_radius + r * np.cos(theta)
@@ -370,7 +405,6 @@ class TorusProblem:
     """
 
     periodic = True
-    boundary_sides = ("lower", "upper")
 
     def __init__(self, torus: TorusParams | None = None, boundary: BoundarySpec | None = None):
         self.torus = TorusParams() if torus is None else torus
@@ -431,17 +465,13 @@ class TorusProblem:
         theta, _ = toroidal_angles(points, self.torus)
         return boundary_curve_point(side, theta, self.boundary, self.torus)
 
-    def solution_at(self, points):
-        """Closest-point extension of the exact solution, u(p(x)): u at the angles of x."""
-        return exact_solution(*toroidal_angles(points, self.torus))
-
     def solution_and_gradient_at(self, points):
         """u(p(x)) and its ambient gradient, from one pass over the tube coordinates.
 
         u(p(x)) depends on x only through the toroidal angles, so the
         gradient is u_theta grad(theta) + u_phi grad(phi) with the exact
         ambient gradients of the angle fields.  Both are evaluated at the
-        angles of ``toroidal_angles``, so u is bitwise ``solution_at``.
+        angles of ``toroidal_angles``, so u is bitwise ``dirichlet_at``.
         """
         x, y, z, d, zeta, ell = _tube_coordinates(points, self.torus)
         u, u_t, u_p = _solution_jet(*_tube_angles(x, y, z, zeta))
@@ -453,8 +483,9 @@ class TorusProblem:
         """Closest-point extension of the load, f(p(x)): f at the angles of x."""
         return load(*toroidal_angles(points, self.torus), self.torus)
 
-    # Dirichlet data at points assumed to lie on the boundary curves.
-    dirichlet_at = solution_at
+    def dirichlet_at(self, points):
+        """Dirichlet data at points assumed on the boundary curves: u at the angles of x."""
+        return exact_solution(*toroidal_angles(points, self.torus))
 
 
 # Fixed polynomial solutions of total degree 1..3 for the flat patch test,
@@ -493,7 +524,6 @@ class FlatSquareProblem:
     """
 
     periodic = False
-    boundary_sides = tuple(_SQUARE_SIDES)
 
     def __init__(self, degree: int = 1, coefficients: dict | None = None):
         if coefficients is None:
@@ -520,19 +550,13 @@ class FlatSquareProblem:
 
     def correct_to_boundary(self, points, side):
         """Clamp points onto one side line of the square."""
-        if side not in _SQUARE_SIDES:
-            raise InvalidArgumentError(f"unknown boundary side {side!r}")
-        axis, value = _SQUARE_SIDES[side]
+        axis, value = _SQUARE_SIDES[choice("boundary side", side, _SQUARE_SIDES)]
         pts = np.clip(float_array("points", points), 0.0, 1.0)
         pts[..., 2] = 0.0
         pts[..., axis] = value
         return pts
 
     project_to_boundary = correct_to_boundary
-
-    def solution_at(self, points):
-        pts = float_array("points", points)
-        return polyval2d(pts[..., 0], pts[..., 1], self.coefficients)
 
     def solution_and_gradient_at(self, points):
         pts = float_array("points", points)
@@ -544,4 +568,6 @@ class FlatSquareProblem:
         pts = float_array("points", points)
         return -sum(polyval2d(pts[..., 0], pts[..., 1], c) for c in self._laplacian_terms)
 
-    dirichlet_at = solution_at
+    def dirichlet_at(self, points):
+        pts = float_array("points", points)
+        return polyval2d(pts[..., 0], pts[..., 1], self.coefficients)

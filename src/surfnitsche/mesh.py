@@ -49,6 +49,7 @@ from .errors import (
     InvalidArgumentError,
     MeshInvalidError,
     UnsupportedDegreeError,
+    choice,
     integer,
 )
 from .fem import EdgeBundle, FrameBundle, _dot3, _norm3
@@ -88,8 +89,8 @@ class ParametricMesh:
     lattice of :func:`surfnitsche.reference.lattice_points` in that order.
     ``boundary_edges`` maps each (local edge, side) group to the ids of
     the elements whose local edge lies on that boundary side, in element
-    order; the groups run lower, upper, left, right over the sides the
-    problem has.  ``boundary_nodes`` derives each side's node ids from
+    order; the groups run lower, upper, left, right over the sides of its
+    chart.  ``boundary_nodes`` derives each side's node ids from
     them.  ``h`` is the longest straight edge between element corners.
 
     ``_element_side`` is set by :func:`build_mesh` only: the element-side
@@ -189,10 +190,9 @@ def build_mesh(n_div: int, order: int, problem, node_placement: str = "chart") -
         raise InvalidArgumentError(f"n_div must be >= 2, got {n_div}")
     if not 1 <= k <= 3:
         raise UnsupportedDegreeError(f"order must be 1..3, got {k}")
-    if node_placement not in NODE_PLACEMENTS:
-        raise InvalidArgumentError(f"unknown node placement {node_placement!r}")
+    node_placement = choice("node placement", node_placement, NODE_PLACEMENTS)
     n_t, n_s = _grid_shape(n_div, k, problem)
-    t, s, elements, boundary_edges = _layout(n_t, n_s, k, problem.periodic, problem.boundary_sides)
+    t, s, elements, boundary_edges = _layout(n_t, n_s, k, problem.periodic)
     nodes = problem.chart(t, s)
     del t, s
     corners = nodes[elements[:, list(reference_element(k).corner_ids)]]
@@ -258,13 +258,14 @@ def _correct_boundary(nodes, k, elements, boundary_edges, problem):
     return _blend_boundary_elements(nodes, displacement, k, elements, boundary_edges, problem)
 
 
-def _layout(n_t, n_s, k, periodic, sides):
+def _layout(n_t, n_s, k, periodic):
     """Node lattice parameters (t, s), element node ids and boundary-edge groups.
 
     The only code that knows the numbering, node ti * rows + si at
-    (ti / (k n_t), si / (k n_s)), and the split of each cell into a lower
+    (ti / (k n_t), si / (k n_s)), the split of each cell into a lower
     triangle (cell corners (0,0), (1,0), (1,1)) and an upper one (0,0),
-    (1,1), (0,1).  Periodic grids wrap column k n_t onto column 0.
+    (1,1), (0,1), and the sides: lower and upper, and unless the grid is
+    periodic (column k n_t wrapping onto column 0) left and right.
     """
     cols = k * n_t if periodic else k * n_t + 1
     rows = k * n_s + 1
@@ -295,7 +296,7 @@ def _layout(n_t, n_s, k, periodic, sides):
     if not periodic:
         groups[(2, "left")] = 2 * cj + 1
         groups[(1, "right")] = 2 * ((n_t - 1) * n_s + cj)
-    return t, s, elements, {key: ids for key, ids in groups.items() if key[1] in sides}
+    return t, s, elements, groups
 
 
 def _blend_boundary_elements(nodes, displacement, k, elements, boundary_edges, problem):

@@ -137,12 +137,22 @@ def _gauss_jacobi_1_0(n):
     return nodes, 2.0 * vectors[0] ** 2
 
 
-@lru_cache(maxsize=None)
+def _rule_degree(name, degree):
+    """degree as an int in 0..MAX_QUADRATURE_DEGREE; otherwise UnsupportedDegreeError
+    naming it.  The rules check it before their caches hash it."""
+    degree = integer(name, degree, UnsupportedDegreeError)
+    if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
+        raise UnsupportedDegreeError(f"{name} must be 0..{MAX_QUADRATURE_DEGREE}, got {degree}")
+    return degree
+
+
 def triangle_rule(degree: int) -> QuadratureRule:
     """Rule for the reference triangle, exact for total degree <= degree."""
-    degree = integer("triangle rule degree", degree, UnsupportedDegreeError)
-    if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
-        raise UnsupportedDegreeError(f"triangle rule degree must be 0..20, got {degree}")
+    return _triangle_rule(_rule_degree("triangle rule degree", degree))
+
+
+@lru_cache(maxsize=None)
+def _triangle_rule(degree):
     n = max(1, (degree + 2) // 2)
     xu, wu = leggauss(n)
     xv, wv = _gauss_jacobi_1_0(n)
@@ -156,12 +166,13 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(np.column_stack([xi, eta]), weights, degree)
 
 
-@lru_cache(maxsize=None)
 def edge_rule(degree: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1], exact for degree <= degree."""
-    degree = integer("edge rule degree", degree, UnsupportedDegreeError)
-    if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
-        raise UnsupportedDegreeError(f"edge rule degree must be 0..20, got {degree}")
+    return _edge_rule(_rule_degree("edge rule degree", degree))
+
+
+@lru_cache(maxsize=None)
+def _edge_rule(degree):
     n = max(1, (degree + 2) // 2)
     x, w = leggauss(n)
     return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, degree)

@@ -68,6 +68,7 @@ from .errors import (
     InvalidArgumentError,
     MaxIterationsExceededError,
     NotPositiveDefiniteError,
+    choice,
     float_array,
 )
 
@@ -120,6 +121,7 @@ def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
     with np.errstate(over="ignore"):
         if not np.isfinite(norm_rhs := _norm(rhs)):
             raise InvalidArgumentError("rhs norm overflows")
+    method = choice("method", method, ("auto", "direct", "cg"))
     if method == "auto":
         method = "direct" if dim <= DIRECT_DIM_LIMIT else "cg"
     if method == "direct":
@@ -129,7 +131,7 @@ def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
             z[:] = factor.solve(r)
 
         bounds, max_iter, tag = (0, dim), 4, "direct"
-    elif method == "cg":
+    else:
         diag = matrix.diagonal()
         if np.any(diag <= 0.0):
             raise NotPositiveDefiniteError("nonpositive diagonal entry")
@@ -142,8 +144,6 @@ def solve_linear(matrix, rhs, method: str = "auto") -> SolveReport:
         split = dim >= _SPLIT_MIN_DIM and _usable_cpus() >= 2
         bounds = (0, _pairwise_split(dim), dim) if split else (0, dim)
         max_iter, tag = 50 * dim, "iterative"
-    else:
-        raise InvalidArgumentError(f"unknown method {method!r}")
     x, iterations, residual = _pcg(matrix, rhs, norm_rhs, precondition, bounds, max_iter)
     return SolveReport(solution=x, iterations=iterations, relative_residual=residual, method=tag)
 

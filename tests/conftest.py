@@ -32,6 +32,11 @@ def simple_problem():
     return geo.TorusProblem.simplified()
 
 
+def solution_at(problem, points):
+    """The exact solution u(p(x)) at points, from the error pass's one query."""
+    return problem.solution_and_gradient_at(points)[0]
+
+
 def traced_peak(fn):
     """(fn(), the peak in bytes that tracemalloc saw while fn ran)."""
     tracemalloc.start()

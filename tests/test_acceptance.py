@@ -23,7 +23,13 @@ from surfnitsche.mesh import _snap, build_mesh, geometric_report
 from surfnitsche.reference import triangle_rule
 from surfnitsche.solve import is_positive_definite, solve_linear, solve_spd
 
-from conftest import fd_laplace_beltrami, newton_closest_point, observed_orders, random_tube_points
+from conftest import (
+    fd_laplace_beltrami,
+    newton_closest_point,
+    observed_orders,
+    random_tube_points,
+    solution_at,
+)
 
 BETA = 1e4
 ORDERS = (1, 2, 3)
@@ -268,11 +274,11 @@ class TestCriterion7Oracles:
                 plus, minus = point.copy(), point.copy()
                 plus[axis] += 1e-6
                 minus[axis] -= 1e-6
-                u_plus = torus_problem.solution_at(
-                    FrameBundle(mesh, [element], [plus]).position[0, 0]
+                u_plus = solution_at(
+                    torus_problem, FrameBundle(mesh, [element], [plus]).position[0, 0]
                 )
-                u_minus = torus_problem.solution_at(
-                    FrameBundle(mesh, [element], [minus]).position[0, 0]
+                u_minus = solution_at(
+                    torus_problem, FrameBundle(mesh, [element], [minus]).position[0, 0]
                 )
                 ref_grad[axis] = (u_plus - u_minus) / 2e-6
             jac, metric = bundle.jacobian[0, 0], bundle.metric[0, 0]

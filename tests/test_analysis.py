@@ -13,7 +13,7 @@ from surfnitsche.fem import FrameBundle
 from surfnitsche.mesh import build_mesh
 from surfnitsche.reference import triangle_rule
 
-from conftest import observed_orders
+from conftest import observed_orders, solution_at
 
 
 class TestErrorMeasures:
@@ -21,7 +21,7 @@ class TestErrorMeasures:
     def test_interpolant_is_exact_on_flat_geometry(self, order):
         problem = geo.FlatSquareProblem(order)
         mesh = build_mesh(4, order, problem)
-        coefficients = problem.solution_at(mesh.nodes)
+        coefficients = solution_at(problem, mesh.nodes)
         err = error_measures(mesh, coefficients, problem)
         assert err.l2_error < 1e-10
         assert err.energy_error < 1e-10
@@ -34,7 +34,7 @@ class TestErrorMeasures:
         # independent quadrature of u(p(x))^2 over the discrete surface
         rule = triangle_rule(8)
         bundle = FrameBundle(mesh, np.arange(mesh.num_elements), rule.points)
-        u_sq = torus_problem.solution_at(bundle.position) ** 2
+        u_sq = solution_at(torus_problem, bundle.position) ** 2
         direct = np.sqrt(np.sum(rule.weights[None, :] * bundle.area_factor * u_sq))
         assert err.l2_error == pytest.approx(direct, rel=1e-12)
         assert err.l2_error > 0.0
@@ -63,11 +63,11 @@ class TestErrorMeasures:
                 plus, minus = point.copy(), point.copy()
                 plus[axis] += step
                 minus[axis] -= step
-                u_plus = torus_problem.solution_at(
-                    FrameBundle(mesh, [element], [plus]).position[0, 0]
+                u_plus = solution_at(
+                    torus_problem, FrameBundle(mesh, [element], [plus]).position[0, 0]
                 )
-                u_minus = torus_problem.solution_at(
-                    FrameBundle(mesh, [element], [minus]).position[0, 0]
+                u_minus = solution_at(
+                    torus_problem, FrameBundle(mesh, [element], [minus]).position[0, 0]
                 )
                 ref_grad[axis] = (u_plus - u_minus) / (2 * step)
             jac, metric = bundle.jacobian[0, 0], bundle.metric[0, 0]

@@ -19,7 +19,7 @@ from surfnitsche.errors import InvalidPenaltyError, MeshInvalidError, NotPositiv
 from surfnitsche.mesh import build_mesh
 from surfnitsche.solve import is_positive_definite, solve_linear, solve_spd
 
-from conftest import boundary_specs, traced_peak
+from conftest import boundary_specs, solution_at, traced_peak
 
 
 class ConstantData:
@@ -271,7 +271,7 @@ class TestNitscheConsistency:
         mesh = build_mesh(2, 1, problem)
         system = assemble(mesh, 1e4, problem)
         dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
-        interpolant = problem.solution_at(mesh.nodes)
+        interpolant = solution_at(problem, mesh.nodes)
         np.testing.assert_allclose(dense, interpolant, atol=1e-10)
         report = solve_spd(system)
         np.testing.assert_allclose(report.solution, interpolant, atol=1e-10)

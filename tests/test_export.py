@@ -13,6 +13,8 @@ from surfnitsche.export import (
 )
 from surfnitsche.mesh import build_mesh
 
+from conftest import solution_at
+
 
 class TestVtkNodeOrder:
     def test_pinned_permutations(self):
@@ -30,7 +32,7 @@ class TestVtkFile:
     def test_layout_and_roundtrip(self, tmp_path):
         problem = geo.FlatSquareProblem(2)
         mesh = build_mesh(2, 2, problem)
-        field = problem.solution_at(mesh.nodes)
+        field = solution_at(problem, mesh.nodes)
         path = tmp_path / "mesh.vtk"
         write_vtk(path, mesh, {"solution": field})
         lines = path.read_text().splitlines()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from surfnitsche import geometry as geo
 from surfnitsche.errors import DegenerateInputError, InvalidArgumentError
-from surfnitsche.mesh import _snap
+from surfnitsche.mesh import _snap, build_mesh
 
 from conftest import (
     boundary_curve_tangent,
@@ -17,6 +17,7 @@ from conftest import (
     fd_laplace_beltrami,
     newton_closest_point,
     random_tube_points,
+    solution_at,
     traced_peak,
 )
 
@@ -141,6 +142,11 @@ class TestSurfaceNormal:
         np.testing.assert_allclose(
             geo.surface_normal(np.pi / 2, 0.0), [0.0, 0.0, 1.0], atol=1e-15
         )
+
+    def test_broadcasts_like_torus_embed(self, torus):
+        phi = np.ones((2, 2))
+        shapes = {geo.surface_normal(0.1, phi).shape, geo.torus_embed(0.1, phi, torus).shape}
+        assert shapes == {(2, 2, 3)}
 
     def test_unit_length(self):
         rng = np.random.default_rng(3)
@@ -387,15 +393,16 @@ class TestManufacturedSolution:
         ids=["wavy", "simplified", "flat"],
     )
     def test_solution_and_gradient_value_is_solution_at(self, problem):
-        """The value half of the error pass's one query is bitwise solution_at,
-        in the tube around the surface and over the plane near the square."""
+        """The value half of the error pass's one query is bitwise the exact
+        solution that dirichlet_at evaluates, in the tube around the surface
+        and over the plane near the square."""
         rng = np.random.default_rng(12)
         if isinstance(problem, geo.TorusProblem):
             pts = random_tube_points(rng, problem.torus, 2000)
         else:
             pts = np.column_stack([rng.uniform(-0.5, 1.5, (2000, 2)), rng.uniform(-0.1, 0.1, 2000)])
         u, gradient = problem.solution_and_gradient_at(pts)
-        assert np.array_equal(u, problem.solution_at(pts))
+        assert np.array_equal(u, problem.dirichlet_at(pts))
         assert gradient.shape == pts.shape
 
     def test_dirichlet_matches_solution_on_boundary(self, torus_problem):
@@ -412,9 +419,9 @@ class TestManufacturedSolution:
 
 
 class TestPointData:
-    """solution_at, load_at and friends read the angles of the point itself."""
+    """solution_and_gradient_at, load_at and dirichlet_at read the angles of the point itself."""
 
-    DATA = ["solution_at", "solution_and_gradient_at", "load_at", "dirichlet_at"]
+    DATA = ["solution_and_gradient_at", "load_at", "dirichlet_at"]
 
     @pytest.mark.parametrize("method", DATA)
     @pytest.mark.parametrize(
@@ -431,7 +438,7 @@ class TestPointData:
         pts = random_tube_points(np.random.default_rng(17), torus, 2000)
         angles = geo.toroidal_angles(exact_closest_point(torus_problem, pts), torus)
         np.testing.assert_allclose(
-            torus_problem.solution_at(pts), geo.exact_solution(*angles), rtol=0.0, atol=1e-13
+            solution_at(torus_problem, pts), geo.exact_solution(*angles), rtol=0.0, atol=1e-13
         )
         projected_load = geo.load(*angles, torus)
         np.testing.assert_allclose(
@@ -477,7 +484,7 @@ class TestFlatSquare:
         problem = geo.FlatSquareProblem(2)
         pts = np.array([[0.3, 0.4, 0.0], [0.9, 0.1, 0.2]])
         expected = 0.3**2 + 3 * 0.3 * 0.4 - 2 * 0.4**2 + 0.3 + 2 * 0.4
-        assert problem.solution_at(pts)[0] == pytest.approx(expected)
+        assert solution_at(problem, pts)[0] == pytest.approx(expected)
         np.testing.assert_allclose(problem.load_at(pts), 2.0)
 
     def test_load_matches_fd(self):
@@ -488,7 +495,7 @@ class TestFlatSquare:
         step = 1e-5
 
         def u(x, y):
-            return problem.solution_at(np.stack([x, y, np.zeros_like(x)], axis=-1))
+            return solution_at(problem, np.stack([x, y, np.zeros_like(x)], axis=-1))
 
         x, y = xy[:, 0], xy[:, 1]
         lap = (
@@ -507,7 +514,7 @@ class TestFlatSquare:
             "upper": [[0.5, 1.0, 0.0], [1.0, 1.0, 0.0], [0.3, 1.0, 0.0], [0.0, 1.0, 0.0]],
             "left": [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.6, 0.0], [0.0, 1.0, 0.0]],
         }
-        assert set(expected) == set(problem.boundary_sides)
+        assert set(expected) == {side for _, side in build_mesh(2, 1, problem).boundary_edges}
         for side, on_side in expected.items():
             projected = problem.project_to_boundary(pts, side)
             assert np.array_equal(projected, on_side)
@@ -562,7 +569,7 @@ class TestFlatSquare:
             if b >= 2:
                 lap = lap + b * (b - 1) * c * x**a * y ** (b - 2)
         gradient = np.column_stack(np.broadcast_arrays(ux, uy, 0.0 * x))
-        np.testing.assert_allclose(problem.solution_at(pts), u, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(solution_at(problem, pts), u, rtol=0.0, atol=1e-13)
         ambient = problem.solution_and_gradient_at(pts)[1]
         np.testing.assert_allclose(ambient, gradient, rtol=0, atol=1e-13)
         np.testing.assert_allclose(problem.load_at(pts), -lap + 0.0 * x, rtol=0.0, atol=1e-13)

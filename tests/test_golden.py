@@ -36,6 +36,8 @@ from surfnitsche.errors import MeshInvalidError
 from surfnitsche.mesh import build_mesh, geometric_report
 from surfnitsche.solve import solve_spd
 
+from conftest import solution_at
+
 DATA = Path(__file__).with_name("golden_fingerprints.json")
 
 RTOL = 1e-10
@@ -109,7 +111,7 @@ def fingerprints(case):
         **_fields("report", geometric_report(mesh, problem)),
     }
     if case in LARGE:
-        coefficients = problem.solution_at(mesh.nodes) + 1e-3 * np.sin(np.arange(mesh.num_nodes))
+        coefficients = solution_at(problem, mesh.nodes) + 1e-3 * np.sin(np.arange(mesh.num_nodes))
         prints.update(_fields("error", error_measures(mesh, coefficients, problem)))
     else:
         system = assemble(mesh, BETA, problem)

@@ -243,7 +243,7 @@ BAD_INPUT = {
     "flat-distance-and-normal-parseable-string": lambda tmp_path: (
         surfnitsche.FlatSquareProblem(1).distance_and_normal([["0.5", "0.5", "0"]])
     ),
-    "flat-solution-complex": lambda tmp_path: surfnitsche.FlatSquareProblem(1).solution_at(
+    "flat-solution-complex": lambda tmp_path: surfnitsche.FlatSquareProblem(1).dirichlet_at(
         np.array([[0.5, 0.5, 0.0]], complex)
     ),
 }

@@ -1,4 +1,4 @@
-"""The problem protocol: the eleven members the library reads of a problem.
+"""The problem protocol: the nine members the library reads of a problem.
 
 Every stage of the pipeline, and ``surfnitsche solve``, runs against a
 ``StrictProblem``, which exposes only those members, for the wavy and
@@ -25,13 +25,11 @@ PROTOCOL = frozenset(
         "chart",
         "chart_aspect",
         "periodic",
-        "boundary_sides",
         "distance_and_normal",
         "correct_to_boundary",
         "project_to_boundary",
         "load_at",
         "dirichlet_at",
-        "solution_at",
         "solution_and_gradient_at",
     }
 )
@@ -84,7 +82,13 @@ def test_pipeline_reads_exactly_the_protocol(name, order, monkeypatch):
 
 def test_strict_problem_rejects_other_members():
     strict = StrictProblem(geo.TorusProblem(), set())
-    removed = ("signed_distance", "normal_at_closest", "closest_point")
+    removed = (
+        "signed_distance",
+        "normal_at_closest",
+        "closest_point",
+        "solution_at",
+        "boundary_sides",
+    )
     for name in ("simplified", "torus", "boundary", *removed):
         with pytest.raises(AttributeError):
             getattr(strict, name)

@@ -68,6 +68,12 @@ def test_unsupported_degrees():
         ref.ReferenceElement(4)
 
 
+def test_rules_cache_the_checked_degree():
+    """A NumPy integer degree is read as the int it equals, so it shares its rule."""
+    assert ref.triangle_rule(np.int64(8)) is ref.triangle_rule(8)
+    assert ref.edge_rule(np.int32(5)) is ref.edge_rule(5)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 class TestLagrangeBasis:
     def test_nodal(self, order):
