@@ -75,7 +75,7 @@ def error_measures(mesh: ParametricMesh, coefficients, problem) -> ErrorMeasures
     flux_sq = jump_sq = mismatch_sq = 0.0
     for side, ids, edge, scale in edge_batches(mesh, edge_rule(degree)):
         u_h, diff, w = _fields(edge, coefficients[mesh.elements[ids]], problem)
-        flux_diff = np.sum(edge.reference_components(edge.conormal) * w, axis=-1)
+        flux_diff = np.sum(edge.conormal_components * w, axis=-1)
         flux_sq += float(np.sum(scale * flux_diff**2))
         jump_sq += float(np.sum(scale * diff**2))
         mismatch_sq += float(np.sum(scale * (u_h - _boundary_data(problem, side, edge)) ** 2))

@@ -171,8 +171,7 @@ def _edge_terms(mesh, problem, degree, conn, slot, rows, rhs_core, rhs_penalty):
     m = conn.shape[1]
     pen_ids, pen_local = [np.empty(0, dtype=int)], [np.empty((0, m, m))]
     for side, ids, edge, scale in edge_batches(mesh, edge_rule(degree)):
-        covector = edge.reference_components(edge.conormal)
-        flux = (edge.grads @ covector[..., None])[..., 0]
+        flux = (edge.grads @ edge.conormal_components[..., None])[..., 0]
         consistency = (scale[..., None] * flux).transpose(0, 2, 1) @ edge.values
         # ids are unique within a group, so no consistency block is lost
         rows[slot[ids]] -= consistency + consistency.transpose(0, 2, 1)

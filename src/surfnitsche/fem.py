@@ -3,8 +3,8 @@
 Each element maps the reference triangle into 3-space through its order-k
 nodal coordinates.  The 3x2 Jacobian J yields the first fundamental form
 G = J^T J, the area factor sqrt(det G), the unoriented unit normal, tangential
-gradients J G^{-1} grad_ref, and on boundary edges the exterior unit conormal;
-no exact-geometry query runs here.
+gradients J G^{-1} grad_ref, and on boundary edges the exterior unit conormal
+nu; no exact-geometry query runs here.
 
 Every quadrature batch is a ``FrameBundle``, which carries the basis
 tables at its points; a boundary-edge batch is an ``EdgeBundle``, the
@@ -17,8 +17,8 @@ inverse, the cross products and the norms are formed entrywise, each on
 first use, so a caller pays only for what it reads: the fold check needs
 no metric, and integration needs sqrt(det G).  No library kernel maps
 back to 3-space: the stiffness matrix (``C_e @ B`` in the assembly
-module) needs G^{-1} and sqrt(det G) only, and boundary fluxes and the
-error pass work with covectors J^T v and their components G^{-1} J^T v.
+module) needs G^{-1} and sqrt(det G) only, the error pass works with
+covectors J^T v, and both edge passes with ``EdgeBundle.conormal_components``.
 """
 from __future__ import annotations
 
@@ -118,15 +118,6 @@ class FrameBundle:
         """J^T v of ambient vectors v (e,q,3): their reference covectors, (e,q,2)."""
         return (self._jacobian_t @ vectors[..., None])[..., 0]
 
-    def reference_components(self, vectors):
-        """Components G^{-1} J^T v of ambient vectors v (e,q,3); shape (e,q,2).
-
-        For every basis function, v . (tangential gradient) equals these
-        components dotted with its reference gradient, so fluxes contract
-        them directly against the reference gradients.
-        """
-        return self.raise_index(self.covectors(vectors))
-
     # raise_index writes its per-point products entrywise: a stacked matmul
     # of matrices this small costs a call per point and ran 2-3x slower.
     # J^T v above stays a matmul; its entrywise form rounds differently,
@@ -177,8 +168,9 @@ class EdgeBundle(FrameBundle):
     The frames, basis tables and positions are those of
     ``FrameBundle(mesh, element_ids, edge_ref_points(local_edge, t))``;
     the edge adds its unit tangent, the arc-length factor |x'(t)| of the
-    edge parameterization, and the exterior unit conormal (tangent to the
-    element, normal to the edge, and turned away from the opposite corner).
+    edge parameterization, the exterior unit conormal nu (tangent to the
+    element, normal to the edge, turned away from the opposite corner) and
+    ``conormal_components`` G^{-1} J^T nu (e,q,2), both edge fluxes' factor.
     """
 
     def __init__(self, mesh: "ParametricMesh", element_ids, local_edge, t_points):
@@ -195,3 +187,4 @@ class EdgeBundle(FrameBundle):
         opposite = mesh.nodes[mesh.elements[np.asarray(element_ids, dtype=int), corner]]
         flip = _dot3(conormal, opposite[:, None, :] - self.position) > 0.0
         self.conormal = np.where(flip[..., None], -conormal, conormal)
+        self.conormal_components = self.raise_index(self.covectors(self.conormal))

@@ -39,11 +39,14 @@ problems expose the same nine members, and the library reads no other:
 
 Every point, angle and chart-parameter query reads its input through
 ``errors.float_array``, so strings and complex values raise
-InvalidArgumentError; angles must also be finite and broadcast together,
-and an angle so large that a wave argument overflows raises it too.
+InvalidArgumentError.  Points must also have a last axis of 3, angles must
+be finite, and angles and chart parameters must broadcast together; an
+angle so large that a wave argument overflows, or a chart parameter so
+large that theta or phi does, raises it too.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -123,16 +126,29 @@ class BoundarySpec:
             raise InvalidArgumentError(f"offset={self.offset!r} makes the band overlap itself")
 
 
+def _points(points):
+    """points as a real float array of shape (..., 3)."""
+    pts = float_array("points", points)
+    if pts.shape[-1:] != (3,):
+        raise InvalidArgumentError(f"points has shape {pts.shape}, expected (..., 3)")
+    return pts
+
+
+def _broadcastable(**arrays):
+    """The named arrays as given, if their shapes broadcast together."""
+    try:
+        np.broadcast_shapes(*(array.shape for array in arrays.values()))
+    except ValueError:
+        shapes = " and ".join(f"{name} of shape {a.shape}" for name, a in arrays.items())
+        raise InvalidArgumentError(f"{shapes} do not broadcast") from None
+    return tuple(arrays.values())
+
+
 def _angles(theta, phi):
     """(theta, phi) as real, finite float arrays broadcast together."""
     theta = float_array("theta", theta, finite=True)
     phi = float_array("phi", phi, finite=True)
-    try:
-        return np.broadcast_arrays(theta, phi)
-    except ValueError:
-        raise InvalidArgumentError(
-            f"theta of shape {theta.shape} and phi of shape {phi.shape} do not broadcast"
-        ) from None
+    return np.broadcast_arrays(*_broadcastable(theta=theta, phi=phi))
 
 
 @contextmanager
@@ -181,7 +197,7 @@ def _tube_coordinates(points, torus: TorusParams):
     center circle (ell = 0) no tube angle; at both the nearest surface
     point is not unique, and both are rejected.
     """
-    pts = float_array("points", points)
+    pts = _points(points)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     d = np.hypot(x, y)
     if np.any(d < _DEGENERATE_EPS):
@@ -297,7 +313,7 @@ def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: Torus
     |(x - q) . c'| stayed below 2.2e-13 |x - q| |c'|, and moving the input
     points by one ulp moved theta by at most 2.7e-15.
     """
-    pts = np.atleast_2d(float_array("points", points))
+    pts = np.atleast_2d(_points(points))
     if not np.all(np.isfinite(pts)):
         raise ProjectionError("non-finite point passed to boundary projection")
     waves, _ = _side_curve(side, boundary)
@@ -432,11 +448,14 @@ class TorusProblem:
         t in [0, 1] runs once around the tube (theta = 2 pi t), s in [0, 1]
         interpolates between the two boundary curves.
         """
-        t, s = float_array("t", t), float_array("s", s)
-        theta = TWO_PI * t
+        t, s = _broadcastable(t=float_array("t", t), s=float_array("s", s))
+        with _no_overflow("theta = 2 pi t"):
+            theta = TWO_PI * t
         lo = boundary_phi("lower", theta, self.boundary)
         hi = boundary_phi("upper", theta, self.boundary)
-        return torus_embed(theta, lo + s * (hi - lo), self.torus)
+        with _no_overflow("phi = lo + s (hi - lo)"):
+            phi = lo + s * (hi - lo)
+        return torus_embed(theta, phi, self.torus)
 
     def distance_and_normal(self, points):
         """Signed distance ell - r and exterior normal at the closest point,
@@ -503,6 +522,8 @@ _SQUARE_SIDES = {"lower": (1, 0.0), "right": (0, 1.0), "upper": (1, 1.0), "left"
 def _coefficient_array(coefficients):
     """c[a, b] from {(a, b): c_ab}, exponents non-negative integers and values finite."""
     name = f"flat solution coefficients {coefficients!r}"
+    if not isinstance(coefficients, Mapping):
+        raise InvalidArgumentError(f"{name} must be a mapping {{(a, b): c_ab}}")
     values = float_array(name, list(coefficients.values()), (len(coefficients),), finite=True)
     exponents = [[integer(name, e) for e in np.ravel(key).tolist()] for key in coefficients]
     if not all(len(key) == 2 and min(key) >= 0 for key in exponents):
@@ -540,18 +561,18 @@ class FlatSquareProblem:
     chart_aspect = 1.0
 
     def chart(self, t, s):
-        t, s = float_array("t", t), float_array("s", s)
+        t, s = _broadcastable(t=float_array("t", t), s=float_array("s", s))
         return np.stack(np.broadcast_arrays(t, s, 0.0), axis=-1)
 
     def distance_and_normal(self, points):
         """(signed distance z, normal e_z) per point."""
-        pts = float_array("points", points)
+        pts = _points(points)
         return pts[..., 2], np.broadcast_to([0.0, 0.0, 1.0], pts.shape).copy()
 
     def correct_to_boundary(self, points, side):
         """Clamp points onto one side line of the square."""
         axis, value = _SQUARE_SIDES[choice("boundary side", side, _SQUARE_SIDES)]
-        pts = np.clip(float_array("points", points), 0.0, 1.0)
+        pts = np.clip(_points(points), 0.0, 1.0)
         pts[..., 2] = 0.0
         pts[..., axis] = value
         return pts
@@ -559,15 +580,15 @@ class FlatSquareProblem:
     project_to_boundary = correct_to_boundary
 
     def solution_and_gradient_at(self, points):
-        pts = float_array("points", points)
+        pts = _points(points)
         x, y = pts[..., 0], pts[..., 1]
         gradient = [polyval2d(x, y, self._dx), polyval2d(x, y, self._dy), np.zeros_like(x)]
         return polyval2d(x, y, self.coefficients), np.stack(gradient, axis=-1)
 
     def load_at(self, points):
-        pts = float_array("points", points)
+        pts = _points(points)
         return -sum(polyval2d(pts[..., 0], pts[..., 1], c) for c in self._laplacian_terms)
 
     def dirichlet_at(self, points):
-        pts = float_array("points", points)
+        pts = _points(points)
         return polyval2d(pts[..., 0], pts[..., 1], self.coefficients)

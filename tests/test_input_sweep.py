@@ -4,7 +4,9 @@ Each public callable that checks its input starts from one valid call.
 Every value of ``BAD_VALUES`` then replaces each of its value arguments in
 turn, with warnings raised as errors, and the call must return or raise
 a ``SurfNitscheError``.  One test per callable collects every other
-outcome, its leaks, into one assertion message.
+outcome, its leaks, into one assertion message.  The problem protocol's
+methods are swept on ``TorusProblem()`` and ``FlatSquareProblem(1)``, and
+every ``points`` argument also gets an array whose last axis is 4.
 
 Object arguments (mesh, problem, system, torus, boundary, records) and
 output paths stay out of the sweep: the stages duck-type them, so a
@@ -25,6 +27,7 @@ from surfnitsche import (
     ReferenceElement,
     SurfNitscheError,
     TorusParams,
+    TorusProblem,
 )
 
 BAD_VALUES = {
@@ -45,6 +48,10 @@ BAD_VALUES = {
     "true": True,
 }
 
+# Swept into every argument named ``points`` besides BAD_VALUES: real,
+# finite and two-dimensional, but not three-space points.
+BAD_POINTS = {"last-axis-4": np.ones((2, 4))}
+
 
 def _flat_mesh():
     return surfnitsche.build_mesh(2, 1, FlatSquareProblem(1))
@@ -52,6 +59,24 @@ def _flat_mesh():
 
 def _system():
     return surfnitsche.assemble(_flat_mesh(), 1e4, FlatSquareProblem(1))
+
+
+def _protocol(name, problem, points):
+    """Entries for the value arguments of one problem's protocol methods;
+    its other two members, ``chart_aspect`` and ``periodic``, take none."""
+    valid = {
+        "chart": dict(t=0.1, s=np.array([0.2, 0.5, 0.8])),
+        "distance_and_normal": dict(points=points),
+        "project_to_boundary": dict(points=points, side="lower"),
+        "correct_to_boundary": dict(points=points, side="lower"),
+        "dirichlet_at": dict(points=points),
+        "load_at": dict(points=points),
+        "solution_and_gradient_at": dict(points=points),
+    }
+    return {
+        f"{name}.{method}": (lambda tmp, method=method, **kw: getattr(problem, method)(**kw), kw)
+        for method, kw in valid.items()
+    }
 
 
 # name -> (function of the keyword arguments and a scratch directory,
@@ -73,10 +98,14 @@ SWEEP = {
         lambda tmp, value: FlatSquareProblem(coefficients={(1, 0): value}),
         dict(value=2.0),
     ),
-    "FlatSquareProblem.correct_to_boundary": (
-        lambda tmp, side: FlatSquareProblem(1).correct_to_boundary(np.zeros((1, 3)), side),
-        dict(side="lower"),
+    "FlatSquareProblem-table": (
+        lambda tmp, **kw: FlatSquareProblem(**kw),
+        dict(coefficients={(1, 0): 2.0}),
     ),
+    **_protocol(
+        "FlatSquareProblem", FlatSquareProblem(1), np.array([[0.2, 0.3, 0.0], [0.7, 0.4, 0.0]])
+    ),
+    **_protocol("TorusProblem", TorusProblem(), np.array([[1.2, 0.3, 0.2], [-0.4, 1.1, -0.3]])),
     "torus_embed": (
         lambda tmp, **kw: surfnitsche.torus_embed(torus=TorusParams(), **kw),
         dict(theta=0.1, phi=np.array([0.2, 0.3, 0.4])),
@@ -171,7 +200,6 @@ SWEEP = {
 
 # Public callables whose arguments are all objects.
 NOT_SWEPT = {
-    "TorusProblem",
     "geometric_report",
     "records_table",
     "records_to_csv",
@@ -196,7 +224,8 @@ def test_bad_values_raise_library_errors(name, tmp_path):
     function, valid = SWEEP[name]
     calls = {"valid call": valid}
     for argument in valid:
-        for label, bad in BAD_VALUES.items():
+        bad_values = {**BAD_VALUES, **(BAD_POINTS if argument == "points" else {})}
+        for label, bad in bad_values.items():
             calls[f"{argument}={label}"] = {**valid, argument: bad}
     leaks = []
     for case, kwargs in calls.items():

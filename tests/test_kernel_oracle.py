@@ -180,7 +180,7 @@ def test_frames_match_einsum(case):
     vectors = problem.solution_and_gradient_at(position)[1]
     assert relative_gap(bundle.covectors(vectors), np.einsum("eqdr,eqd->eqr", jac, vectors)) <= RTOL
     assert relative_gap(
-        bundle.reference_components(vectors), einsum_components(jac, inv_metric, vectors)
+        bundle.raise_index(bundle.covectors(vectors)), einsum_components(jac, inv_metric, vectors)
     ) <= RTOL
 
 
