@@ -39,14 +39,15 @@ problems expose the same nine members, and the library reads no other:
 
 Every point, angle and chart-parameter query reads its input through
 ``errors.float_array``, so strings and complex values raise
-InvalidArgumentError.  Points must also have a last axis of 3, angles must
-be finite, and angles and chart parameters must broadcast together; an
-angle so large that a wave argument overflows, or a chart parameter so
-large that theta or phi does, raises it too.
+InvalidArgumentError.  Points, angles and chart parameters must also be
+finite, points must have a last axis of 3, and angles and chart
+parameters must broadcast together.  A query whose arithmetic overflows
+(at coordinates near 1e308, an angle whose wave argument overflows, a
+chart parameter whose theta or phi does) raises it too, and no
+floating-point warning.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -127,8 +128,8 @@ class BoundarySpec:
 
 
 def _points(points):
-    """points as a real float array of shape (..., 3)."""
-    pts = float_array("points", points)
+    """points as a real, finite float array of shape (..., 3)."""
+    pts = float_array("points", points, finite=True)
     if pts.shape[-1:] != (3,):
         raise InvalidArgumentError(f"points has shape {pts.shape}, expected (..., 3)")
     return pts
@@ -144,6 +145,11 @@ def _broadcastable(**arrays):
     return tuple(arrays.values())
 
 
+def _chart_parameters(t, s):
+    """(t, s) as real, finite float arrays whose shapes broadcast together."""
+    return _broadcastable(t=float_array("t", t, finite=True), s=float_array("s", s, finite=True))
+
+
 def _angles(theta, phi):
     """(theta, phi) as real, finite float arrays broadcast together."""
     theta = float_array("theta", theta, finite=True)
@@ -154,8 +160,9 @@ def _angles(theta, phi):
 @contextmanager
 def _no_overflow(name):
     """Raise InvalidArgumentError naming ``name``, and no warning, where the
-    block overflows or makes a NaN of finite numbers.  NumPy's floating-point
-    status flags tell, so the values need no second pass."""
+    block (or the function it decorates) overflows or makes a NaN of finite
+    numbers.  NumPy's floating-point status flags tell, so the values need
+    no second pass."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -190,6 +197,7 @@ def _tube_angles(x, y, z, zeta):
     return np.mod(np.arctan2(z, zeta), TWO_PI), np.mod(np.arctan2(y, x), TWO_PI)
 
 
+@_no_overflow("the tube coordinates of these points")
 def _tube_coordinates(points, torus: TorusParams):
     """(x, y, z, d, zeta, ell) of points: d = hypot(x, y), zeta = d - R, ell = hypot(zeta, z).
 
@@ -298,6 +306,7 @@ _NEWTON_MAX_STEPS = 16
 _BRACKET_CHUNK = 2**17
 
 
+@_no_overflow("the boundary projection of these points")
 def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: TorusParams):
     """Nearest point of one boundary curve, per input point.
 
@@ -314,8 +323,6 @@ def project_to_boundary_curve(points, side, boundary: BoundarySpec, torus: Torus
     points by one ulp moved theta by at most 2.7e-15.
     """
     pts = np.atleast_2d(_points(points))
-    if not np.all(np.isfinite(pts)):
-        raise ProjectionError("non-finite point passed to boundary projection")
     waves, _ = _side_curve(side, boundary)
     n_samples = 64 * max(1, abs(int(waves)))
     theta_samples = np.arange(n_samples) * (TWO_PI / n_samples)
@@ -448,7 +455,7 @@ class TorusProblem:
         t in [0, 1] runs once around the tube (theta = 2 pi t), s in [0, 1]
         interpolates between the two boundary curves.
         """
-        t, s = _broadcastable(t=float_array("t", t), s=float_array("s", s))
+        t, s = _chart_parameters(t, s)
         with _no_overflow("theta = 2 pi t"):
             theta = TWO_PI * t
         lo = boundary_phi("lower", theta, self.boundary)
@@ -457,6 +464,7 @@ class TorusProblem:
             phi = lo + s * (hi - lo)
         return torus_embed(theta, phi, self.torus)
 
+    @_no_overflow("the normal at these points")
     def distance_and_normal(self, points):
         """Signed distance ell - r and exterior normal at the closest point,
         from one pass over the tube coordinates.
@@ -484,6 +492,7 @@ class TorusProblem:
         theta, _ = toroidal_angles(points, self.torus)
         return boundary_curve_point(side, theta, self.boundary, self.torus)
 
+    @_no_overflow("the solution gradient at these points")
     def solution_and_gradient_at(self, points):
         """u(p(x)) and its ambient gradient, from one pass over the tube coordinates.
 
@@ -519,41 +528,24 @@ _FLAT_SOLUTIONS = {
 _SQUARE_SIDES = {"lower": (1, 0.0), "right": (0, 1.0), "upper": (1, 1.0), "left": (0, 0.0)}
 
 
-def _coefficient_array(coefficients):
-    """c[a, b] from {(a, b): c_ab}, exponents non-negative integers and values finite."""
-    name = f"flat solution coefficients {coefficients!r}"
-    if not isinstance(coefficients, Mapping):
-        raise InvalidArgumentError(f"{name} must be a mapping {{(a, b): c_ab}}")
-    values = float_array(name, list(coefficients.values()), (len(coefficients),), finite=True)
-    exponents = [[integer(name, e) for e in np.ravel(key).tolist()] for key in coefficients]
-    if not all(len(key) == 2 and min(key) >= 0 for key in exponents):
-        raise InvalidArgumentError(f"invalid {name}")
-    exponents = np.array(exponents, int).reshape(-1, 2)
-    array = np.zeros(exponents.max(axis=0, initial=0) + 1)
-    array[tuple(exponents.T)] = values
-    return array
-
-
 class FlatSquareProblem:
     """Unit square in the z = 0 plane with a polynomial exact solution.
 
     The full surface pipeline runs with zero geometric error, which makes
     this the patch-test configuration: with elements of order >= the
     polynomial degree the discrete solution must reproduce the polynomial
-    to solver accuracy.  The solution is the array ``coefficients[a, b]``
-    of x^a y^b; each boundary side is one clamp onto its line.
+    to solver accuracy.  ``degree`` 1..3 picks the built-in polynomial of
+    that total degree, held as the array ``coefficients[a, b]`` of x^a y^b;
+    each boundary side is one clamp onto its line.
     """
 
     periodic = False
 
-    def __init__(self, degree: int = 1, coefficients: dict | None = None):
-        if coefficients is None:
-            key = integer("flat solution degree", degree, UnsupportedDegreeError)
-            if key not in _FLAT_SOLUTIONS:
-                raise UnsupportedDegreeError(f"no built-in flat solution of degree {degree}")
-            self.coefficients = np.array(_FLAT_SOLUTIONS[key])
-        else:
-            self.coefficients = _coefficient_array(coefficients)
+    def __init__(self, degree: int = 1):
+        degree = integer("flat solution degree", degree, UnsupportedDegreeError)
+        if degree not in _FLAT_SOLUTIONS:
+            raise UnsupportedDegreeError(f"no built-in flat solution of degree {degree}")
+        self.coefficients = np.array(_FLAT_SOLUTIONS[degree])
         self._dx = polyder(self.coefficients, axis=0)
         self._dy = polyder(self.coefficients, axis=1)
         self._laplacian_terms = (polyder(self._dx, axis=0), polyder(self._dy, axis=1))
@@ -561,7 +553,7 @@ class FlatSquareProblem:
     chart_aspect = 1.0
 
     def chart(self, t, s):
-        t, s = _broadcastable(t=float_array("t", t), s=float_array("s", s))
+        t, s = _chart_parameters(t, s)
         return np.stack(np.broadcast_arrays(t, s, 0.0), axis=-1)
 
     def distance_and_normal(self, points):
@@ -579,16 +571,19 @@ class FlatSquareProblem:
 
     project_to_boundary = correct_to_boundary
 
+    @_no_overflow("the flat solution at these points")
     def solution_and_gradient_at(self, points):
         pts = _points(points)
         x, y = pts[..., 0], pts[..., 1]
         gradient = [polyval2d(x, y, self._dx), polyval2d(x, y, self._dy), np.zeros_like(x)]
         return polyval2d(x, y, self.coefficients), np.stack(gradient, axis=-1)
 
+    @_no_overflow("the flat load at these points")
     def load_at(self, points):
         pts = _points(points)
         return -sum(polyval2d(pts[..., 0], pts[..., 1], c) for c in self._laplacian_terms)
 
+    @_no_overflow("the flat solution at these points")
     def dirichlet_at(self, points):
         pts = _points(points)
         return polyval2d(pts[..., 0], pts[..., 1], self.coefficients)

@@ -153,16 +153,14 @@ def triangle_rule(degree: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _triangle_rule(degree):
-    n = max(1, (degree + 2) // 2)
-    xu, wu = leggauss(n)
-    xv, wv = _gauss_jacobi_1_0(n)
-    u = 0.5 * (xu + 1.0)
+    edge = _edge_rule(degree)
+    xv, wv = _gauss_jacobi_1_0(len(edge.points))
     v = 0.5 * (xv + 1.0)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
+    uu, vv = np.meshgrid(edge.points, v, indexing="ij")
     xi = (uu * (1.0 - vv)).ravel()
     eta = vv.ravel()
-    # du contributes 1/2, the Jacobi measure (1-x) dx maps to 4 (1-v) dv
-    weights = (np.outer(wu, wv) / 8.0).ravel()
+    # the edge weights carry du's 1/2, the Jacobi measure (1-x) dx maps to 4 (1-v) dv
+    weights = (np.outer(edge.weights, wv) / 4.0).ravel()
     return QuadratureRule(np.column_stack([xi, eta]), weights, degree)
 
 

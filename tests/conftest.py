@@ -37,6 +37,23 @@ def solution_at(problem, points):
     return problem.solution_and_gradient_at(points)[0]
 
 
+class ScaledData:
+    """The problem with its load and Dirichlet data multiplied by alpha."""
+
+    def __init__(self, problem, alpha):
+        self._problem = problem
+        self._alpha = alpha
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def load_at(self, points):
+        return self._alpha * self._problem.load_at(points)
+
+    def dirichlet_at(self, points):
+        return self._alpha * self._problem.dirichlet_at(points)
+
+
 def traced_peak(fn):
     """(fn(), the peak in bytes that tracemalloc saw while fn ran)."""
     tracemalloc.start()

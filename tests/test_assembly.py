@@ -19,7 +19,7 @@ from surfnitsche.errors import InvalidPenaltyError, MeshInvalidError, NotPositiv
 from surfnitsche.mesh import build_mesh
 from surfnitsche.solve import is_positive_definite, solve_linear, solve_spd
 
-from conftest import boundary_specs, solution_at, traced_peak
+from conftest import ScaledData, boundary_specs, solution_at, traced_peak
 
 
 class ConstantData:
@@ -70,7 +70,7 @@ class TestSystemStructure:
         assert np.abs(residual).max() <= 1e-10 * np.abs(system.matrix).max()
 
     def test_zero_data_gives_zero_rhs(self):
-        problem = geo.FlatSquareProblem(coefficients={})
+        problem = ScaledData(geo.FlatSquareProblem(2), 0.0)
         mesh = build_mesh(4, 2, problem)
         system = assemble(mesh, 1e4, problem)
         assert np.all(system.rhs == 0.0)
@@ -95,7 +95,7 @@ class TestSystemStructure:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_matrix_names_beta(self):
         # with zero data the rhs stays 0; only the penalty entries overflow
-        problem = geo.FlatSquareProblem(coefficients={})
+        problem = ScaledData(geo.FlatSquareProblem(2), 0.0)
         mesh = build_mesh(4, 2, problem)
         with pytest.raises(InvalidPenaltyError, match="beta"):
             assemble(mesh, 1e308, problem)
@@ -266,8 +266,8 @@ class TestPenaltyOnCorePattern:
 class TestNitscheConsistency:
     def test_affine_solution_reproduced_exactly(self):
         # affine fields on exact flat geometry pass through the weak
-        # boundary enforcement unchanged
-        problem = geo.FlatSquareProblem(coefficients={(1, 0): 1.0, (0, 1): 1.0})
+        # boundary enforcement unchanged: degree 1 is -0.5 + x + 2y
+        problem = geo.FlatSquareProblem(1)
         mesh = build_mesh(2, 1, problem)
         system = assemble(mesh, 1e4, problem)
         dense = np.linalg.solve(system.matrix.toarray(), system.rhs)

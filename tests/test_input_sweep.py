@@ -8,6 +8,13 @@ outcome, its leaks, into one assertion message.  The problem protocol's
 methods are swept on ``TorusProblem()`` and ``FlatSquareProblem(1)``, and
 every ``points`` argument also gets an array whose last axis is 4.
 
+The sweep accepts a return, so it cannot see a query that returns NaN, or
+a clamp of a NaN point, without a warning.  A second test therefore feeds
+the protocol's point queries and charts points and chart parameters that
+are NaN, infinite or so large that the arithmetic overflows: a NaN or
+infinite input must raise ``InvalidArgumentError``, and a huge one must
+raise it or return finite values, with warnings raised as errors.
+
 Object arguments (mesh, problem, system, torus, boundary, records) and
 output paths stay out of the sweep: the stages duck-type them, so a
 wrong object raises whatever its first missing attribute raises.  The
@@ -24,6 +31,7 @@ import surfnitsche
 from surfnitsche import (
     BoundarySpec,
     FlatSquareProblem,
+    InvalidArgumentError,
     ReferenceElement,
     SurfNitscheError,
     TorusParams,
@@ -93,14 +101,6 @@ SWEEP = {
     "FlatSquareProblem": (
         lambda tmp, **kw: FlatSquareProblem(**kw),
         dict(degree=2),
-    ),
-    "FlatSquareProblem-coefficients": (
-        lambda tmp, value: FlatSquareProblem(coefficients={(1, 0): value}),
-        dict(value=2.0),
-    ),
-    "FlatSquareProblem-table": (
-        lambda tmp, **kw: FlatSquareProblem(**kw),
-        dict(coefficients={(1, 0): 2.0}),
     ),
     **_protocol(
         "FlatSquareProblem", FlatSquareProblem(1), np.array([[0.2, 0.3, 0.0], [0.7, 0.4, 0.0]])
@@ -255,3 +255,84 @@ def test_sweep_covers_the_public_callables():
     }
     swept = {name.split("-")[0].split(".")[0] for name in SWEEP}
     assert callables - result_types == swept | NOT_SWEPT
+
+
+# Points of shape (1, 3) and chart parameters that are not finite, or finite
+# but so large that a query's arithmetic overflows.
+NON_FINITE_POINTS = {
+    "nan-x": [[np.nan, 1.0, 0.0]],
+    "inf-x": [[np.inf, 1.0, 0.0]],
+    "-inf-y": [[1.0, -np.inf, 0.0]],
+    "nan-z": [[1.0, 1.0, np.nan]],
+}
+# hypot(x, y) overflows at the first; the squares of a projection at the last.
+HUGE_POINTS = {
+    "1.7e308": [[1.7e308, 1.7e308, 0.0]],
+    "1e308": [[1e308, 1e308, 0.0]],
+    "1e200": [[1e200, 0.0, 0.0]],
+}
+NON_FINITE_PARAMETERS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+HUGE_PARAMETERS = {"1e308": 1e308}
+
+POINT_QUERIES = {
+    "distance_and_normal": (),
+    "solution_and_gradient_at": (),
+    "load_at": (),
+    "dirichlet_at": (),
+    "project_to_boundary": ("lower",),
+    "correct_to_boundary": ("lower",),
+}
+PROBLEMS = {"torus": TorusProblem(), "flat": FlatSquareProblem(1)}
+
+
+def _outcome(call):
+    """What call() does with warnings raised as errors: "raises" for
+    InvalidArgumentError, "finite" or "non-finite" for a return, or else
+    the exception that escaped."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = call()
+    except InvalidArgumentError:
+        return "raises"
+    except Exception as exc:  # noqa: BLE001 - every other exception is the finding
+        return f"{type(exc).__name__}: {exc}"
+    arrays = result if isinstance(result, tuple) else (result,)
+    return "finite" if all(np.all(np.isfinite(a)) for a in arrays) else "non-finite"
+
+
+def _bad_outcomes(call, non_finite, huge):
+    """The inputs of ``non_finite`` for which call(input) does not raise
+    InvalidArgumentError, and those of ``huge`` for which it neither raises
+    it nor returns finite values."""
+    allowed = dict.fromkeys(non_finite, ("raises",)) | dict.fromkeys(huge, ("raises", "finite"))
+    bad = []
+    for label, value in {**non_finite, **huge}.items():
+        outcome = _outcome(lambda: call(value))
+        if outcome not in allowed[label]:
+            bad.append(f"{label}: {outcome}")
+    return bad
+
+
+@pytest.mark.parametrize("problem", list(PROBLEMS))
+@pytest.mark.parametrize("query", list(POINT_QUERIES))
+def test_point_queries_reject_non_finite_and_overflowing_points(problem, query):
+    method = getattr(PROBLEMS[problem], query)
+    bad = _bad_outcomes(
+        lambda points: method(np.array(points), *POINT_QUERIES[query]),
+        NON_FINITE_POINTS,
+        HUGE_POINTS,
+    )
+    assert not bad, f"{problem}.{query}:\n" + "\n".join(bad)
+
+
+@pytest.mark.parametrize("problem", list(PROBLEMS))
+@pytest.mark.parametrize("parameter", ["t", "s"])
+def test_charts_reject_non_finite_and_overflowing_parameters(problem, parameter):
+    chart = PROBLEMS[problem].chart
+    bad = _bad_outcomes(
+        lambda value: chart(**{"t": 0.5, "s": 0.5, parameter: value}),
+        NON_FINITE_PARAMETERS,
+        HUGE_PARAMETERS,
+    )
+    assert not bad, f"{problem}.chart({parameter}):\n" + "\n".join(bad)

@@ -12,29 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boundary_specs
+from conftest import ScaledData, boundary_specs
 from surfnitsche import geometry as geo
 from surfnitsche.assembly import assemble
 from surfnitsche.errors import MeshInvalidError
 from surfnitsche.mesh import build_mesh
 from surfnitsche.solve import is_positive_definite, solve_spd
-
-
-class ScaledData:
-    """The problem with its load and Dirichlet data multiplied by alpha."""
-
-    def __init__(self, problem, alpha):
-        self._problem = problem
-        self._alpha = alpha
-
-    def __getattr__(self, name):
-        return getattr(self._problem, name)
-
-    def load_at(self, points):
-        return self._alpha * self._problem.load_at(points)
-
-    def dirichlet_at(self, points):
-        return self._alpha * self._problem.dirichlet_at(points)
 
 
 @pytest.mark.parametrize(

@@ -93,18 +93,6 @@ BAD_INPUT = {
     "flat-projection-side": lambda tmp_path: surfnitsche.FlatSquareProblem(1).project_to_boundary(
         np.zeros((1, 3)), "bogus"
     ),
-    "flat-fractional-exponent": lambda tmp_path: surfnitsche.FlatSquareProblem(
-        coefficients={(0.5, 0): 1.0}
-    ),
-    "flat-negative-exponent": lambda tmp_path: surfnitsche.FlatSquareProblem(
-        coefficients={(-1, 0): 1.0}
-    ),
-    "flat-nan-coefficient": lambda tmp_path: surfnitsche.FlatSquareProblem(
-        coefficients={(1, 0): np.nan}
-    ),
-    "flat-string-coefficient": lambda tmp_path: surfnitsche.FlatSquareProblem(
-        coefficients={(1, 0): "x"}
-    ),
     "torus-string-radius": lambda tmp_path: surfnitsche.TorusParams("1", 0.4),
     "boundary-string-amplitude": lambda tmp_path: surfnitsche.BoundarySpec(amplitude="x"),
     "boundary-string-waves": lambda tmp_path: surfnitsche.BoundarySpec(waves_lower="4"),
@@ -185,12 +173,6 @@ BAD_INPUT = {
     "matrix-market-complex": lambda tmp_path: surfnitsche.write_matrix_market(
         tmp_path / "out.mtx", sp.identity(2, dtype=complex, format="csr")
     ),
-    "flat-complex-coefficient": lambda tmp_path: surfnitsche.FlatSquareProblem(
-        coefficients={(1, 0): 2 + 1j}
-    ),
-    "flat-parseable-string-coefficient": lambda tmp_path: surfnitsche.FlatSquareProblem(
-        coefficients={(1, 0): "1.5"}
-    ),
     "flat-complex-degree": lambda tmp_path: surfnitsche.FlatSquareProblem(1 + 0j),
     "flat-float-degree": lambda tmp_path: surfnitsche.FlatSquareProblem(2.0),
     "flat-numpy-string-degree": lambda tmp_path: surfnitsche.FlatSquareProblem(np.str_("1")),
@@ -262,10 +244,6 @@ NAMED_IN_MESSAGE = {
     "flat-side": "'bogus'",
     "mesh-thin-chart-aspect": "chart aspect 3.97887e-13",
     "flat-projection-side": "'bogus'",
-    "flat-fractional-exponent": "(0.5, 0)",
-    "flat-negative-exponent": "(-1, 0)",
-    "flat-nan-coefficient": "nan",
-    "flat-string-coefficient": "'x'",
     "torus-string-radius": "major='1'",
     "boundary-string-amplitude": "amplitude",
     "boundary-string-waves": "waves_lower",
@@ -298,8 +276,6 @@ NAMED_IN_MESSAGE = {
     "vector-market-complex": "vector",
     "vector-market-parseable-string": "vector",
     "matrix-market-complex": "matrix",
-    "flat-complex-coefficient": "(2+1j)",
-    "flat-parseable-string-coefficient": "'1.5'",
     "torus-complex-radius": "major=np.complex128(1+0j)",
     "torus-parseable-string-radius": "minor='0.4'",
     "boundary-complex-amplitude": "amplitude",
